@@ -5,7 +5,6 @@ from .assembly import (
     Mesh,
     ProblemSpec,
     assemble_level,
-    exp_transform,
     fe_l2_error,
     frac_pair_symbol,
     load_vector,
@@ -44,12 +43,11 @@ from .multigrid import (
 from .timestep import (
     SolutionRecord,
     cn_step,
-    convergence_table,
     rate_from_errors,
     rate_three_mesh,
     run_simulation,
     shared_node_distance,
 )
-from .toeplitz import SymToeplitz, new_sym_toeplitz, power_iteration, structure_report
+from .toeplitz import SymToeplitz, power_iteration, structure_report
 
 __version__ = "0.1.0"

@@ -108,7 +108,7 @@ def mass_symbol(mesh: Mesh) -> np.ndarray:
     return sym
 
 
-def _hat_deriv_profile(h, nu, lam, sing_nodes=20, smooth_nodes=16):
+def _hat_deriv_profile(h, nu, lam):
     """Pointwise order-nu tempered left derivative of the unit hat at 0.
 
     Returns profile(s) = value at signed distance s from the hat's center.
@@ -119,8 +119,8 @@ def _hat_deriv_profile(h, nu, lam, sing_nodes=20, smooth_nodes=16):
     its width, and a difference of two Jacobi evaluations otherwise (benign
     cancellation: the two values then differ by a factor >= 2).
     """
-    jr = fracquad.gauss_jacobi(0.0, -nu, sing_nodes)   # weight (1+z)^(-nu)
-    gl = fracquad.gauss_jacobi(0.0, 0.0, smooth_nodes)
+    jr = fracquad.gauss_jacobi(0.0, -nu, _SING_NODES)   # weight (1+z)^(-nu)
+    gl = fracquad.gauss_jacobi(0.0, 0.0, _SMOOTH_NODES)
     zj, wj = jr.nodes, jr.weights
     zg, wg = gl.nodes, gl.weights
     cg = 1.0 / gamma_fn(1.0 - nu)
@@ -176,13 +176,11 @@ def _hat_deriv_profile(h, nu, lam, sing_nodes=20, smooth_nodes=16):
 def _graded_unit_rule(points, depth):
     """Composite Gauss-Legendre on [0,1], dyadically graded toward both ends.
 
-    depth=0 degenerates to the plain ``points``-point rule.  Grading is what
-    resolves the algebraic kinks the derivative profile has at cell ends.
+    Grading is what resolves the algebraic kinks the derivative profile has
+    at cell ends.
     """
     gl = fracquad.gauss_jacobi(0.0, 0.0, points)
     zg, wg = gl.nodes, gl.weights
-    if depth == 0:
-        return 0.5 * (1.0 + zg), 0.5 * wg
     edges = [0.0] + [2.0 ** (-k) for k in range(depth, 0, -1)]  # 0, 2^-d, ..., 1/2
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -196,8 +194,15 @@ def _graded_unit_rule(points, depth):
     return x, w
 
 
-# Symbols are pure functions of (n, h, alpha, lam, quadrature); time-step and
-# multigrid sweeps revisit the same meshes constantly.
+# Quadrature sizes of the stiffness assembly: Gauss-Legendre points per
+# graded outer panel, and the Jacobi/Legendre node counts of the inner
+# kernel integrals.
+_OUTER_POINTS = 6
+_SING_NODES = 20
+_SMOOTH_NODES = 16
+
+# Symbols are pure functions of (n, h, alpha, lam); time-step sweeps revisit
+# the same meshes constantly.
 _SYMBOL_CACHE: dict = {}
 
 # Test hook for the CLI's fault-injection path: flips the sign of one
@@ -205,9 +210,7 @@ _SYMBOL_CACHE: dict = {}
 _INJECT_SIGN_FLIP = False
 
 
-def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float,
-                     outer_points: int = 6, grading_depth: Optional[int] = None,
-                     sing_nodes: int = 20, smooth_nodes: int = 16) -> np.ndarray:
+def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
     """First column of the symmetrized fractional-pairing Gram matrix.
 
     Entry m is (up to the m=0,1 boundary-of-support cases) half the overlap
@@ -218,24 +221,23 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float,
         T(m) = h * int G(y h) G((m - y) h) dy,
 
     which is evaluated for all m at once as a per-offset discrete convolution
-    of profile samples.  ``grading_depth=None`` picks the depth matching a
-    ~1e-10 kink-resolution target; 0 gives a plain composite rule.
+    of profile samples.  The outer grading depth matches a ~1e-10
+    kink-resolution target.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
     if lam < 0:
         raise ValueError("lam must be >= 0")
     nu = 0.5 * alpha
-    if grading_depth is None:
-        grading_depth = int(np.ceil(10.0 / ((2.0 - nu) * np.log10(2.0))))
     n, h = mesh.n_interior, mesh.h
-    key = (n, h, alpha, lam, outer_points, grading_depth, sing_nodes, smooth_nodes)
+    key = (n, h, alpha, lam)
     hit = _SYMBOL_CACHE.get(key)
     if hit is not None:
         return hit.copy()
-    offs, wq = _graded_unit_rule(outer_points, grading_depth)
+    depth = int(np.ceil(10.0 / ((2.0 - nu) * np.log10(2.0))))
+    offs, wq = _graded_unit_rule(_OUTER_POINTS, depth)
     q_count = offs.size
-    profile = _hat_deriv_profile(h, nu, lam, sing_nodes, smooth_nodes)
+    profile = _hat_deriv_profile(h, nu, lam)
     cell_starts = np.arange(-1, n)  # leftmost product support starts one cell left
     samples = h * (cell_starts[:, None] + offs[None, :])
     G = profile(samples.ravel()).reshape(n + 1, q_count)
@@ -257,9 +259,9 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float,
     return sym.copy()
 
 
-def stiffness_symbol(problem: ProblemSpec, mesh: Mesh, **quad_kwargs) -> np.ndarray:
+def stiffness_symbol(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """B-symbol: -2 kappa * pairing + (2 kappa lam^alpha + sigma) * mass."""
-    pair = frac_pair_symbol(mesh, problem.alpha, problem.lam, **quad_kwargs)
+    pair = frac_pair_symbol(mesh, problem.alpha, problem.lam)
     sym = -2.0 * problem.kappa * pair
     sym += (2.0 * problem.kappa * problem.lam**problem.alpha + problem.sigma) \
         * mass_symbol(mesh)
@@ -287,19 +289,17 @@ class LevelOperator:
         return self.system.matvec(v)
 
 
-def assemble_level(problem: ProblemSpec, mesh: Mesh, tau: float,
-                   **quad_kwargs) -> LevelOperator:
-    """Assemble mass/stiffness/system operators for one mesh level.
+def level_from_symbols(problem: ProblemSpec, mesh: Mesh, tau: float,
+                       msym: np.ndarray, bsym: np.ndarray) -> LevelOperator:
+    """Level operator from mass and stiffness symbols of one mesh.
 
-    The stiffness structure check (nonpositive off-diagonals plus weak
-    diagonal dominance) is a hard invariant in the untempered pure-diffusion
-    case; with tempering or reaction it is expected empirically, so a
-    violation only warns.
+    The system symbol is (tau^{-1} M + B/2)/h.  The stiffness structure check
+    (nonpositive off-diagonals plus weak diagonal dominance) is a hard
+    invariant in the untempered pure-diffusion case; with tempering or
+    reaction it is expected empirically, so a violation only warns.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    msym = mass_symbol(mesh)
-    bsym = stiffness_symbol(problem, mesh, **quad_kwargs)
     asym = (msym / tau + 0.5 * bsym) / mesh.h
     stiff = SymToeplitz(bsym)
     rep = structure_report(stiff)
@@ -312,10 +312,16 @@ def assemble_level(problem: ProblemSpec, mesh: Mesh, tau: float,
         warnings.warn(
             f"stiffness structure check failed at lam={problem.lam}, "
             f"sigma={problem.sigma}, M={mesh.cells} (expected empirically)",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
     return LevelOperator(mesh=mesh, tau=tau, mass=SymToeplitz(msym),
                          stiff=stiff, system=SymToeplitz(asym),
                          diag=float(asym[0]))
+
+
+def assemble_level(problem: ProblemSpec, mesh: Mesh, tau: float) -> LevelOperator:
+    """Discretize the problem on one mesh: closed-form mass, quadrature stiffness."""
+    return level_from_symbols(problem, mesh, tau, mass_symbol(mesh),
+                              stiffness_symbol(problem, mesh))
 
 
 def profile_load(mesh: Mesh, profile: Callable, points: int = 3) -> np.ndarray:
@@ -354,20 +360,6 @@ def fe_l2_error(mesh: Mesh, nodal: np.ndarray, exact: Callable, t: float,
         + padded[1:, None] * (0.5 * (1.0 + gl.nodes))[None, :]
     diff = uh - np.asarray(exact(xq, t), dtype=float)
     return float(np.sqrt(np.sum(0.5 * h * gl.weights[None, :] * diff**2)))
-
-
-def exp_transform(values: np.ndarray, sigma: float, t: float,
-                  direction: str = "forward") -> np.ndarray:
-    """Exponential time rescaling of nodal values.
-
-    "forward" multiplies by e^{sigma t} (recovers the rescaled variable the
-    reaction term was absorbed into); "inverse" multiplies by e^{-sigma t}.
-    """
-    if direction == "forward":
-        return np.asarray(values, dtype=float) * np.exp(sigma * t)
-    if direction == "inverse":
-        return np.asarray(values, dtype=float) * np.exp(-sigma * t)
-    raise ValueError("direction must be 'forward' or 'inverse'")
 
 
 def make_example1(alpha: float, lam: float, b_end: float = 32.0,

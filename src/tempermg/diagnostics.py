@@ -10,7 +10,6 @@ smoother's admissibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -18,13 +17,6 @@ import numpy as np
 from . import fracquad
 from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
 from .toeplitz import power_iteration, structure_report
-
-
-@dataclass(frozen=True)
-class NormReport:
-    s: int
-    value: float
-    level_index: int
 
 
 def mesh_norm(level: LevelOperator, v: np.ndarray, s: int) -> float:
@@ -39,16 +31,6 @@ def mesh_norm(level: LevelOperator, v: np.ndarray, s: int) -> float:
         av = level.apply(v)
         return float(np.sqrt(h * np.dot(av, av)))
     raise ValueError("s must be 0, 1 or 2")
-
-
-def norm_report(level: LevelOperator, v: np.ndarray, s: int,
-                level_index: int = 0) -> NormReport:
-    return NormReport(s=s, value=mesh_norm(level, v, s), level_index=level_index)
-
-
-def energy_tau_norm(level: LevelOperator, v: np.ndarray) -> float:
-    """The s=1 norm under its convergence-measurement name."""
-    return mesh_norm(level, v, 1)
 
 
 def coercivity_constant(alpha: float, lam: float, sigma: float) -> Optional[float]:

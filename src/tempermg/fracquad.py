@@ -331,19 +331,15 @@ def example1_forcing(alpha: float, lam: float, a: float, b: float,
 
     Closed form assumes the domain starts at 0 and the reaction coefficient
     sigma = 3 lam^alpha kappa; then f(x,t) = e^{-t} F(x) with
-    F = -(w (1 - 5 lam^alpha kappa) + kappa (left + right tempered derivs of w)).
+    F = -(w (1 - 3 lam^alpha kappa) + riesz_apply(w)).
     """
     _check_alpha(alpha)
     if a != 0.0:
         raise ValueError("closed-form source requires the domain to start at 0")
-    kap = riesz_kappa(alpha)
+    shift = 1.0 - 3.0 * lam**alpha * riesz_kappa(alpha)
     w = polynomial_bump(b)
 
     def space(x):
-        xs, scalar = _as_points(x)
-        left = tempered_left_deriv(w, alpha, lam, 0.0, xs, order)
-        right = tempered_right_deriv(w, alpha, lam, b, xs, order)
-        out = -(w.value(xs) * (1.0 - 5.0 * lam**alpha * kap) + kap * (left + right))
-        return float(out[0]) if scalar else out
+        return -(w.value(x) * shift + riesz_apply(w, alpha, lam, 0.0, b, x, order))
 
     return SeparableForcing(space, lambda t: np.exp(-t))

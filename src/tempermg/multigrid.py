@@ -1,11 +1,16 @@
 """Geometric V-cycle multigrid for the Toeplitz time-step systems.
 
 Levels are built by halving the cell count until the interior size drops to
-the direct-solve threshold; every level is re-discretized from the same
-problem and time step (equal, up to quadrature, to the Galerkin product —
-verified in tests, not assumed).  Transfers are linear interpolation and its
-h-weighted adjoint; the smoother is damped Jacobi, which for these
-constant-diagonal operators is plain scalar Richardson.
+the direct-solve threshold.  Only the finest level is assembled by
+quadrature; each coarser level takes the closed-form mass of its mesh and the
+Galerkin product P^T B P of the stiffness above it, which for a symmetric
+Toeplitz B is symmetric Toeplitz again and costs O(n) (Chan, Chang & Sun,
+SIAM J. Sci. Comput. 19, 1998).  For nested linear elements that product
+equals re-discretization up to quadrature error (checked against
+re-discretized assembly in the tests and in ``verify``, not assumed).
+Transfers are linear interpolation and its h-weighted adjoint; the smoother
+is damped Jacobi, which for these constant-diagonal operators is plain
+scalar Richardson.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
+from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
+                       level_from_symbols, mass_symbol)
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,28 @@ class Hierarchy:
         return sla.cho_solve(self._coarse_factor, g)
 
 
+def coarsen_symbol(first_col: np.ndarray) -> np.ndarray:
+    """First column of P^T T P for a symmetric Toeplitz T of odd size 2nc + 1.
+
+    P is the linear interpolation of ``prolongate`` (weights 1/2, 1, 1/2), so
+    c_k = t_{2k-2}/4 + t_{2k-1} + 3/2 t_{2k} + t_{2k+1} + t_{2k+2}/4 with
+    t_{-j} = t_j; the product is exactly symmetric Toeplitz of size nc.
+    """
+    col = np.asarray(first_col, dtype=float)
+    if col.ndim != 1 or col.size < 3 or col.size % 2 == 0:
+        raise ValueError("first_col must have odd size >= 3")
+    t = np.concatenate((col[2:0:-1], col))  # t[j + 2] = t_j for j >= -2
+    return (0.25 * (t[0:-4:2] + t[4::2]) + t[1:-3:2] + t[3:-1:2]
+            + 1.5 * t[2:-2:2])
+
+
 def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
-                    config: Optional[MgConfig] = None, **quad_kwargs) -> Hierarchy:
-    """Assemble all levels from fine_mesh down to the direct-solve size."""
+                    config: Optional[MgConfig] = None) -> Hierarchy:
+    """Assemble fine_mesh and Galerkin-coarsen down to the direct-solve size.
+
+    Each coarse level takes the closed-form mass symbol of its mesh and the
+    stiffness symbol ``coarsen_symbol`` derives from the level above.
+    """
     config = config or MgConfig()
     meshes = [fine_mesh]
     while meshes[-1].n_interior > config.coarse_max:
@@ -70,8 +95,12 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
             f"M={fine_mesh.cells} yields a single level at "
             f"coarse_max={config.coarse_max}; refine the mesh")
     t0 = time.perf_counter()
-    levels = [assemble_level(problem, mesh, tau, **quad_kwargs)
-              for mesh in meshes[::-1]]
+    levels = [assemble_level(problem, fine_mesh, tau)]
+    for mesh in meshes[1:]:
+        bsym = coarsen_symbol(levels[-1].stiff.first_col)
+        levels.append(level_from_symbols(problem, mesh, tau,
+                                         mass_symbol(mesh), bsym))
+    levels.reverse()
     hier = Hierarchy(problem=problem, tau=tau, config=config, levels=levels,
                      assembly_seconds=time.perf_counter() - t0)
     coarse = levels[0]

@@ -68,15 +68,14 @@ def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
 
 
 def run_simulation(problem: ProblemSpec, M: int, N: int,
-                   config: Optional[MgConfig] = None,
-                   **quad_kwargs) -> SolutionRecord:
+                   config: Optional[MgConfig] = None) -> SolutionRecord:
     """March the problem to t = T on an M-cell mesh with N steps."""
     if N < 1:
         raise ValueError("N must be >= 1")
     config = config or MgConfig()
     mesh = Mesh(problem.a, problem.b, M)
     tau = problem.T / N
-    hier = build_hierarchy(problem, mesh, tau, config, **quad_kwargs)
+    hier = build_hierarchy(problem, mesh, tau, config)
     u = np.asarray(problem.u0(mesh.interior_nodes()), dtype=float)
     separable = isinstance(problem.f, SeparableForcing)
     base_load = profile_load(mesh, problem.f.space) if separable else None
@@ -141,25 +140,3 @@ def rate_three_mesh(problem: ProblemSpec, M: int, N: int,
     if d_fine == 0.0 or d_coarse == 0.0:
         raise ZeroDivisionError("adjacent-mesh solutions coincide; rate undefined")
     return rate_from_errors(d_coarse, d_fine)
-
-
-def convergence_table(problem: ProblemSpec, Ms: List[int],
-                      config: Optional[MgConfig] = None) -> List[dict]:
-    """Rows {N, error, rate, mean_iter, cpu_s, assembly_s} with N = M coupling."""
-    rows: List[dict] = []
-    prev_err = None
-    for M in Ms:
-        rec = run_simulation(problem, M, M, config)
-        rate = None
-        if prev_err is not None and rec.l2_error:
-            rate = rate_from_errors(prev_err, rec.l2_error)
-        rows.append({
-            "N": M,
-            "error": rec.l2_error,
-            "rate": rate,
-            "mean_iter": rec.mean_iterations,
-            "cpu_s": rec.loop_seconds,
-            "assembly_s": rec.assembly_seconds,
-        })
-        prev_err = rec.l2_error
-    return rows

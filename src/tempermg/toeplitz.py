@@ -45,19 +45,6 @@ class SymToeplitz:
         self._fft_len = m
         self._spec = sfft.rfft(emb)
 
-    @property
-    def circ_spectrum(self):
-        """Eigenvalues of the minimal 2n x 2n circulant embedding.
-
-        The embedding vector [t_0, .., t_{n-1}, 0, t_{n-1}, .., t_1] is real
-        and even, so the spectrum is real up to roundoff.
-        """
-        emb = np.zeros(2 * self.n)
-        emb[: self.n] = self.first_col
-        if self.n > 1:
-            emb[self.n + 1:] = self.first_col[1:][::-1]
-        return np.fft.fft(emb)
-
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -83,10 +70,6 @@ class SymToeplitz:
         """Materialize the full matrix (small-n diagnostics only)."""
         idx = np.arange(self.n)
         return self.first_col[np.abs(idx[:, None] - idx[None, :])]
-
-
-def new_sym_toeplitz(first_col) -> SymToeplitz:
-    return SymToeplitz(first_col)
 
 
 def power_iteration(apply, n, tol=1e-10, max_iter=10000):

@@ -282,19 +282,6 @@ def test_fe_l2_error_second_order_in_h():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
-def test_exp_transform_identities():
-    rng = np.random.default_rng(9)
-    v = rng.standard_normal(6)
-    np.testing.assert_array_equal(assembly.exp_transform(v, 0.0, 3.0), v)
-    np.testing.assert_array_equal(assembly.exp_transform(v, 2.0, 0.0), v)
-    fwd = assembly.exp_transform(v, 1.7, 0.3)
-    np.testing.assert_allclose(
-        assembly.exp_transform(fwd, 1.7, 0.3, direction="inverse"), v,
-        rtol=1e-15)
-    with pytest.raises(ValueError):
-        assembly.exp_transform(v, 1.0, 1.0, direction="sideways")
-
-
 # ---------------------------------------------------------------------------
 # benchmark problems
 

@@ -24,7 +24,7 @@ def csv_row(output, prefix):
 
 
 def test_example1_reproduces_reference_error_magnitude():
-    proc = run_cli("example1", "--alpha", "1.8", "--M", "128")
+    proc = run_cli("example1", "--alpha", "1.8", "--M", "128,256")
     assert proc.returncode == 0, proc.stderr
     assert "# alpha=1.8" in proc.stdout
     assert "N,error,rate,iter,cpu_s,assembly_s" in proc.stdout
@@ -33,6 +33,11 @@ def test_example1_reproduces_reference_error_magnitude():
     assert 1.5598e-02 / 2 < error < 1.5598e-02 * 2
     assert fields[2] == ""          # first row has no rate
     assert 1 <= int(fields[3]) <= 30
+    fields = csv_row(proc.stdout, "256,")
+    assert 0.0 < float(fields[1]) < error
+    assert float(fields[2]) == pytest.approx(2.0, abs=0.35)
+    assert 1 <= int(fields[3]) <= 30
+    assert float(fields[4]) > 0.0 and float(fields[5]) > 0.0
 
 
 def test_example1_markdown_rendering():

@@ -33,8 +33,6 @@ def test_mesh_norm_definitions(level):
         np.sqrt(h * v @ av), rel=1e-14)
     assert diagnostics.mesh_norm(level, v, 2) == pytest.approx(
         np.sqrt(h * av @ av), rel=1e-14)
-    assert diagnostics.energy_tau_norm(level, v) == pytest.approx(
-        diagnostics.mesh_norm(level, v, 1), rel=1e-15)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -74,12 +72,6 @@ def test_operator_pairing_cauchy_schwarz(level, theta):
 def test_mesh_norm_invalid_exponent(level):
     with pytest.raises(ValueError):
         diagnostics.mesh_norm(level, np.ones(7), 3)
-
-
-def test_norm_report_carries_context(level):
-    rep = diagnostics.norm_report(level, np.ones(4), 0, level_index=2)
-    assert rep.s == 0 and rep.level_index == 2
-    assert rep.value == pytest.approx(np.sqrt(0.8), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

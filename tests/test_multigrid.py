@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from tempermg import assembly, multigrid
 from tempermg.assembly import Mesh, ProblemSpec
@@ -31,6 +32,20 @@ def test_hierarchy_level_sizes():
     assert hier.assembly_seconds > 0.0
 
 
+def test_hierarchy_runs_quadrature_on_fine_level_only(monkeypatch):
+    cells = []
+    pair_symbol = assembly.frac_pair_symbol
+
+    def counting(mesh, *args):
+        cells.append(mesh.cells)
+        return pair_symbol(mesh, *args)
+
+    monkeypatch.setattr(assembly, "frac_pair_symbol", counting)
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 64), 0.1)
+    assert cells == [64]
+    assert len(hier.levels) == 4
+
+
 def test_hierarchy_rejects_single_level():
     with pytest.raises(ValueError):
         multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 8), 0.1)
@@ -54,9 +69,11 @@ def test_config_validation():
 
 
 def test_rediscretized_levels_satisfy_galerkin_relation():
-    # restrict(A_fine prolongate(.)) equals the coarse operator: for nested
-    # linear elements the rebuilt coarse matrix is the variational product
-    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 64), 0.25)
+    # each coarse level is the variational product 0.5 P^T A_fine P, and for
+    # nested linear elements that product is what re-discretizing the problem
+    # on the coarse mesh gives up to quadrature error
+    problem = model_problem()
+    hier = multigrid.build_hierarchy(problem, Mesh(0.0, 1.0, 64), 0.25)
     for k in range(1, len(hier.levels)):
         fine, coarse = hier.levels[k], hier.levels[k - 1]
         nc = coarse.mesh.n_interior
@@ -66,6 +83,29 @@ def test_rediscretized_levels_satisfy_galerkin_relation():
         dense_c = coarse.system.dense()
         gap = np.linalg.norm(product - dense_c) / np.linalg.norm(dense_c)
         assert gap <= 1e-6
+        rebuilt = assembly.assemble_level(problem, coarse.mesh, 0.25)
+        dense_r = rebuilt.system.dense()
+        gap = np.linalg.norm(dense_r - dense_c) / np.linalg.norm(dense_r)
+        assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("nc", [1, 3, 7, 31])
+def test_coarsen_symbol_matches_dense_galerkin_product(nc):
+    rng = np.random.default_rng(nc)
+    col = rng.standard_normal(2 * nc + 1)
+    p_mat = np.column_stack([multigrid.prolongate(e) for e in np.eye(nc)])
+    product = p_mat.T @ sla.toeplitz(col) @ p_mat
+    got = multigrid.coarsen_symbol(col)
+    scale = np.max(np.abs(product))
+    assert np.max(np.abs(got - product[:, 0])) <= 1e-13 * scale
+    assert np.max(np.abs(sla.toeplitz(got) - product)) <= 1e-13 * scale
+
+
+def test_coarsen_symbol_validation():
+    with pytest.raises(ValueError):
+        multigrid.coarsen_symbol(np.ones(4))
+    with pytest.raises(ValueError):
+        multigrid.coarsen_symbol(np.ones(1))
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,7 @@ def test_reaction_absorbed_by_exponential_rescaling():
     for size in (32, 64):
         rec_u = timestep.run_simulation(with_reaction, size, size)
         rec_v = timestep.run_simulation(without, size, size)
-        recovered = assembly.exp_transform(rec_v.final, sigma, 1.0,
-                                           direction="inverse")
+        recovered = rec_v.final * np.exp(-sigma * without.T)
         gaps.append(np.linalg.norm(rec_u.final - recovered)
                     / np.linalg.norm(rec_u.final))
     assert gaps[1] <= 2e-3
@@ -206,18 +205,3 @@ def test_three_mesh_rate_validation():
         timestep.rate_three_mesh(prob, 31, 32)
     with pytest.raises(ValueError):
         timestep.rate_three_mesh(prob, 32, 7)
-
-
-# ---------------------------------------------------------------------------
-# table driver
-
-
-def test_convergence_table_layout():
-    rows = timestep.convergence_table(assembly.make_example1(1.8, 0.0), [32, 64])
-    assert [row["N"] for row in rows] == [32, 64]
-    assert rows[0]["rate"] is None
-    assert rows[1]["rate"] == pytest.approx(2.0, abs=0.35)
-    for row in rows:
-        assert row["error"] > 0.0
-        assert 0 < row["mean_iter"] <= 30
-        assert row["cpu_s"] > 0.0 and row["assembly_s"] > 0.0

@@ -10,27 +10,27 @@ import oracles
 
 
 def test_identity_matvec():
-    op = toeplitz.new_sym_toeplitz([1.0])
+    op = toeplitz.SymToeplitz([1.0])
     x = np.array([3.5])
     np.testing.assert_allclose(op.matvec(x), x, rtol=0, atol=1e-15)
 
 
 def test_identity_pattern_any_size():
-    op = toeplitz.new_sym_toeplitz([1.0, 0.0, 0.0, 0.0])
+    op = toeplitz.SymToeplitz([1.0, 0.0, 0.0, 0.0])
     x = np.array([1.0, -2.0, 0.5, 4.0])
     np.testing.assert_allclose(op.matvec(x), x, atol=1e-14)
 
 
 def test_tridiagonal_all_ones():
     # [-1, 2, -1] stencil telescopes to zero except at the boundary rows
-    op = toeplitz.new_sym_toeplitz([2.0, -1.0, 0.0, 0.0, 0.0])
+    op = toeplitz.SymToeplitz([2.0, -1.0, 0.0, 0.0, 0.0])
     got = op.matvec(np.ones(5))
     np.testing.assert_allclose(got, [1.0, 0.0, 0.0, 0.0, 1.0], atol=1e-13)
 
 
 def test_direct_column_extraction():
     col = np.array([4.0, -1.5, 0.25, 0.0, 2.0, -0.125])
-    op = toeplitz.new_sym_toeplitz(col)
+    op = toeplitz.SymToeplitz(col)
     e1 = np.zeros(6)
     e1[0] = 1.0
     np.testing.assert_allclose(op.matvec_direct(e1), col, atol=0)
@@ -39,7 +39,7 @@ def test_direct_column_extraction():
 def test_direct_matches_materialized_dense():
     rng = np.random.default_rng(7)
     col = rng.standard_normal(16)
-    op = toeplitz.new_sym_toeplitz(col)
+    op = toeplitz.SymToeplitz(col)
     dense = sla.toeplitz(col)
     x = rng.standard_normal(16)
     np.testing.assert_allclose(op.matvec_direct(x), dense @ x,
@@ -50,27 +50,16 @@ def test_direct_matches_materialized_dense():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100, 129, 256, 511, 512])
 def test_fft_matvec_matches_direct(n):
     rng = np.random.default_rng(n)
-    op = toeplitz.new_sym_toeplitz(rng.standard_normal(n))
+    op = toeplitz.SymToeplitz(rng.standard_normal(n))
     x = rng.standard_normal(n)
     ref = op.matvec_direct(x)
     got = op.matvec(x)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_circ_spectrum_embedding():
-    rng = np.random.default_rng(2)
-    col = rng.standard_normal(6)
-    op = toeplitz.new_sym_toeplitz(col)
-    emb = np.concatenate([col, [0.0], col[1:][::-1]])
-    spectrum = op.circ_spectrum
-    assert spectrum.shape == (12,)
-    np.testing.assert_allclose(spectrum, np.fft.fft(emb), atol=1e-12)
-    assert np.max(np.abs(spectrum.imag)) <= 1e-12 * np.max(np.abs(col))
-
-
 def test_matvec_linearity_and_symmetry():
     rng = np.random.default_rng(3)
-    op = toeplitz.new_sym_toeplitz(rng.standard_normal(40))
+    op = toeplitz.SymToeplitz(rng.standard_normal(40))
     x, y = rng.standard_normal(40), rng.standard_normal(40)
     a, b = 1.7, -0.3
     lhs = op.matvec(a * x + b * y)
@@ -82,21 +71,21 @@ def test_matvec_linearity_and_symmetry():
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        toeplitz.new_sym_toeplitz([])
+        toeplitz.SymToeplitz([])
     with pytest.raises(ValueError):
-        toeplitz.new_sym_toeplitz([1.0, np.nan])
+        toeplitz.SymToeplitz([1.0, np.nan])
     with pytest.raises(ValueError):
-        toeplitz.new_sym_toeplitz([[1.0, 2.0]])
+        toeplitz.SymToeplitz([[1.0, 2.0]])
 
 
 def test_matvec_dimension_mismatch():
-    op = toeplitz.new_sym_toeplitz([2.0, -1.0])
+    op = toeplitz.SymToeplitz([2.0, -1.0])
     with pytest.raises(ValueError):
         op.matvec(np.ones(3))
 
 
 def test_first_col_immutable():
-    op = toeplitz.new_sym_toeplitz([2.0, -1.0])
+    op = toeplitz.SymToeplitz([2.0, -1.0])
     with pytest.raises(ValueError):
         op.first_col[0] = 99.0
 
@@ -106,14 +95,14 @@ def test_first_col_immutable():
 
 
 def test_power_iteration_identity():
-    op = toeplitz.new_sym_toeplitz([1.0, 0.0, 0.0])
+    op = toeplitz.SymToeplitz([1.0, 0.0, 0.0])
     rho, converged = toeplitz.power_iteration(op.matvec, 3, tol=1e-12)
     assert converged
     assert rho == pytest.approx(1.0, rel=1e-10)
 
 
 def test_power_iteration_diagonal():
-    op = toeplitz.new_sym_toeplitz([3.0, 0.0, 0.0, 0.0])
+    op = toeplitz.SymToeplitz([3.0, 0.0, 0.0, 0.0])
     rho, converged = toeplitz.power_iteration(op.matvec, 4, tol=1e-12)
     assert converged
     assert rho == pytest.approx(3.0, rel=1e-10)
@@ -123,7 +112,7 @@ def test_power_iteration_laplacian_31():
     n = 31
     col = np.zeros(n)
     col[0], col[1] = 2.0, -1.0
-    op = toeplitz.new_sym_toeplitz(col)
+    op = toeplitz.SymToeplitz(col)
     rho, converged = toeplitz.power_iteration(op.matvec, n, tol=1e-12,
                                               max_iter=100000)
     assert converged
@@ -133,7 +122,7 @@ def test_power_iteration_laplacian_31():
 def test_power_iteration_nonconvergence_flag():
     col = np.zeros(31)
     col[0], col[1] = 2.0, -1.0
-    op = toeplitz.new_sym_toeplitz(col)
+    op = toeplitz.SymToeplitz(col)
     rho, converged = toeplitz.power_iteration(op.matvec, 31, tol=1e-15,
                                               max_iter=3)
     assert not converged
@@ -145,7 +134,7 @@ def test_power_iteration_nonconvergence_flag():
 
 
 def test_structure_report_laplacian():
-    rep = toeplitz.structure_report(toeplitz.new_sym_toeplitz([2.0, -1.0, 0.0]))
+    rep = toeplitz.structure_report(toeplitz.SymToeplitz([2.0, -1.0, 0.0]))
     assert rep["is_m_matrix_sign_pattern"]
     assert rep["is_weakly_diag_dominant"]
     assert rep["gershgorin_low"] == pytest.approx(0.0, abs=1e-15)
@@ -153,7 +142,7 @@ def test_structure_report_laplacian():
 
 
 def test_structure_report_positive_offdiagonal():
-    rep = toeplitz.structure_report(toeplitz.new_sym_toeplitz([1.0, 1.0]))
+    rep = toeplitz.structure_report(toeplitz.SymToeplitz([1.0, 1.0]))
     assert not rep["is_m_matrix_sign_pattern"]
 
 
@@ -161,7 +150,7 @@ def test_structure_report_mass_symbol_distinguishes():
     # mass matrix: weakly dominant but NOT an M-matrix (positive off-diagonal)
     h = 0.125
     rep = toeplitz.structure_report(
-        toeplitz.new_sym_toeplitz([2 * h / 3, h / 6, 0.0, 0.0]))
+        toeplitz.SymToeplitz([2 * h / 3, h / 6, 0.0, 0.0]))
     assert rep["is_weakly_diag_dominant"]
     assert not rep["is_m_matrix_sign_pattern"]
     assert rep["gershgorin_low"] > 0.0
