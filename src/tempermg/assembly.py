@@ -18,6 +18,7 @@ singularity sits.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -202,8 +203,12 @@ _SING_NODES = 20
 _SMOOTH_NODES = 16
 
 # Symbols are pure functions of (n, h, alpha, lam); time-step sweeps revisit
-# the same meshes constantly.
+# the same meshes constantly.  Bounded, oldest entry dropped first, so long
+# parameter sweeps do not grow it without limit; the lock keeps the eviction
+# safe under the CLI's worker threads.
+_SYMBOL_CACHE_MAX = 32
 _SYMBOL_CACHE: dict = {}
+_SYMBOL_CACHE_LOCK = threading.Lock()
 
 # Test hook for the CLI's fault-injection path: flips the sign of one
 # off-diagonal stiffness entry so structural checks must catch it.
@@ -255,7 +260,10 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
         sym[1] = 0.5 * (tgen[0] + tgen[2])
         sym[2:] = 0.5 * tgen[3:n + 1]
     sym.flags.writeable = False
-    _SYMBOL_CACHE[key] = sym
+    with _SYMBOL_CACHE_LOCK:
+        _SYMBOL_CACHE[key] = sym
+        while len(_SYMBOL_CACHE) > _SYMBOL_CACHE_MAX:
+            del _SYMBOL_CACHE[next(iter(_SYMBOL_CACHE))]
     return sym.copy()
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import fracquad
 from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
+from .multigrid import MgConfig, build_hierarchy
 from .toeplitz import power_iteration, structure_report
 
 
@@ -214,6 +215,8 @@ def structure_sweep(problem: ProblemSpec, Ms: List[int], tau: float,
                     coarse_max: int = 7) -> List[dict]:
     """Structure reports for stiffness and system operators on all levels.
 
+    The levels are the solver's own: those of ``build_hierarchy`` (fine
+    quadrature, Galerkin-coarsened below), listed from fine to coarse.
     Severity policy: the stiffness check is "hard" only in the untempered
     reaction-free case, where the sign/dominance structure is provable;
     otherwise it is a "warn"-level empirical expectation.  The system
@@ -222,22 +225,20 @@ def structure_sweep(problem: ProblemSpec, Ms: List[int], tau: float,
     """
     rows: List[dict] = []
     hard = problem.lam == 0.0 and problem.sigma == 0.0
+    config = MgConfig(coarse_max=coarse_max)
     for M in Ms:
-        mesh = Mesh(problem.a, problem.b, M)
-        while True:
-            level = assemble_level(problem, mesh, tau)
+        hier = build_hierarchy(problem, Mesh(problem.a, problem.b, M), tau,
+                               config)
+        for level in reversed(hier.levels):
             for name, op, severity in (
                     ("stiffness", level.stiff, "hard" if hard else "warn"),
                     ("system", level.system, "info")):
                 rep = structure_report(op)
                 ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
                 rows.append({
-                    "M": M, "n": mesh.n_interior, "matrix": name,
+                    "M": M, "n": level.mesh.n_interior, "matrix": name,
                     "severity": severity, "ok": bool(ok), **rep,
                 })
-            if mesh.n_interior <= coarse_max:
-                break
-            mesh = mesh.coarsen()
     return rows
 
 

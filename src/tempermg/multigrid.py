@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,13 +55,25 @@ class Hierarchy:
     levels: List[LevelOperator]
     assembly_seconds: float = 0.0
     _coarse_factor: tuple = field(default=None, repr=False)
+    _potrs: Callable = field(default=None, repr=False)
 
     @property
     def fine(self) -> LevelOperator:
         return self.levels[-1]
 
     def coarse_solve(self, g: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._coarse_factor, g)
+        """Solve the coarsest system with its stored Cholesky factor.
+
+        LAPACK ``potrs`` is called directly: at this size ``cho_solve``'s
+        Python-side input validation costs about ten times the solve.  The
+        finiteness guard on the result takes that validation's place.
+        """
+        factor, lower = self._coarse_factor
+        x, info = self._potrs(factor, g, lower=lower)
+        if info != 0 or not np.isfinite(x).all():
+            raise ValueError(f"coarse solve failed (LAPACK info={info}); "
+                             "right-hand side must be finite")
+        return x
 
 
 def coarsen_symbol(first_col: np.ndarray) -> np.ndarray:
@@ -103,9 +115,8 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
     levels.reverse()
     hier = Hierarchy(problem=problem, tau=tau, config=config, levels=levels,
                      assembly_seconds=time.perf_counter() - t0)
-    coarse = levels[0]
-    dense = coarse.system.dense()
-    hier._coarse_factor = sla.cho_factor(dense)
+    hier._coarse_factor = sla.cho_factor(levels[0].system.dense())
+    hier._potrs, = sla.get_lapack_funcs(("potrs",), hier._coarse_factor[:1])
     return hier
 
 
@@ -157,7 +168,7 @@ def v_cycle(hier: Hierarchy, k: int, z0: np.ndarray, g: np.ndarray,
     correction = v_cycle(hier, k - 1, zeros, residual, config)
     z = z + prolongate(correction)
     z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
     return z
 

@@ -72,6 +72,8 @@ def run_simulation(problem: ProblemSpec, M: int, N: int,
     """March the problem to t = T on an M-cell mesh with N steps."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if problem.u0 is None:
+        raise ValueError("problem has no initial state: set ProblemSpec.u0")
     config = config or MgConfig()
     mesh = Mesh(problem.a, problem.b, M)
     tau = problem.T / N

@@ -330,3 +330,15 @@ def test_symbol_cache_returns_fresh_arrays():
     two = assembly.frac_pair_symbol(mesh, 1.5, 0.0)
     assert one is not two
     np.testing.assert_array_equal(one, two)
+
+
+def test_symbol_cache_stays_within_cap(monkeypatch):
+    monkeypatch.setattr(assembly, "_SYMBOL_CACHE", {})
+    cap = assembly._SYMBOL_CACHE_MAX
+    lengths = [1.0 + k for k in range(cap + 3)]
+    for b in lengths:
+        assembly.frac_pair_symbol(Mesh(0.0, b, 4), 1.5, 0.0)
+        assert len(assembly._SYMBOL_CACHE) <= cap
+    assert len(assembly._SYMBOL_CACHE) == cap
+    kept = {key[1] for key in assembly._SYMBOL_CACHE}
+    assert kept == {b / 4 for b in lengths[-cap:]}  # oldest dropped first

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tempermg import assembly, diagnostics, fracquad
+from tempermg import assembly, diagnostics, fracquad, multigrid
 from tempermg.assembly import Mesh, ProblemSpec
+from tempermg.toeplitz import structure_report
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,19 @@ def test_structure_sweep_covers_all_levels():
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
     rows = diagnostics.structure_sweep(prob, [64], tau=1.0)
     assert [r["n"] for r in rows if r["matrix"] == "stiffness"] == [63, 31, 15, 7]
+
+
+def test_structure_sweep_reports_solver_levels():
+    # the sweep checks the Galerkin levels the solver runs on, not a
+    # re-discretization of each mesh
+    prob = assembly.make_example2(1.5)
+    rows = diagnostics.structure_sweep(prob, [32], tau=0.5)
+    hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.5)
+    stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
+    assert len(stiff_rows) == len(hier.levels)
+    for level, row in zip(reversed(hier.levels), stiff_rows):
+        assert row["n"] == level.mesh.n_interior
+        assert row["gershgorin_low"] == structure_report(level.stiff)["gershgorin_low"]
 
 
 def test_structure_sweep_tempered_is_warn_severity():

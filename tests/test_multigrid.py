@@ -224,6 +224,17 @@ def test_vcycle_coarsest_is_direct_solve(hier128):
     np.testing.assert_allclose(out, ref, rtol=1e-13)
 
 
+def test_coarse_solve_rejects_non_finite_rhs(hier128):
+    g = np.ones(hier128.levels[0].mesh.n_interior)
+    g[2] = np.nan
+    with pytest.raises(ValueError):
+        multigrid.v_cycle(hier128, 0, np.zeros_like(g), g)
+    g = np.ones(hier128.fine.mesh.n_interior)
+    g[5] = np.nan
+    with pytest.raises(ValueError):
+        multigrid.mg_solve(hier128, g)
+
+
 def test_vcycle_shape_validation(hier128):
     top = len(hier128.levels) - 1
     with pytest.raises(ValueError):

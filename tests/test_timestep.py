@@ -102,6 +102,16 @@ def test_simulation_requires_steps():
         timestep.run_simulation(assembly.make_example2(1.5), 32, 0)
 
 
+def test_simulation_requires_initial_state(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("hierarchy built before the input check")
+
+    monkeypatch.setattr(timestep, "build_hierarchy", no_build)
+    prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="u0"):
+        timestep.run_simulation(prob, 16, 4)
+
+
 @pytest.mark.parametrize("alpha,expected", [(1.1, 4.7035e-03), (1.8, 1.5598e-02)])
 def test_manufactured_problem_error_level(alpha, expected):
     rec = timestep.run_simulation(assembly.make_example1(alpha, 0.5), 128, 128)

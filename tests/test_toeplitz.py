@@ -53,8 +53,25 @@ def test_fft_matvec_matches_direct(n):
     op = toeplitz.SymToeplitz(rng.standard_normal(n))
     x = rng.standard_normal(n)
     ref = op.matvec_direct(x)
+    # the FFT path at every n, even where matvec uses the stored dense matrix
+    got = op._fft_matvec(x)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [255, 256, 511])
+def test_matvec_across_dense_crossover(n):
+    rng = np.random.default_rng(n)
+    op = toeplitz.SymToeplitz(rng.standard_normal(n))
+    x = rng.standard_normal(n)
+    ref = op.matvec_direct(x)
     got = op.matvec(x)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    if n <= toeplitz._DENSE_MAX_N:
+        np.testing.assert_array_equal(op._dense, op.dense())
+        with pytest.raises(ValueError):
+            op._dense[0, 0] = 0.0
+    else:
+        assert op._dense is None
 
 
 def test_matvec_linearity_and_symmetry():
