@@ -4,21 +4,32 @@ Mass and fractional-stiffness Toeplitz symbols, the per-level system operator
 (tau^{-1} M + B/2)/h, load vectors, an L2 error functional, and the two
 benchmark problems.
 
-The stiffness symbol is the expensive object.  Each entry is an overlap
-integral of two one-sided fractional derivatives of hat functions; by
-translation invariance every basis function sees the same "derivative
-profile", so for a whole row it suffices to sample that profile on one
-reference cell and take per-offset discrete convolutions.  The profile has
-|s - node|^{1 - alpha/2} kinks at the hat's nodes, so the outer quadrature
-grades dyadically toward the cell ends; the inner kernel integrals reduce to
-incomplete-gamma-type integrals evaluated by singular Jacobi rules, plain
-Gauss-Legendre, or a difference of the two depending on how close the
-singularity sits.
+The stiffness symbol is a pairing of one-sided tempered fractional
+derivatives of hat functions, and its entries fall into two regimes.
+
+Near field (lags 0, 1, 2): the two derivative profiles overlap where they are
+singular.  By translation invariance every basis function sees the same
+profile, so it is sampled on the four reference cells -1..2 and paired by
+per-offset discrete convolutions.  The profile has |s - node|^{1 - alpha/2}
+kinks at the hat's nodes, so the outer quadrature grades dyadically toward
+the cell ends; the inner kernel integrals reduce to incomplete-gamma-type
+integrals evaluated by singular Jacobi rules, plain Gauss-Legendre, or a
+difference of the two depending on how close the singularity sits.
+
+Far field (lags m >= 3): the hat supports are separated, and the pairing is
+a regular integral of the hat autocorrelation against the tempered Levy
+kernel K(x) = e^{-lam x} x^{-1-alpha} / Gamma(-alpha),
+
+    S_m = 1/2 int_{-2h}^{2h} A(r) K(m h + r) dr,
+
+with A(r) = h B3(r/h) the piecewise-cubic B-spline.  Each entry is a fixed
+Gauss-Legendre sum over A's four pieces, so it keeps its relative accuracy,
+and the whole symbol costs O(q + p n) for q near-field samples and p far
+nodes.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -196,38 +207,47 @@ def _graded_unit_rule(points, depth):
 
 
 # Quadrature sizes of the stiffness assembly: Gauss-Legendre points per
-# graded outer panel, and the Jacobi/Legendre node counts of the inner
-# kernel integrals.
+# graded outer panel, the Jacobi/Legendre node counts of the inner kernel
+# integrals, and Gauss-Legendre points per cubic piece of the far field.
 _OUTER_POINTS = 6
 _SING_NODES = 20
 _SMOOTH_NODES = 16
-
-# Symbols are pure functions of (n, h, alpha, lam); time-step sweeps revisit
-# the same meshes constantly.  Bounded, oldest entry dropped first, so long
-# parameter sweeps do not grow it without limit; the lock keeps the eviction
-# safe under the CLI's worker threads.
-_SYMBOL_CACHE_MAX = 32
-_SYMBOL_CACHE: dict = {}
-_SYMBOL_CACHE_LOCK = threading.Lock()
+_FAR_POINTS = 12
 
 # Test hook for the CLI's fault-injection path: flips the sign of one
 # off-diagonal stiffness entry so structural checks must catch it.
 _INJECT_SIGN_FLIP = False
 
 
+def _far_unit_rule():
+    """Nodes t in [-2, 2] and weights w with sum w f(t) ~ int B3(t) f(t) dt.
+
+    Gauss-Legendre on each unit piece of the cubic B-spline
+    B3(t) = 2/3 - t^2 + |t|^3/2 (|t| <= 1), (2 - |t|)^3/6 (1 <= |t| <= 2),
+    which is the hat autocorrelation in units of h.
+    """
+    gl = fracquad.gauss_jacobi(0.0, 0.0, _FAR_POINTS)
+    t = (np.arange(-2.0, 2.0)[:, None] + 0.5 * (1.0 + gl.nodes)[None, :]).ravel()
+    a = np.abs(t)
+    b3 = np.where(a <= 1.0, 2.0 / 3.0 - a**2 + 0.5 * a**3, (2.0 - a) ** 3 / 6.0)
+    return t, np.tile(0.5 * gl.weights, 4) * b3
+
+
 def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
     """First column of the symmetrized fractional-pairing Gram matrix.
 
-    Entry m is (up to the m=0,1 boundary-of-support cases) half the overlap
-    integral of the left-derivative profile of one hat against the
-    right-derivative profile of a hat m cells away.  The right profile is the
-    reflection of the left one, so with G the left profile,
+    With G the left-derivative profile of one hat (the right profile is its
+    reflection), the unsymmetrized pairing at lag m is
 
         T(m) = h * int G(y h) G((m - y) h) dy,
 
-    which is evaluated for all m at once as a per-offset discrete convolution
-    of profile samples.  The outer grading depth matches a ~1e-10
-    kink-resolution target.
+    and entry m is T(0), (T(-1) + T(1))/2 or T(m)/2 for m >= 2.  Lags 0-2
+    come from the profile sampled on cells -1..2 and paired by a per-offset
+    discrete convolution; the outer grading depth matches a ~1e-10
+    kink-resolution target.  For m >= 3 the supports are separated and
+    T(m)/2 = 1/2 int A(r) K(m h + r) dr against the tempered Levy kernel,
+    a Gauss sum over the four pieces of the hat autocorrelation A.  Cost is
+    O(q + p n): q near-field profile samples, p far nodes per entry.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
@@ -235,36 +255,29 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
         raise ValueError("lam must be >= 0")
     nu = 0.5 * alpha
     n, h = mesh.n_interior, mesh.h
-    key = (n, h, alpha, lam)
-    hit = _SYMBOL_CACHE.get(key)
-    if hit is not None:
-        return hit.copy()
     depth = int(np.ceil(10.0 / ((2.0 - nu) * np.log10(2.0))))
     offs, wq = _graded_unit_rule(_OUTER_POINTS, depth)
     q_count = offs.size
     profile = _hat_deriv_profile(h, nu, lam)
-    cell_starts = np.arange(-1, n)  # leftmost product support starts one cell left
+    cell_starts = np.arange(-1, 3)  # leftmost product support starts one cell left
     samples = h * (cell_starts[:, None] + offs[None, :])
-    G = profile(samples.ravel()).reshape(n + 1, q_count)
+    G = profile(samples.ravel()).reshape(cell_starts.size, q_count)
     if not np.all(np.isfinite(G)):
         raise FloatingPointError("non-finite profile sample in stiffness assembly")
-    conv = np.zeros(2 * (n + 1) - 1)
+    conv = np.zeros(2 * cell_starts.size - 1)
     for qi in range(q_count):
-        # direct convolution keeps entry errors relative-local; an FFT variant
-        # would smear the large near-diagonal scale onto the tiny far entries
         conv += wq[qi] * np.convolve(G[:, qi], G[:, q_count - 1 - qi])
-    tgen = h * conv  # tgen[m+1] = unsymmetrized pairing at lag m, m = -1..n-1
+    tgen = h * conv  # tgen[m+1] = unsymmetrized pairing at lag m, complete for m <= 2
     sym = np.empty(n)
     sym[0] = tgen[1]
-    if n > 1:
-        sym[1] = 0.5 * (tgen[0] + tgen[2])
-        sym[2:] = 0.5 * tgen[3:n + 1]
-    sym.flags.writeable = False
-    with _SYMBOL_CACHE_LOCK:
-        _SYMBOL_CACHE[key] = sym
-        while len(_SYMBOL_CACHE) > _SYMBOL_CACHE_MAX:
-            del _SYMBOL_CACHE[next(iter(_SYMBOL_CACHE))]
-    return sym.copy()
+    sym[1] = 0.5 * (tgen[0] + tgen[2])
+    sym[2] = 0.5 * tgen[3]
+    # far field in units of h: kernel argument h (m + t), A(r) dr = h^2 B3(t) dt
+    t, w = _far_unit_rule()
+    lag = np.arange(3.0, n)[:, None] + t[None, :]
+    kern = lag ** (-1.0 - alpha) * np.exp(-lam * h * lag)
+    sym[3:] = 0.5 * h ** (1.0 - alpha) / gamma_fn(-alpha) * (kern @ w)
+    return sym
 
 
 def stiffness_symbol(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:

@@ -187,12 +187,15 @@ def mg_solve(hier: Hierarchy, g: np.ndarray,
 
     Non-convergence within max_iter is reported via ``converged=False`` with
     the best iterate, never raised, so parameter sweeps can record failures.
+    A non-finite right-hand side raises ``ValueError`` before any cycle runs.
     """
     config = config or hier.config
     g = np.asarray(g, dtype=float)
     top = len(hier.levels) - 1
     z = np.zeros_like(g)
     r0 = float(np.linalg.norm(g))
+    if not np.isfinite(r0):
+        raise ValueError("right-hand side g is not finite")
     if r0 == 0.0:
         return MgResult(z, 0, [0.0], True)
     history = [1.0]

@@ -110,6 +110,32 @@ def dense_pair_matrix_ref(a, h, nu, lam, n):
     return mat
 
 
+def far_pair_ref(h, alpha, lam, m):
+    """Symmetrized pairing at a separated lag m >= 3, by adaptive quadrature.
+
+    1/2 integral_{-2h}^{2h} A(r) K(m h + r) dr, with A the hat
+    autocorrelation (h times the cubic B-spline in r/h) and
+    K(x) = e^(-lam x) x^(-1-alpha) / Gamma(-alpha) the tempered Levy kernel;
+    one adaptive integral per cubic piece of A.
+    """
+    def autocorr(r):
+        t = abs(r) / h
+        if t <= 1.0:
+            return h * (2.0 / 3.0 - t**2 + 0.5 * t**3)
+        return h * (2.0 - t)**3 / 6.0
+
+    def integrand(r):
+        x = m * h + r
+        return autocorr(r) * np.exp(-lam * x) * x**(-1.0 - alpha)
+
+    total = 0.0
+    for k in (-2, -1, 0, 1):
+        val, _ = quad(integrand, k * h, (k + 1) * h, epsabs=0.0, epsrel=1e-13,
+                      limit=200)
+        total += val
+    return 0.5 * total / gamma_fn(-alpha)
+
+
 # ---------------------------------------------------------------------------
 # adaptive references for the pointwise fractional derivatives
 

@@ -109,13 +109,52 @@ def test_pairing_oracle_translation_invariance():
 
 
 def test_pairing_symbol_matches_dense_adaptive_assembly():
-    # every entry of the 15x15 Gram matrix as its own nested adaptive integral
+    # every entry of the 15x15 Gram matrix as its own nested adaptive integral;
+    # lags 3.. check the far-field kernel formula and the lag 2/3 seam, and
+    # (1.1, 0) is the heavy-tailed untempered case
     mesh = Mesh(0.0, 1.0, 16)
-    alpha, lam = 1.5, 0.5
-    dense_ref = oracles.dense_pair_matrix_ref(0.0, mesh.h, 0.5 * alpha, lam,
-                                              mesh.n_interior)
-    dense_got = sla.toeplitz(assembly.frac_pair_symbol(mesh, alpha, lam))
-    np.testing.assert_allclose(dense_got, dense_ref, rtol=1e-8)
+    for alpha, lam in ((1.5, 0.5), (1.1, 0.0)):
+        dense_ref = oracles.dense_pair_matrix_ref(0.0, mesh.h, 0.5 * alpha,
+                                                  lam, mesh.n_interior)
+        dense_got = sla.toeplitz(assembly.frac_pair_symbol(mesh, alpha, lam))
+        np.testing.assert_allclose(dense_got, dense_ref, rtol=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("cells", [64, 1024])
+def test_far_pairing_matches_levy_kernel_integral(alpha, lam, cells):
+    mesh = Mesh(0.0, 1.0, cells)
+    n = mesh.n_interior
+    sym = assembly.frac_pair_symbol(mesh, alpha, lam)
+    lags = [3, 4, 10, n // 2, n - 1]
+    ref = [oracles.far_pair_ref(mesh.h, alpha, lam, m) for m in lags]
+    np.testing.assert_allclose(sym[lags], ref, rtol=1e-12)
+
+
+def test_pairing_symbol_profile_work_is_independent_of_mesh_size(monkeypatch):
+    # the graded quadrature only serves lags 0-2, so the number of profile
+    # evaluations must not grow with n
+    requested = []
+    make_profile = assembly._hat_deriv_profile
+
+    def counting_profile(h, nu, lam):
+        profile = make_profile(h, nu, lam)
+
+        def counted(s):
+            requested.append(np.size(s))
+            return profile(s)
+
+        return counted
+
+    monkeypatch.setattr(assembly, "_hat_deriv_profile", counting_profile)
+    counts = []
+    for cells in (64, 4096):
+        requested.clear()
+        assembly.frac_pair_symbol(Mesh(0.0, 1.0, cells), 1.5, 0.5)
+        counts.append(sum(requested))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_pairing_symbol_dyadic_mesh_consistency():
@@ -323,22 +362,3 @@ def test_stiffness_power_law_tail():
     ratios = sym[lags] / sym[2 * lags]
     np.testing.assert_allclose(ratios, 2.0 ** (1.0 + alpha), rtol=0.06)
 
-
-def test_symbol_cache_returns_fresh_arrays():
-    mesh = Mesh(0.0, 1.0, 8)
-    one = assembly.frac_pair_symbol(mesh, 1.5, 0.0)
-    two = assembly.frac_pair_symbol(mesh, 1.5, 0.0)
-    assert one is not two
-    np.testing.assert_array_equal(one, two)
-
-
-def test_symbol_cache_stays_within_cap(monkeypatch):
-    monkeypatch.setattr(assembly, "_SYMBOL_CACHE", {})
-    cap = assembly._SYMBOL_CACHE_MAX
-    lengths = [1.0 + k for k in range(cap + 3)]
-    for b in lengths:
-        assembly.frac_pair_symbol(Mesh(0.0, b, 4), 1.5, 0.0)
-        assert len(assembly._SYMBOL_CACHE) <= cap
-    assert len(assembly._SYMBOL_CACHE) == cap
-    kept = {key[1] for key in assembly._SYMBOL_CACHE}
-    assert kept == {b / 4 for b in lengths[-cap:]}  # oldest dropped first

@@ -235,6 +235,22 @@ def test_coarse_solve_rejects_non_finite_rhs(hier128):
         multigrid.mg_solve(hier128, g)
 
 
+def test_mg_solve_rejects_non_finite_rhs_before_cycling(hier128, monkeypatch):
+    cycles = []
+    v_cycle = multigrid.v_cycle
+
+    def counting(*args, **kwargs):
+        cycles.append(1)
+        return v_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(multigrid, "v_cycle", counting)
+    g = np.ones(hier128.fine.mesh.n_interior)
+    g[5] = np.nan
+    with pytest.raises(ValueError, match="right-hand side"):
+        multigrid.mg_solve(hier128, g)
+    assert cycles == []
+
+
 def test_vcycle_shape_validation(hier128):
     top = len(hier128.levels) - 1
     with pytest.raises(ValueError):
