@@ -4,28 +4,25 @@ Mass and fractional-stiffness Toeplitz symbols, the per-level system operator
 (tau^{-1} M + B/2)/h, load vectors, an L2 error functional, and the two
 benchmark problems.
 
-The stiffness symbol is a pairing of one-sided tempered fractional
-derivatives of hat functions, and its entries fall into two regimes.
+The stiffness symbol is the Gram matrix of the tempered Riesz form on the
+linear hats.  In Fourier terms its first column is the integral of the hat
+autocorrelation A(s) = h B3(s/h), B3 the cubic B-spline, against the
+Levy-Khintchine symbol (Sabzikar, Meerschaert & Chen, "Tempered fractional
+calculus", J. Comput. Phys. 293, 2015)
 
-Near field (lags 0, 1, 2): the two derivative profiles overlap where they are
-singular.  By translation invariance every basis function sees the same
-profile, so it is sampled on the four reference cells -1..2 and paired by
-per-offset discrete convolutions.  The profile has |s - node|^{1 - alpha/2}
-kinks at the hat's nodes, so the outer quadrature grades dyadically toward
-the cell ends; the inner kernel integrals reduce to incomplete-gamma-type
-integrals evaluated by singular Jacobi rules, plain Gauss-Legendre, or a
-difference of the two depending on how close the singularity sits.
+    Re (lam + i w)^alpha = lam^alpha + 1/2 int (e^{i w x} - 1) K(x) dx,
+    K(x) = e^{-lam |x|} |x|^{-1-alpha} / Gamma(-alpha).
 
-Far field (lags m >= 3): the hat supports are separated, and the pairing is
-a regular integral of the hat autocorrelation against the tempered Levy
-kernel K(x) = e^{-lam x} x^{-1-alpha} / Gamma(-alpha),
+Entry m is then, with mu = lam h and D_m(t) = B3(m + t) + B3(m - t) - 2 B3(m),
 
-    S_m = 1/2 int_{-2h}^{2h} A(r) K(m h + r) dr,
+    S_m = lam^alpha h B3(m) + h^{1-alpha} / (2 Gamma(-alpha)) I_m,
+    I_m = int_0^inf e^{-mu t} t^{-1-alpha} D_m(t) dt,
 
-with A(r) = h B3(r/h) the piecewise-cubic B-spline.  Each entry is a fixed
-Gauss-Legendre sum over A's four pieces, so it keeps its relative accuracy,
-and the whole symbol costs O(q + p n) for q near-field samples and p far
-nodes.
+one formula for every lag.  D_m is a cubic on each unit piece, vanishes to
+second order at t = 0 and is constant beyond t = m + 2, so every I_m is a
+fixed Gauss sum (plus an incomplete-gamma tail for m <= 1) and each entry
+keeps its relative accuracy; the whole symbol costs O(p n) for p nodes per
+entry.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammaincc
 
 from . import fracquad
 from .toeplitz import SymToeplitz, structure_report
@@ -120,163 +117,90 @@ def mass_symbol(mesh: Mesh) -> np.ndarray:
     return sym
 
 
-def _hat_deriv_profile(h, nu, lam):
-    """Pointwise order-nu tempered left derivative of the unit hat at 0.
+def _b3(t):
+    """Cubic B-spline, the hat autocorrelation in units of h.
 
-    Returns profile(s) = value at signed distance s from the hat's center.
-    The hat's weighted slope (phi' + lam phi) is linear per cell, so on each
-    cell the kernel integral reduces to J_k = int_A^B v^(k-nu) e^(-lam v) dv
-    for k in {0, 1}.  J_k is evaluated three ways: a singular Jacobi rule when
-    A = 0, plain Gauss-Legendre when the interval sits far from 0 relative to
-    its width, and a difference of two Jacobi evaluations otherwise (benign
-    cancellation: the two values then differ by a factor >= 2).
+    B3(t) = 2/3 - t^2 + |t|^3/2 (|t| <= 1), (2 - |t|)^3/6 (1 <= |t| <= 2),
+    and 0 beyond.
     """
-    jr = fracquad.gauss_jacobi(0.0, -nu, _SING_NODES)   # weight (1+z)^(-nu)
-    gl = fracquad.gauss_jacobi(0.0, 0.0, _SMOOTH_NODES)
-    zj, wj = jr.nodes, jr.weights
-    zg, wg = gl.nodes, gl.weights
-    cg = 1.0 / gamma_fn(1.0 - nu)
-
-    def single_jacobi(B, k):
-        # int_0^B v^(k-nu) e^(-lam v) dv with the v^(-nu) factor in the weight
-        v = 0.5 * B[:, None] * (1.0 + zj[None, :])
-        f = np.exp(-lam * v)
-        if k == 1:
-            f = f * (1.0 + zj[None, :])
-        return (0.5 * B) ** (k + 1.0 - nu) * (f @ wj)
-
-    def gl_pair(A, B):
-        mid = 0.5 * (A + B)
-        half = 0.5 * (B - A)
-        v = mid[:, None] + half[:, None] * zg[None, :]
-        base = v ** (-nu) * np.exp(-lam * v)
-        return half * (base @ wg), half * ((base * v) @ wg)
-
-    def profile(s):
-        s = np.asarray(s, dtype=float).ravel()
-        out = np.zeros_like(s)
-        # cells of the hat: (start, end, p, q) with phi' + lam phi = p + q*v
-        cells = [(-h, 0.0, (1.0 + lam * h) / h, lam / h),
-                 (0.0, h, (lam * h - 1.0) / h, -lam / h)]
-        for c0, c1, p, q in cells:
-            act = s > c0
-            if not act.any():
-                continue
-            sv = s[act]
-            B = sv - c0
-            A = np.maximum(sv - c1, 0.0)
-            j0 = np.empty_like(sv)
-            j1 = np.empty_like(sv)
-            m_sing = A == 0.0
-            m_gl = (~m_sing) & (A >= (B - A))
-            m_diff = (~m_sing) & (~m_gl)
-            if m_sing.any():
-                j0[m_sing] = single_jacobi(B[m_sing], 0)
-                j1[m_sing] = single_jacobi(B[m_sing], 1)
-            if m_gl.any():
-                j0[m_gl], j1[m_gl] = gl_pair(A[m_gl], B[m_gl])
-            if m_diff.any():
-                j0[m_diff] = single_jacobi(B[m_diff], 0) - single_jacobi(A[m_diff], 0)
-                j1[m_diff] = single_jacobi(B[m_diff], 1) - single_jacobi(A[m_diff], 1)
-            # the kernel carries (s - v'); with psi linear this is (p + q s) J0 - q J1
-            out[act] += cg * ((p + q * sv) * j0 - q * j1)
-        return out
-
-    return profile
+    a = np.abs(t)
+    return np.where(a <= 1.0, 2.0 / 3.0 - a**2 + 0.5 * a**3,
+                    np.maximum(2.0 - a, 0.0) ** 3 / 6.0)
 
 
-def _graded_unit_rule(points, depth):
-    """Composite Gauss-Legendre on [0,1], dyadically graded toward both ends.
-
-    Grading is what resolves the algebraic kinks the derivative profile has
-    at cell ends.
-    """
-    gl = fracquad.gauss_jacobi(0.0, 0.0, points)
-    zg, wg = gl.nodes, gl.weights
-    edges = [0.0] + [2.0 ** (-k) for k in range(depth, 0, -1)]  # 0, 2^-d, ..., 1/2
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * zg)
-        ws.append(half * wg)
-    x_half = np.concatenate(xs)
-    w_half = np.concatenate(ws)
-    x = np.concatenate([x_half, 1.0 - x_half[::-1]])
-    w = np.concatenate([w_half, w_half[::-1]])
-    return x, w
+def _unit_pieces(start, count):
+    """Gauss-Legendre nodes and weights on [start, start + count], per unit piece."""
+    gl = fracquad.gauss_jacobi(0.0, 0.0, _PIECE_POINTS)
+    t = (np.arange(start, start + count)[:, None]
+         + 0.5 * (1.0 + gl.nodes)[None, :]).ravel()
+    return t, np.tile(0.5 * gl.weights, count)
 
 
-# Quadrature sizes of the stiffness assembly: Gauss-Legendre points per
-# graded outer panel, the Jacobi/Legendre node counts of the inner kernel
-# integrals, and Gauss-Legendre points per cubic piece of the far field.
-_OUTER_POINTS = 6
+# Quadrature sizes of the stiffness assembly: Jacobi nodes on [0, 1], where
+# the kernel weight t^{1-alpha} is singular, and Gauss-Legendre points per
+# unit piece of B3 elsewhere.
 _SING_NODES = 20
-_SMOOTH_NODES = 16
-_FAR_POINTS = 12
+_PIECE_POINTS = 12
 
 # Test hook for the CLI's fault-injection path: flips the sign of one
 # off-diagonal stiffness entry so structural checks must catch it.
 _INJECT_SIGN_FLIP = False
 
 
-def _far_unit_rule():
-    """Nodes t in [-2, 2] and weights w with sum w f(t) ~ int B3(t) f(t) dt.
-
-    Gauss-Legendre on each unit piece of the cubic B-spline
-    B3(t) = 2/3 - t^2 + |t|^3/2 (|t| <= 1), (2 - |t|)^3/6 (1 <= |t| <= 2),
-    which is the hat autocorrelation in units of h.
-    """
-    gl = fracquad.gauss_jacobi(0.0, 0.0, _FAR_POINTS)
-    t = (np.arange(-2.0, 2.0)[:, None] + 0.5 * (1.0 + gl.nodes)[None, :]).ravel()
-    a = np.abs(t)
-    b3 = np.where(a <= 1.0, 2.0 / 3.0 - a**2 + 0.5 * a**3, (2.0 - a) ** 3 / 6.0)
-    return t, np.tile(0.5 * gl.weights, 4) * b3
-
-
 def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
     """First column of the symmetrized fractional-pairing Gram matrix.
 
-    With G the left-derivative profile of one hat (the right profile is its
-    reflection), the unsymmetrized pairing at lag m is
+    Entry m is S_m = lam^alpha h B3(m) + h^{1-alpha} / (2 Gamma(-alpha)) I_m
+    with I_m = int_0^inf e^{-mu t} t^{-1-alpha} D_m(t) dt, mu = lam h and
+    D_m(t) = B3(m + t) + B3(m - t) - 2 B3(m) (see the module docstring).
 
-        T(m) = h * int G(y h) G((m - y) h) dy,
-
-    and entry m is T(0), (T(-1) + T(1))/2 or T(m)/2 for m >= 2.  Lags 0-2
-    come from the profile sampled on cells -1..2 and paired by a per-offset
-    discrete convolution; the outer grading depth matches a ~1e-10
-    kink-resolution target.  For m >= 3 the supports are separated and
-    T(m)/2 = 1/2 int A(r) K(m h + r) dr against the tempered Levy kernel,
-    a Gauss sum over the four pieces of the hat autocorrelation A.  Cost is
-    O(q + p n): q near-field profile samples, p far nodes per entry.
+    For m >= 3 the hat supports are separated, D_m(t) = B3(m - t), and I_m
+    is a Gauss sum over B3's four pieces.  For m = 0, 1, 2, I_m splits into
+    [0, 1], where D_m(t) / t^2 is the exact linear c2 + c3 t and a Jacobi
+    rule carries the weight t^{1-alpha} (forming D_m from B3 values there
+    would cancel catastrophically); [1, 4], a cubic per unit piece; and
+    [4, inf), where D_m = -2 B3(m) and the integral is an incomplete gamma
+    function.  Cost is O(p n) for p nodes per entry.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    nu = 0.5 * alpha
     n, h = mesh.n_interior, mesh.h
-    depth = int(np.ceil(10.0 / ((2.0 - nu) * np.log10(2.0))))
-    offs, wq = _graded_unit_rule(_OUTER_POINTS, depth)
-    q_count = offs.size
-    profile = _hat_deriv_profile(h, nu, lam)
-    cell_starts = np.arange(-1, 3)  # leftmost product support starts one cell left
-    samples = h * (cell_starts[:, None] + offs[None, :])
-    G = profile(samples.ravel()).reshape(cell_starts.size, q_count)
-    if not np.all(np.isfinite(G)):
-        raise FloatingPointError("non-finite profile sample in stiffness assembly")
-    conv = np.zeros(2 * cell_starts.size - 1)
-    for qi in range(q_count):
-        conv += wq[qi] * np.convolve(G[:, qi], G[:, q_count - 1 - qi])
-    tgen = h * conv  # tgen[m+1] = unsymmetrized pairing at lag m, complete for m <= 2
+    mu = lam * h
+    scale = 0.5 * h ** (1.0 - alpha) / gamma_fn(-alpha)
     sym = np.empty(n)
-    sym[0] = tgen[1]
-    sym[1] = 0.5 * (tgen[0] + tgen[2])
-    sym[2] = 0.5 * tgen[3]
-    # far field in units of h: kernel argument h (m + t), A(r) dr = h^2 B3(t) dt
-    t, w = _far_unit_rule()
+    # far field: the kernel at lag m + t is weighted by B3(t) dt
+    t, w = _unit_pieces(-2.0, 4)
     lag = np.arange(3.0, n)[:, None] + t[None, :]
-    kern = lag ** (-1.0 - alpha) * np.exp(-lam * h * lag)
-    sym[3:] = 0.5 * h ** (1.0 - alpha) / gamma_fn(-alpha) * (kern @ w)
+    kern = lag ** (-1.0 - alpha) * np.exp(-mu * lag)
+    sym[3:] = scale * (kern @ (w * _b3(t)))
+    # near field, lags 0-2.  [0, 1]: D_m(t) = t^2 (c2 + c3 t) exactly; with
+    # t = (1 + z)/2 the weight t^{1-alpha} dt is 2^{alpha-2} (1 + z)^{1-alpha} dz
+    m = np.arange(3.0)
+    b3m = _b3(m)
+    jr = fracquad.gauss_jacobi(0.0, 1.0 - alpha, _SING_NODES)
+    s = 0.5 * (1.0 + jr.nodes)
+    c2 = np.array([-2.0, 1.0, 0.0])
+    c3 = np.array([1.0, -2.0 / 3.0, 1.0 / 6.0])
+    near = 2.0 ** (alpha - 2.0) * (
+        (c2[:, None] + c3[:, None] * s) @ (jr.weights * np.exp(-mu * s)))
+    # [1, 4]: D_m is a cubic on each unit piece
+    t, w = _unit_pieces(1.0, 3)
+    d = _b3(m[:, None] + t) + _b3(m[:, None] - t) - 2.0 * b3m[:, None]
+    near += d @ (w * t ** (-1.0 - alpha) * np.exp(-mu * t))
+    # [4, inf): D_m = -2 B3(m), and int_4^inf e^{-mu t} t^{-1-alpha} dt is
+    # mu^alpha Gamma(-alpha, 4 mu), reached from Gamma(2 - alpha, .) by
+    # Gamma(s, x) = (Gamma(s + 1, x) - x^s e^{-x}) / s twice; every term
+    # carries its mu^alpha, so lam = 0 needs no branch
+    x = 4.0 * mu
+    tail = mu**alpha * gamma_fn(2.0 - alpha) * gammaincc(2.0 - alpha, x)
+    tail = (tail - mu * 4.0 ** (1.0 - alpha) * np.exp(-x)) / (1.0 - alpha)
+    tail = (4.0 ** (-alpha) * np.exp(-x) - tail) / alpha
+    near -= 2.0 * b3m * tail
+    sym[:3] = lam**alpha * h * b3m + scale * near
+    if not np.all(np.isfinite(sym)):
+        raise FloatingPointError("non-finite entry in stiffness assembly")
     return sym
 
 

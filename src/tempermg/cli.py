@@ -370,7 +370,7 @@ def _check_galerkin(args) -> Tuple[str, str]:
         got = coarse.system.dense()
         product_gap = max(product_gap, gap(product, got))
         rebuilt_gap = max(rebuilt_gap, gap(got, rebuilt.system.dense()))
-    ok = max(product_gap, rebuilt_gap) <= 1e-6
+    ok = max(product_gap, rebuilt_gap) <= 1e-12
     return ("PASS" if ok else "FAIL",
             f"max entry rel {product_gap:.2e} vs P^T A P, "
             f"{rebuilt_gap:.2e} vs re-discretized")

@@ -54,8 +54,9 @@ def _check_exponents(a_exp, b_exp):
         raise ValueError("Jacobi weight exponents must exceed -1")
 
 
-# Rules are immutable; multigrid assembly and forcing evaluation request the
-# same handful of (exponent, order) combinations thousands of times.
+# Rules are immutable; load vectors (every step for a non-separable forcing),
+# the error functional, the stiffness symbol and the pointwise derivatives
+# request the same handful of (exponent, order) combinations over and over.
 _RULE_CACHE: dict = {}
 
 

@@ -2,10 +2,12 @@
 
 Everything here is deliberately built from different machinery than the
 package: incomplete-gamma closed forms and adaptive scipy quadrature instead
-of fixed Gauss rules, nested integrals instead of convolution symbols, dense
-matrices instead of Toeplitz symbols.  Agreement is then meaningful.
+of fixed Gauss rules, nested profile-product integrals instead of the kernel
+form of the symbol, dense matrices instead of Toeplitz symbols, and
+`mpmath` where double precision cancels.  Agreement is then meaningful.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammainc
@@ -101,13 +103,24 @@ def pairing_entry_ref(a, h, nu, lam, i, j):
 
 
 def dense_pair_matrix_ref(a, h, nu, lam, n):
-    """Full n-by-n symmetrized pairing matrix, every entry its own integral."""
-    mat = np.empty((n, n))
+    """Full n-by-n symmetrized pairing matrix, every entry its own integral.
+
+    Each ordered pair (i, j) is integrated once; the symmetrization then
+    averages the two orders.
+    """
+    pair = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            mat[i - 1, j - 1] = 0.5 * (pairing_entry_ref(a, h, nu, lam, i, j)
-                                       + pairing_entry_ref(a, h, nu, lam, j, i))
-    return mat
+            pair[i - 1, j - 1] = pairing_entry_ref(a, h, nu, lam, i, j)
+    return 0.5 * (pair + pair.T)
+
+
+def _b3(t):
+    """Cubic B-spline in units of h: the hat autocorrelation divided by h."""
+    t = abs(t)
+    if t <= 1.0:
+        return 2.0 / 3.0 - t**2 + 0.5 * t**3
+    return (2.0 - t)**3 / 6.0 if t < 2.0 else 0.0
 
 
 def far_pair_ref(h, alpha, lam, m):
@@ -118,15 +131,9 @@ def far_pair_ref(h, alpha, lam, m):
     K(x) = e^(-lam x) x^(-1-alpha) / Gamma(-alpha) the tempered Levy kernel;
     one adaptive integral per cubic piece of A.
     """
-    def autocorr(r):
-        t = abs(r) / h
-        if t <= 1.0:
-            return h * (2.0 / 3.0 - t**2 + 0.5 * t**3)
-        return h * (2.0 - t)**3 / 6.0
-
     def integrand(r):
         x = m * h + r
-        return autocorr(r) * np.exp(-lam * x) * x**(-1.0 - alpha)
+        return h * _b3(r / h) * np.exp(-lam * x) * x**(-1.0 - alpha)
 
     total = 0.0
     for k in (-2, -1, 0, 1):
@@ -134,6 +141,50 @@ def far_pair_ref(h, alpha, lam, m):
                       limit=200)
         total += val
     return 0.5 * total / gamma_fn(-alpha)
+
+
+def near_pair_ref(h, alpha, lam, m):
+    """Symmetrized pairing at lag m in {0, 1, 2}, by adaptive quadrature.
+
+    lam^alpha h B3(m) + h^(1-alpha) / (2 Gamma(-alpha)) I_m with
+    I_m = integral_0^inf e^(-lam h t) t^(-1-alpha) D_m(t) dt and
+    D_m(t) = B3(m+t) + B3(m-t) - 2 B3(m), the Levy-Khintchine form of the
+    tempered Riesz symbol against the hat autocorrelation.  On [0, 1] the
+    integrand is t^(1-alpha) (c2 + c3 t), with the algebraic weight left to
+    scipy; [1, m+2] goes by unit pieces, where D_m is cubic, and beyond m+2
+    D_m = -2 B3(m).
+    """
+    mu = lam * h
+    c2, c3 = ((-2.0, 1.0), (1.0, -2.0 / 3.0), (0.0, 1.0 / 6.0))[m]
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    total, _ = quad(lambda t: np.exp(-mu * t) * (c2 + c3 * t), 0.0, 1.0,
+                    weight="alg", wvar=(1.0 - alpha, 0.0), **opts)
+
+    def integrand(t):
+        d = _b3(m + t) + _b3(m - t) - 2.0 * _b3(m)
+        return np.exp(-mu * t) * t**(-1.0 - alpha) * d
+
+    for k in range(1, m + 2):
+        total += quad(integrand, k, k + 1, **opts)[0]
+    if m < 2:
+        total += quad(integrand, m + 2, np.inf, **opts)[0]
+    return (lam**alpha * h * _b3(m)
+            + 0.5 * h**(1.0 - alpha) / gamma_fn(-alpha) * total)
+
+
+def untempered_pair_closed_form(h, alpha, m):
+    """Symmetrized pairing at lag m for lam = 0, in closed form.
+
+    1/2 h^(1-alpha) delta^4 |m|^(3-alpha) / Gamma(4-alpha), with delta^4 the
+    fourth central difference in m; it cancels badly in double precision at
+    large lags, so it is taken in mpmath at 30 digits.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        coeffs = (1, -4, 6, -4, 1)
+        diff = sum(c * abs(mpmath.mpf(m + k))**(3 - a)
+                   for c, k in zip(coeffs, range(-2, 3)))
+        return float(mpmath.mpf(h)**(1 - a) / 2 * diff / mpmath.gamma(4 - a))
 
 
 # ---------------------------------------------------------------------------

@@ -80,17 +80,6 @@ def test_mass_interior_row_sums_and_spd():
 # derivative profile and pairing symbol vs independent references
 
 
-@pytest.mark.parametrize("nu,lam", [(0.75, 0.5), (0.55, 0.0)])
-def test_hat_derivative_profile_closed_form(nu, lam):
-    h = 0.25
-    profile = assembly._hat_deriv_profile(h, nu, lam)
-    pts = np.array([-0.2, 0.01, 0.1, 0.24, 0.3, 0.9, 3.0])
-    got = profile(pts)
-    ref = np.array([oracles.hat_profile_ref(s, h, nu, lam) for s in pts])
-    np.testing.assert_allclose(got, ref, rtol=1e-9)
-    assert profile(np.array([-0.25, -1.0])) == pytest.approx([0.0, 0.0])
-
-
 def test_hat_profile_oracle_self_consistent():
     # closed incomplete-gamma form vs plain adaptive quadrature
     h, nu, lam = 0.25, 0.75, 0.5
@@ -132,29 +121,28 @@ def test_far_pairing_matches_levy_kernel_integral(alpha, lam, cells):
     np.testing.assert_allclose(sym[lags], ref, rtol=1e-12)
 
 
-def test_pairing_symbol_profile_work_is_independent_of_mesh_size(monkeypatch):
-    # the graded quadrature only serves lags 0-2, so the number of profile
-    # evaluations must not grow with n
-    requested = []
-    make_profile = assembly._hat_deriv_profile
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("cells", [16, 1024])
+def test_untempered_pairing_matches_closed_form(alpha, cells):
+    # at lam = 0 every lag, near and far, is a fourth difference of |m|^(3-alpha)
+    mesh = Mesh(0.0, 1.0, cells)
+    n = mesh.n_interior
+    sym = assembly.frac_pair_symbol(mesh, alpha, 0.0)
+    lags = list(range(11)) + [n - 1]
+    ref = [oracles.untempered_pair_closed_form(mesh.h, alpha, m) for m in lags]
+    np.testing.assert_allclose(sym[lags], ref, rtol=1e-11)
 
-    def counting_profile(h, nu, lam):
-        profile = make_profile(h, nu, lam)
 
-        def counted(s):
-            requested.append(np.size(s))
-            return profile(s)
-
-        return counted
-
-    monkeypatch.setattr(assembly, "_hat_deriv_profile", counting_profile)
-    counts = []
-    for cells in (64, 4096):
-        requested.clear()
-        assembly.frac_pair_symbol(Mesh(0.0, 1.0, cells), 1.5, 0.5)
-        counts.append(sum(requested))
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("mu", [0.03, 0.5, 2.0, 8.0])
+def test_near_pairing_matches_adaptive_kernel_integral(alpha, mu):
+    # lags 0-2 against adaptive quadrature of the Levy-Khintchine form, over
+    # tempering scales lam * h from mild to strong
+    mesh = Mesh(0.0, 1.0, 16)
+    lam = mu / mesh.h
+    sym = assembly.frac_pair_symbol(mesh, alpha, lam)
+    ref = [oracles.near_pair_ref(mesh.h, alpha, lam, m) for m in range(3)]
+    np.testing.assert_allclose(sym[:3], ref, rtol=1e-10)
 
 
 def test_pairing_symbol_dyadic_mesh_consistency():
