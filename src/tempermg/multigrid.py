@@ -11,12 +11,19 @@ re-discretized assembly in the tests and in ``verify``, not assumed).
 Transfers are linear interpolation and its h-weighted adjoint; the smoother
 is damped Jacobi, which for these constant-diagonal operators is plain
 scalar Richardson.
+
+From a zero first guess the cycle on a coarse level is a fixed linear map of
+its right-hand side, so the largest coarse level small enough to be stored
+dense is collapsed at set-up into one matrix C_K = V_K(I), built by a single
+batched cycle; the default-config cycle applies C_K in place of recursing
+below level K + 1.  ``mg_solve`` cycles in correction form,
+z <- z + V(0, g - A z), reusing the residual of its stopping test.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -24,6 +31,7 @@ import scipy.linalg as sla
 
 from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
                        level_from_symbols, mass_symbol)
+from .toeplitz import _DENSE_MAX_N
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,8 @@ class Hierarchy:
     assembly_seconds: float = 0.0
     _coarse_factor: tuple = field(default=None, repr=False)
     _potrs: Callable = field(default=None, repr=False)
+    # (K, C_K): level index and read-only matrix of its zero-start cycle
+    _collapsed: tuple = field(default=None, repr=False)
 
     @property
     def fine(self) -> LevelOperator:
@@ -96,7 +106,10 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
     """Assemble fine_mesh and Galerkin-coarsen down to the direct-solve size.
 
     Each coarse level takes the closed-form mass symbol of its mesh and the
-    stiffness symbol ``coarsen_symbol`` derives from the level above.
+    stiffness symbol ``coarsen_symbol`` derives from the level above.  The
+    largest level K strictly between coarsest and fine whose system is stored
+    dense (n <= 255) is collapsed into C_K; ``assembly_seconds`` covers that
+    build and the coarse factorization too.
     """
     config = config or MgConfig()
     meshes = [fine_mesh]
@@ -113,18 +126,28 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
         levels.append(level_from_symbols(problem, mesh, tau,
                                          mass_symbol(mesh), bsym))
     levels.reverse()
-    hier = Hierarchy(problem=problem, tau=tau, config=config, levels=levels,
-                     assembly_seconds=time.perf_counter() - t0)
+    hier = Hierarchy(problem=problem, tau=tau, config=config, levels=levels)
     hier._coarse_factor = sla.cho_factor(levels[0].system.dense())
     hier._potrs, = sla.get_lapack_funcs(("potrs",), hier._coarse_factor[:1])
+    dense = [k for k in range(1, len(levels) - 1)
+             if levels[k].mesh.n_interior <= _DENSE_MAX_N]
+    if dense:
+        k = dense[-1]
+        c_k = v_cycle(hier, k, None, np.eye(levels[k].mesh.n_interior))
+        c_k.flags.writeable = False
+        hier._collapsed = (k, c_k)
+    hier.assembly_seconds = time.perf_counter() - t0
     return hier
 
 
 def prolongate(coarse: np.ndarray) -> np.ndarray:
-    """Linear interpolation in nodal values: nc -> 2*nc + 1 (zero boundary)."""
+    """Linear interpolation in nodal values: nc -> 2*nc + 1 (zero boundary).
+
+    Acts along axis 0, so an (nc, k) block is prolongated column by column.
+    """
     vc = np.asarray(coarse, dtype=float)
-    nc = vc.size
-    vf = np.zeros(2 * nc + 1)
+    nc = vc.shape[0]
+    vf = np.zeros((2 * nc + 1,) + vc.shape[1:])
     vf[1::2] = vc
     vf[0:-2:2] += 0.5 * vc   # coarse j feeds fine node 2j
     vf[2::2] += 0.5 * vc     # and fine node 2j + 2
@@ -132,9 +155,12 @@ def prolongate(coarse: np.ndarray) -> np.ndarray:
 
 
 def restrict(fine: np.ndarray) -> np.ndarray:
-    """Full weighting 1/4 (1, 2, 1): the h-weighted adjoint of prolongate."""
+    """Full weighting 1/4 (1, 2, 1): the h-weighted adjoint of prolongate.
+
+    Acts along axis 0, like ``prolongate``.
+    """
     vf = np.asarray(fine, dtype=float)
-    if vf.size < 3 or vf.size % 2 == 0:
+    if vf.ndim == 0 or vf.shape[0] < 3 or vf.shape[0] % 2 == 0:
         raise ValueError("fine vector must have odd size >= 3")
     return 0.25 * vf[0:-2:2] + 0.5 * vf[1::2] + 0.25 * vf[2::2]
 
@@ -152,20 +178,34 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     return z
 
 
-def v_cycle(hier: Hierarchy, k: int, z0: np.ndarray, g: np.ndarray,
+def v_cycle(hier: Hierarchy, k: int, z0: Optional[np.ndarray], g: np.ndarray,
             config: Optional[MgConfig] = None) -> np.ndarray:
-    """One V-cycle on level index k (0 = coarsest, solved directly)."""
+    """One V-cycle on level index k (0 = coarsest, solved directly).
+
+    ``z0=None`` is a zero first guess and skips the product A 0.  g (and z0)
+    may be (n, k) blocks, cycled column by column.  With ``hier.config`` the
+    correction from level K is ``C_K @ residual``; any other config recurses.
+    """
     config = config or hier.config
     level = hier.levels[k]
     n = level.mesh.n_interior
-    if z0.shape != (n,) or g.shape != (n,):
+    if (g.ndim not in (1, 2) or g.shape[0] != n
+            or (z0 is not None and z0.shape != g.shape)):
         raise ValueError(f"level {k} expects vectors of size {n}")
     if k == 0:
         return hier.coarse_solve(g)
-    z = jacobi_smooth(level, z0, g, config.eta_pre, config.m1)
+    if z0 is None:
+        z = (config.eta_pre / level.diag) * g
+        z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
+    else:
+        z = jacobi_smooth(level, z0, g, config.eta_pre, config.m1)
     residual = restrict(g - level.apply(z))
-    zeros = np.zeros(hier.levels[k - 1].mesh.n_interior)
-    correction = v_cycle(hier, k - 1, zeros, residual, config)
+    collapsed = hier._collapsed
+    if (collapsed is not None and collapsed[0] == k - 1
+            and config == hier.config):
+        correction = collapsed[1] @ residual
+    else:
+        correction = v_cycle(hier, k - 1, None, residual, config)
     z = z + prolongate(correction)
     z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
     if not np.isfinite(z).all():
@@ -183,7 +223,9 @@ class MgResult:
 
 def mg_solve(hier: Hierarchy, g: np.ndarray,
              config: Optional[MgConfig] = None) -> MgResult:
-    """Repeat V-cycles from zero until the relative residual meets tol.
+    """Correction-form V-cycles z <- z + V(0, g - A z) from zero to tol.
+
+    The residual of each stopping test is the next cycle's right-hand side.
 
     Non-convergence within max_iter is reported via ``converged=False`` with
     the best iterate, never raised, so parameter sweeps can record failures.
@@ -199,9 +241,11 @@ def mg_solve(hier: Hierarchy, g: np.ndarray,
     if r0 == 0.0:
         return MgResult(z, 0, [0.0], True)
     history = [1.0]
+    r = g
     for it in range(1, config.max_iter + 1):
-        z = v_cycle(hier, top, z, g, config)
-        rel = float(np.linalg.norm(g - hier.fine.apply(z)) / r0)
+        z = z + v_cycle(hier, top, None, r, config)
+        r = g - hier.fine.apply(z)
+        rel = float(np.linalg.norm(r) / r0)
         history.append(rel)
         if rel < config.tol:
             return MgResult(z, it, history, True)
@@ -222,10 +266,7 @@ def contraction_factor(hier: Hierarchy, m1: int, m2: int, trials: int = 3,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    config = MgConfig(m1=m1, m2=m2, eta_pre=hier.config.eta_pre,
-                      eta_post=hier.config.eta_post, tol=hier.config.tol,
-                      max_iter=hier.config.max_iter,
-                      coarse_max=hier.config.coarse_max)
+    config = replace(hier.config, m1=m1, m2=m2)
     rng = np.random.default_rng(seed)
     level = hier.fine
     top = len(hier.levels) - 1

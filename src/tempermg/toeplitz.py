@@ -27,10 +27,11 @@ _DENSE_MAX_N = 255
 class SymToeplitz:
     """Immutable symmetric Toeplitz operator ``T[i, j] = first_col[|i - j|]``.
 
-    The circulant spectrum is cached at construction.  For n <= 255 the
-    read-only dense matrix is stored too and ``matvec`` is one dense product;
-    above that it costs two real FFTs of length ~2n.  Instances are safe to
-    share across threads (matvec allocates per-call scratch).
+    For n <= 255 the read-only dense matrix is stored and ``matvec`` is one
+    dense product; above that only the circulant spectrum is cached, at
+    construction, and ``matvec`` costs two real FFTs of length ~2n.
+    Instances are safe to share across threads (matvec allocates per-call
+    scratch).
     """
 
     __slots__ = ("n", "first_col", "_fft_len", "_spec", "_dense")
@@ -44,46 +45,61 @@ class SymToeplitz:
         n = col.size
         col = col.copy()
         col.flags.writeable = False
-        # Minimal embedding is 2n; next_fast_len may pad further for FFT
-        # efficiency.  Extra padding is zero-filled and semantics-neutral.
-        m = sfft.next_fast_len(2 * n, real=True)
-        emb = np.zeros(m)
-        emb[:n] = col
-        if n > 1:
-            emb[m - n + 1:] = col[1:][::-1]
         self.n = n
         self.first_col = col
-        self._fft_len = m
-        self._spec = sfft.rfft(emb)
+        # Minimal embedding is 2n; next_fast_len may pad further for FFT
+        # efficiency.  Extra padding is zero-filled and semantics-neutral.
+        self._fft_len = sfft.next_fast_len(2 * n, real=True)
+        self._spec = None
         self._dense = None
         if n <= _DENSE_MAX_N:
             self._dense = self.dense()
             self._dense.flags.writeable = False
+        else:
+            self._spec = self._spectrum()
+
+    def _spectrum(self):
+        """Eigenvalues of the circulant that embeds the operator."""
+        emb = np.zeros(self._fft_len)
+        emb[: self.n] = self.first_col
+        if self.n > 1:
+            emb[self._fft_len - self.n + 1:] = self.first_col[1:][::-1]
+        return sfft.rfft(emb)
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of shape ({self.n},), got {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(f"expected shape ({self.n},) or ({self.n}, k), "
+                             f"got {x.shape}")
         return x
 
     def matvec(self, x):
         """y_i = sum_j first_col[|i-j|] x_j: stored dense product at small n,
-        O(n log n) circulant embedding above."""
+        O(n log n) circulant embedding above.  An (n, k) block is applied
+        column by column."""
         x = self._check(x)
         if self._dense is not None:
             return self._dense @ x
         return self._fft_matvec(x)
 
     def _fft_matvec(self, x):
-        """Circulant-embedding matvec of a checked vector, at any n."""
-        y = sfft.irfft(sfft.rfft(x, self._fft_len) * self._spec, self._fft_len)
+        """Circulant-embedding matvec of a checked vector or block, at any n.
+
+        Below the dense crossover the spectrum is not cached (only tests and
+        ``verify`` take this path there), so it is computed per call.
+        """
+        spec = self._spec if self._spec is not None else self._spectrum()
+        if x.ndim == 2:
+            spec = spec[:, None]
+        y = sfft.irfft(sfft.rfft(x, self._fft_len, axis=0) * spec,
+                       self._fft_len, axis=0)
         return y[: self.n]
 
     def matvec_direct(self, x):
         """Dense O(n^2) reference semantics for matvec (testing oracle)."""
         x = self._check(x)
         idx = np.arange(self.n)
-        y = np.empty(self.n)
+        y = np.empty(x.shape)
         for i in range(self.n):
             y[i] = self.first_col[np.abs(i - idx)] @ x
         return y

@@ -1,10 +1,13 @@
 """V-cycle multigrid: transfers, smoother, cycle algebra, solver driver."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tempermg import assembly, multigrid
+from tempermg import assembly, multigrid, toeplitz
 from tempermg.assembly import Mesh, ProblemSpec
 from tempermg.multigrid import MgConfig
 
@@ -82,7 +85,7 @@ def test_rediscretized_levels_satisfy_galerkin_relation():
         product = 0.5 * p_mat.T @ fine.system.dense() @ p_mat
         dense_c = coarse.system.dense()
         gap = np.linalg.norm(product - dense_c) / np.linalg.norm(dense_c)
-        assert gap <= 1e-6
+        assert gap <= 1e-13
         rebuilt = assembly.assemble_level(problem, coarse.mesh, 0.25)
         dense_r = rebuilt.system.dense()
         gap = np.linalg.norm(dense_r - dense_c) / np.linalg.norm(dense_r)
@@ -153,6 +156,18 @@ def test_restrict_validation():
         multigrid.restrict(np.ones(8))
     with pytest.raises(ValueError):
         multigrid.restrict(np.ones(1))
+
+
+def test_transfers_act_on_blocks_column_by_column():
+    rng = np.random.default_rng(8)
+    coarse = rng.standard_normal((7, 3))
+    fine = rng.standard_normal((15, 3))
+    np.testing.assert_array_equal(
+        multigrid.prolongate(coarse),
+        np.column_stack([multigrid.prolongate(c) for c in coarse.T]))
+    np.testing.assert_array_equal(
+        multigrid.restrict(fine),
+        np.column_stack([multigrid.restrict(c) for c in fine.T]))
 
 
 @pytest.mark.parametrize("nc", [7, 15, 31])
@@ -285,6 +300,124 @@ def test_vcycle_error_operator_selfadjoint_in_energy():
     a_dense = hier.fine.system.dense()
     sym = a_dense @ e_mat
     assert np.linalg.norm(sym - sym.T) <= 1e-10 * np.linalg.norm(sym)
+
+
+# ---------------------------------------------------------------------------
+# collapsed sub-fine cycle
+
+
+@pytest.fixture(scope="module")
+def hier1024():
+    return multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 1024),
+                                     tau=1.0 / 1024.0)
+
+
+def uncollapsed(hier):
+    return dataclasses.replace(hier, _collapsed=None)
+
+
+def test_collapse_level_is_the_largest_dense_coarse_level(hier128, hier1024):
+    # fine n = 127: every level below it is dense, so K is the one under the
+    # fine level; fine n = 1023: K is n = 255, two levels down
+    assert hier128._collapsed[0] == len(hier128.levels) - 2
+    assert hier1024._collapsed[0] == len(hier1024.levels) - 3
+    for hier in (hier128, hier1024):
+        k, c_k = hier._collapsed
+        n = hier.levels[k].mesh.n_interior
+        assert n <= toeplitz._DENSE_MAX_N
+        assert c_k.shape == (n, n) and not c_k.flags.writeable
+    # no coarse level strictly between the coarsest and the fine one
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 16), 0.1)
+    assert len(hier.levels) == 2 and hier._collapsed is None
+
+
+@pytest.mark.parametrize("cells", [128, 1024])
+@pytest.mark.parametrize("lam, sigma", [(0.5, 0.3), (0.0, 0.0)])
+def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
+    hier = multigrid.build_hierarchy(model_problem(lam=lam, sigma=sigma),
+                                     Mesh(0.0, 1.0, cells), tau=1.0 / cells)
+    k, c_k = hier._collapsed
+    rng = np.random.default_rng(cells)
+    g = rng.standard_normal(hier.levels[k].mesh.n_interior)
+    # v_cycle on level K itself recurses; C_K only replaces it from K + 1
+    ref = multigrid.v_cycle(hier, k, None, g)
+    assert np.linalg.norm(c_k @ g - ref) <= 1e-13 * np.linalg.norm(ref)
+    top = len(hier.levels) - 1
+    g = rng.standard_normal(hier.fine.mesh.n_interior)
+    ref = multigrid.v_cycle(uncollapsed(hier), top, None, g)
+    got = multigrid.v_cycle(hier, top, None, g)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_zero_start_is_bit_identical_to_zero_vector(hier128):
+    hier = uncollapsed(hier128)
+    rng = np.random.default_rng(9)
+    for config in (hier.config, MgConfig(m1=3, m2=1)):
+        for k, level in enumerate(hier.levels):
+            g = rng.standard_normal(level.mesh.n_interior)
+            np.testing.assert_array_equal(
+                multigrid.v_cycle(hier, k, None, g, config),
+                multigrid.v_cycle(hier, k, np.zeros_like(g), g, config))
+
+
+def test_block_vcycle_matches_column_by_column(hier128):
+    rng = np.random.default_rng(10)
+    top = len(hier128.levels) - 1
+    block = rng.standard_normal((hier128.fine.mesh.n_interior, 3))
+    for hier in (hier128, uncollapsed(hier128)):
+        for z0 in (None, rng.standard_normal(block.shape)):
+            got = multigrid.v_cycle(hier, top, z0, block)
+            cols = np.column_stack([
+                multigrid.v_cycle(hier, top, None if z0 is None else z0[:, j],
+                                  block[:, j])
+                for j in range(block.shape[1])])
+            assert np.linalg.norm(got - cols) <= 1e-14 * np.linalg.norm(cols)
+
+
+def test_other_config_never_reads_collapsed_matrix(hier128):
+    k, c_k = hier128._collapsed
+    poisoned = dataclasses.replace(hier128,
+                                   _collapsed=(k, np.full_like(c_k, np.nan)))
+    top = len(hier128.levels) - 1
+    g = np.random.default_rng(11).standard_normal(hier128.fine.mesh.n_interior)
+    other = MgConfig(m1=1, m2=1)
+    np.testing.assert_array_equal(
+        multigrid.v_cycle(poisoned, top, None, g, other),
+        multigrid.v_cycle(uncollapsed(hier128), top, None, g, other))
+    assert (multigrid.contraction_factor(poisoned, 2, 2)
+            == multigrid.contraction_factor(hier128, 2, 2))
+    # the default config does read it, and so does a contraction estimate
+    # whose smoothing counts equal the hierarchy's
+    with pytest.raises(FloatingPointError):
+        multigrid.v_cycle(poisoned, top, None, g)
+    with pytest.raises(FloatingPointError):
+        multigrid.contraction_factor(poisoned, hier128.config.m1,
+                                     hier128.config.m2)
+
+
+@pytest.mark.parametrize("cells, per_cycle", [
+    (128, {127: 4}),
+    (1024, {1023: 4, 511: 3}),
+])
+def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
+                                     cells, per_cycle):
+    # machine-independent cost of one mg_solve iteration: fine level 1 in
+    # mg_solve's residual + 1 cycle residual + m2 = 2 post-smoothing (the
+    # zero-start pre-smoothing step needs no product); each uncollapsed
+    # level between the fine level and K costs 3; nothing at or below K
+    hier = hier128 if cells == 128 else hier1024
+    sizes = []
+    matvec = toeplitz.SymToeplitz.matvec
+
+    def counting(self, x):
+        sizes.append(self.n)
+        return matvec(self, x)
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
+    g = np.random.default_rng(12).standard_normal(hier.fine.mesh.n_interior)
+    res = multigrid.mg_solve(hier, g)
+    assert res.converged and res.iters >= 2
+    assert Counter(sizes) == {n: c * res.iters for n, c in per_cycle.items()}
 
 
 # ---------------------------------------------------------------------------

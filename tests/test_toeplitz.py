@@ -70,8 +70,21 @@ def test_matvec_across_dense_crossover(n):
         np.testing.assert_array_equal(op._dense, op.dense())
         with pytest.raises(ValueError):
             op._dense[0, 0] = 0.0
+        assert op._spec is None  # built per call by _fft_matvec here
     else:
-        assert op._dense is None
+        assert op._dense is None and op._spec is not None
+
+
+@pytest.mark.parametrize("n", [63, 255, 256, 511])
+def test_block_matvec_matches_column_by_column(n):
+    rng = np.random.default_rng(n)
+    op = toeplitz.SymToeplitz(rng.standard_normal(n))
+    block = rng.standard_normal((n, 4))
+    cols = np.column_stack([op.matvec(col) for col in block.T])
+    scale = np.linalg.norm(cols)
+    assert np.linalg.norm(op.matvec(block) - cols) <= 1e-14 * scale
+    fft_cols = np.column_stack([op._fft_matvec(col) for col in block.T])
+    assert np.linalg.norm(op._fft_matvec(block) - fft_cols) <= 1e-14 * scale
 
 
 def test_matvec_linearity_and_symmetry():
@@ -99,6 +112,10 @@ def test_matvec_dimension_mismatch():
     op = toeplitz.SymToeplitz([2.0, -1.0])
     with pytest.raises(ValueError):
         op.matvec(np.ones(3))
+    with pytest.raises(ValueError):
+        op.matvec(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        op.matvec(np.ones((2, 2, 2)))
 
 
 def test_first_col_immutable():
