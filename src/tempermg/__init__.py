@@ -20,12 +20,10 @@ from .fracquad import (
     example1_forcing,
     gauss_jacobi,
     jacobi_gl,
-    riesz_apply,
     riesz_kappa,
     rl_left_deriv,
     rl_right_deriv,
     tempered_left_deriv,
-    tempered_left_integral,
     tempered_right_deriv,
 )
 from .multigrid import (

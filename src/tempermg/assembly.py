@@ -20,9 +20,9 @@ Entry m is then, with mu = lam h and D_m(t) = B3(m + t) + B3(m - t) - 2 B3(m),
 
 one formula for every lag.  D_m is a cubic on each unit piece, vanishes to
 second order at t = 0 and is constant beyond t = m + 2, so every I_m is a
-fixed Gauss sum (plus an incomplete-gamma tail for m <= 1) and each entry
-keeps its relative accuracy; the whole symbol costs O(p n) for p nodes per
-entry.
+fixed Gauss sum plus, for m <= 2, incomplete-gamma pieces on [0, 1] and
+[4, inf); each entry keeps its relative accuracy for every lam h, and the
+whole symbol costs O(p n) for p nodes per entry.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaincc
+from scipy.special import gamma as gamma_fn, gammainc, gammaincc
 
 from . import fracquad
 from .toeplitz import SymToeplitz, structure_report
@@ -136,10 +136,7 @@ def _unit_pieces(start, count):
     return t, np.tile(0.5 * gl.weights, count)
 
 
-# Quadrature sizes of the stiffness assembly: Jacobi nodes on [0, 1], where
-# the kernel weight t^{1-alpha} is singular, and Gauss-Legendre points per
-# unit piece of B3 elsewhere.
-_SING_NODES = 20
+# Gauss-Legendre points per unit piece of B3 in the stiffness assembly.
 _PIECE_POINTS = 12
 
 # Test hook for the CLI's fault-injection path: flips the sign of one
@@ -156,11 +153,11 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
 
     For m >= 3 the hat supports are separated, D_m(t) = B3(m - t), and I_m
     is a Gauss sum over B3's four pieces.  For m = 0, 1, 2, I_m splits into
-    [0, 1], where D_m(t) / t^2 is the exact linear c2 + c3 t and a Jacobi
-    rule carries the weight t^{1-alpha} (forming D_m from B3 values there
+    [0, 1], where D_m(t) / t^2 is the exact linear c2 + c3 t and the piece is
+    two lower incomplete gamma functions (forming D_m from B3 values there
     would cancel catastrophically); [1, 4], a cubic per unit piece; and
-    [4, inf), where D_m = -2 B3(m) and the integral is an incomplete gamma
-    function.  Cost is O(p n) for p nodes per entry.
+    [4, inf), where D_m = -2 B3(m) and the integral is an upper incomplete
+    gamma function.  Cost is O(p n) for p nodes per entry.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
@@ -175,16 +172,21 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
     lag = np.arange(3.0, n)[:, None] + t[None, :]
     kern = lag ** (-1.0 - alpha) * np.exp(-mu * lag)
     sym[3:] = scale * (kern @ (w * _b3(t)))
-    # near field, lags 0-2.  [0, 1]: D_m(t) = t^2 (c2 + c3 t) exactly; with
-    # t = (1 + z)/2 the weight t^{1-alpha} dt is 2^{alpha-2} (1 + z)^{1-alpha} dz
+    # near field, lags 0-2.  [0, 1]: D_m(t) = t^2 (c2 + c3 t) exactly, and
+    # int_0^1 t^{s-1} e^{-mu t} dt = mu^{-s} gamma(s, mu), the lower incomplete
+    # gamma function; below mu = 1e-16 its O(mu) departure from the mu = 0
+    # limit 1/s is under a rounding error (and mu^{-s} overflows by 1e-154)
     m = np.arange(3.0)
     b3m = _b3(m)
-    jr = fracquad.gauss_jacobi(0.0, 1.0 - alpha, _SING_NODES)
-    s = 0.5 * (1.0 + jr.nodes)
     c2 = np.array([-2.0, 1.0, 0.0])
     c3 = np.array([1.0, -2.0 / 3.0, 1.0 / 6.0])
-    near = 2.0 ** (alpha - 2.0) * (
-        (c2[:, None] + c3[:, None] * s) @ (jr.weights * np.exp(-mu * s)))
+    if mu < 1e-16:
+        near = c2 / (2.0 - alpha) + c3 / (3.0 - alpha)
+    else:
+        near = (c2 * mu ** (alpha - 2.0) * gamma_fn(2.0 - alpha)
+                * gammainc(2.0 - alpha, mu)
+                + c3 * mu ** (alpha - 3.0) * gamma_fn(3.0 - alpha)
+                * gammainc(3.0 - alpha, mu))
     # [1, 4]: D_m is a cubic on each unit piece
     t, w = _unit_pieces(1.0, 3)
     d = _b3(m[:, None] + t) + _b3(m[:, None] - t) - 2.0 * b3m[:, None]
@@ -308,11 +310,13 @@ def fe_l2_error(mesh: Mesh, nodal: np.ndarray, exact: Callable, t: float,
 
 
 def make_example1(alpha: float, lam: float, b_end: float = 32.0,
-                  T: float = 1.0, quad_order: int = 100) -> ProblemSpec:
+                  T: float = 1.0) -> ProblemSpec:
     """Manufactured benchmark: u(x,t) = e^{-t} x^2 (1 - x/b)^2 on (0, b).
 
     The reaction coefficient is tied to the tempering strength
-    (sigma = 3 lam^alpha kappa) so the closed-form source stays compact.
+    (sigma = 3 lam^alpha kappa) so the source stays compact; it is evaluated
+    in closed form by the tempered power rule (see
+    ``fracquad.example1_forcing``), with no pointwise quadrature.
     """
     if b_end <= 0:
         raise ValueError("b_end must be positive")
@@ -321,7 +325,7 @@ def make_example1(alpha: float, lam: float, b_end: float = 32.0,
     w = fracquad.polynomial_bump(b_end)
     return ProblemSpec(
         alpha=alpha, lam=lam, sigma=sigma, a=0.0, b=b_end, T=T,
-        f=fracquad.example1_forcing(alpha, lam, 0.0, b_end, order=quad_order),
+        f=fracquad.example1_forcing(alpha, lam, 0.0, b_end),
         u0=w.value,
         exact=lambda x, t: np.exp(-t) * w.value(x),
     )

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from . import assembly, diagnostics, fracquad, multigrid, timestep, toeplitz
 
@@ -81,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--coarse-max", type=int, default=7, metavar="I",
                     help="direct solve at or below this interior size")
     misc = shared.add_argument_group("run")
-    misc.add_argument("--quad-order", type=int, default=100, metavar="I",
-                      help="node count for pointwise fractional-derivative "
-                           "quadrature (forcing terms, verify checks)")
+    misc.add_argument("--quad-order", type=int, default=None, metavar="I",
+                      help="verify only: node count of the pointwise "
+                           "fractional-derivative quadrature in the power-rule "
+                           "check (default 100)")
     misc.add_argument("--seed", type=int, default=0,
                       help="seed for randomized checks")
     misc.add_argument("--threads", type=int, default=1,
@@ -123,7 +125,8 @@ def _mg_config(args: argparse.Namespace) -> multigrid.MgConfig:
 def _require_default(args, name: str, allowed=None):
     value = getattr(args, name)
     if value is not None and (allowed is None or value not in allowed):
-        raise UsageError(f"--{name} is fixed for this benchmark")
+        flag = name.replace("_", "-")
+        raise UsageError(f"--{flag} cannot be set for {args.command}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +175,12 @@ def cmd_example1(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.8]
     sizes = args.M or [128, 256, 512, 1024]
     _require_default(args, "a", allowed=(0.0,))
-    _require_default(args, "sigma")
+    for name in ("sigma", "quad_order"):
+        _require_default(args, name)
     b_end = 32.0 if args.b is None else args.b
     horizon = 1.0 if args.T is None else args.T
     config = _mg_config(args)
-    problems = {alpha: assembly.make_example1(alpha, args.lam, b_end, horizon,
-                                              quad_order=args.quad_order)
+    problems = {alpha: assembly.make_example1(alpha, args.lam, b_end, horizon)
                 for alpha in alphas}
 
     def run(case):
@@ -210,7 +213,7 @@ def cmd_example1(args: argparse.Namespace) -> int:
 def cmd_example2(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.5, 1.9]
     sizes = args.M or [128, 256, 512, 1024]
-    for name in ("a", "b", "T", "sigma"):
+    for name in ("a", "b", "T", "sigma", "quad_order"):
         _require_default(args, name)
     config = _mg_config(args)
 
@@ -246,6 +249,7 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.5]
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
+    _require_default(args, "quad_order")
     lo = 0.0 if args.a is None else args.a
     hi = 1.0 if args.b is None else args.b
     sigma = 0.0 if args.sigma is None else args.sigma
@@ -332,7 +336,7 @@ def _check_fft_vs_dense(args) -> Tuple[str, str]:
     for n in (2, 3, 5, 8, 16, 64, 129, 512):
         op = toeplitz.SymToeplitz(rng.standard_normal(n))
         x = rng.standard_normal(n)
-        ref = op.matvec_direct(x)
+        ref = scipy.linalg.toeplitz(op.first_col) @ x
         # the FFT path at every size, whichever path matvec takes at this n
         worst = max(worst, _rel(op._fft_matvec(x), ref), _rel(op.matvec(x), ref))
     return ("PASS" if worst <= 1e-12 else "FAIL", f"max rel {worst:.2e}")
@@ -378,6 +382,7 @@ def _check_galerkin(args) -> Tuple[str, str]:
 
 def _check_power_rule(args) -> Tuple[str, str]:
     from scipy.special import gamma as gamma_fn
+    order = 100 if args.quad_order is None else args.quad_order
     x = np.linspace(0.05, 1.0, 20)
     worst = 0.0
     for alpha in (1.25, 1.75):
@@ -387,15 +392,14 @@ def _check_power_rule(args) -> Tuple[str, str]:
                 first_derivative=lambda s, p=p: p * s**(p - 1),
                 second_derivative=lambda s, p=p: p * (p - 1) * s**(p - 2))
             ref = gamma_fn(p + 1) / gamma_fn(p + 1 - alpha) * x**(p - alpha)
-            got = fracquad.rl_left_deriv(u, alpha, 0.0, x,
-                                         order=args.quad_order)
+            got = fracquad.rl_left_deriv(u, alpha, 0.0, x, order=order)
             worst = max(worst, _rel(got, ref))
             mirrored = fracquad.SmoothFn(
                 value=lambda s, p=p: (1.0 - s)**p,
                 first_derivative=lambda s, p=p: -p * (1.0 - s)**(p - 1),
                 second_derivative=lambda s, p=p: p * (p - 1) * (1.0 - s)**(p - 2))
             got_r = fracquad.rl_right_deriv(mirrored, alpha, 1.0, 1.0 - x,
-                                            order=args.quad_order)
+                                            order=order)
             worst = max(worst, _rel(got_r, ref))
     return ("PASS" if worst <= 1e-8 else "FAIL", f"max rel {worst:.2e}")
 

@@ -5,7 +5,7 @@ it into a 2n x 2n circulant, diagonalize that once with an FFT, and apply the
 operator as pad -> transform -> multiply -> inverse transform -> truncate.
 Below a measured crossover size the FFT path's fixed per-call cost dominates,
 so small operators also store their dense matrix and apply that instead.
-The module also carries the dense O(n^2) reference semantics, a power-iteration
+The module also carries the dense materialization, a power-iteration
 spectral-radius estimator, and a structural report (sign pattern, diagonal
 dominance, Gershgorin bounds) used by the solver's admissibility checks.
 """
@@ -94,15 +94,6 @@ class SymToeplitz:
         y = sfft.irfft(sfft.rfft(x, self._fft_len, axis=0) * spec,
                        self._fft_len, axis=0)
         return y[: self.n]
-
-    def matvec_direct(self, x):
-        """Dense O(n^2) reference semantics for matvec (testing oracle)."""
-        x = self._check(x)
-        idx = np.arange(self.n)
-        y = np.empty(x.shape)
-        for i in range(self.n):
-            y[i] = self.first_col[np.abs(i - idx)] @ x
-        return y
 
     def dense(self):
         """Materialize the full matrix (small n: the dense matvec, diagnostics)."""

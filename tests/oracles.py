@@ -4,13 +4,17 @@ Everything here is deliberately built from different machinery than the
 package: incomplete-gamma closed forms and adaptive scipy quadrature instead
 of fixed Gauss rules, nested profile-product integrals instead of the kernel
 form of the symbol, dense matrices instead of Toeplitz symbols, and
-`mpmath` where double precision cancels.  Agreement is then meaningful.
+`mpmath` where double precision cancels.  The one exception is the
+pointwise-quadrature section, the package's Gauss-Jacobi rules applied where
+the package itself now uses closed forms.  Agreement is then meaningful.
 """
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammainc
+
+from tempermg import fracquad
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,41 @@ def near_pair_ref(h, alpha, lam, m):
             + 0.5 * h**(1.0 - alpha) / gamma_fn(-alpha) * total)
 
 
+def near_pair_mp(h, alpha, lam, m):
+    """The near_pair_ref integral in `mpmath` at 30 digits.
+
+    Checks the adaptive reference where tempering is strong.  On [0, 1] the
+    substitution t = v^(1/s), s = 2 - alpha, turns the weight t^(s-1) dt into
+    dv / s, so tanh-sinh quadrature sees no endpoint singularity; break
+    points at 4^j / (lam h) follow the decay of e^(-lam h t).
+    """
+    def b3(t):
+        t = abs(t)
+        if t <= 1:
+            return mpmath.mpf(2) / 3 - t**2 + t**3 / 2
+        return (2 - t)**3 / 6 if t < 2 else mpmath.mpf(0)
+
+    with mpmath.workdps(30):
+        a, h = mpmath.mpf(alpha), mpmath.mpf(h)
+        lam = mpmath.mpf(lam)
+        mu, s = lam * h, 2 - a
+        c2, c3 = ((-2, 1), (1, mpmath.mpf(-2) / 3), (0, mpmath.mpf(1) / 6))[m]
+        breaks = [(4**j / mu)**s for j in range(8) if mu > 0 and 4**j < mu]
+        total = mpmath.quad(
+            lambda v: (c2 + c3 * v**(1 / s)) * mpmath.exp(-mu * v**(1 / s)),
+            [0] + breaks + [1]) / s
+
+        def integrand(t):
+            d = b3(m + t) + b3(m - t) - 2 * b3(m)
+            return mpmath.exp(-mu * t) * t**(-1 - a) * d
+
+        total += mpmath.quad(integrand, list(range(1, m + 3)))
+        if m < 2:
+            total += mpmath.quad(integrand, [m + 2, mpmath.inf])
+        return float(lam**a * h * b3(m)
+                     + h**(1 - a) / (2 * mpmath.gamma(-a)) * total)
+
+
 def untempered_pair_closed_form(h, alpha, m):
     """Symmetrized pairing at lag m for lam = 0, in closed form.
 
@@ -227,6 +266,70 @@ def tempered_right_deriv_ref(u, alpha, lam, b, x):
                                     + lam**2 * u.value(xi))
 
     return np.exp(lam * x) * rl_right_deriv_ref(d2v, alpha, b, x)
+
+
+# ---------------------------------------------------------------------------
+# pointwise quadrature: the package's Lobatto/Gauss-Jacobi rules
+
+
+def tempered_left_integral(u, nu, lam, a, x, order=100):
+    """(1/Gamma(nu)) int_a^x e^{-lam(x-xi)} (x-xi)^(nu-1) u(xi) dxi."""
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs <= a):
+        raise ValueError("evaluation points must satisfy x > a")
+    rule = fracquad.gauss_jacobi(nu - 1.0, 0.0, order)  # weight (1-z)^(nu-1)
+    half = 0.5 * (xs - a)
+    dist = half[:, None] * (1.0 - rule.nodes[None, :])  # x - xi
+    vals = u(xs[:, None] - dist) * np.exp(-lam * dist)
+    out = half**nu / gamma_fn(nu) * (vals @ rule.weights)
+    return float(out[0]) if scalar else out
+
+
+def riesz_apply(u, alpha, lam, a, b, x, order=100):
+    """Symmetric two-sided tempered operator by pointwise Lobatto quadrature.
+
+    kappa * (left + right - 2 lam^alpha u); the first-order drift terms of the
+    left/right definitions cancel in the symmetric sum.
+    """
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any((xs <= a) | (xs >= b)):
+        raise ValueError("evaluation points must lie strictly inside (a, b)")
+    kap = fracquad.riesz_kappa(alpha)
+    left = fracquad.tempered_left_deriv(u, alpha, lam, a, xs, order)
+    right = fracquad.tempered_right_deriv(u, alpha, lam, b, xs, order)
+    out = kap * (left + right - 2.0 * lam**alpha * u.value(xs))
+    return float(out[0]) if scalar else out
+
+
+def example1_space_mp(alpha, lam, b, x):
+    """Space profile F of the example-1 forcing in `mpmath` at 30 digits.
+
+    F = -(w (1 - 3 lam^alpha kappa) + kappa (L(x) + L(b - x) - 2 lam^alpha w))
+    with w = x^2 (1 - x/b)^2 and L(x) = e^(-lam x) D^alpha(e^(lam s) w) taken
+    term by term from the power rule with the unreduced Kummer function
+    1F1(k+1; k+1-alpha; lam x), not the transformed one the package uses.
+    """
+    with mpmath.workdps(30):
+        a, lam, b = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(b)
+        x = mpmath.mpf(x)
+        kap = -1 / (2 * mpmath.cos(a * mpmath.pi / 2))
+
+        def left(y):
+            return sum(c * mpmath.gamma(k + 1) / mpmath.gamma(k + 1 - a)
+                       * y**(k - a) * mpmath.exp(-lam * y)
+                       * mpmath.hyp1f1(k + 1, k + 1 - a, lam * y)
+                       for k, c in ((2, 1), (3, -2 / b), (4, 1 / b**2)))
+
+        w = x**2 * (1 - x / b)**2
+        temper = lam**a if lam > 0 else 0
+        return float(-(w * (1 - 3 * temper * kap)
+                       + kap * (left(x) + left(b - x) - 2 * temper * w)))
 
 
 # ---------------------------------------------------------------------------

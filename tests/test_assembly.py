@@ -134,15 +134,39 @@ def test_untempered_pairing_matches_closed_form(alpha, cells):
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-@pytest.mark.parametrize("mu", [0.03, 0.5, 2.0, 8.0])
+@pytest.mark.parametrize("mu", [0.03, 0.5, 2.0, 8.0, 64.0, 128.0, 512.0])
 def test_near_pairing_matches_adaptive_kernel_integral(alpha, mu):
     # lags 0-2 against adaptive quadrature of the Levy-Khintchine form, over
-    # tempering scales lam * h from mild to strong
+    # tempering scales lam * h from mild to strong enough that e^{-lam h t}
+    # dies inside the first cell
     mesh = Mesh(0.0, 1.0, 16)
     lam = mu / mesh.h
     sym = assembly.frac_pair_symbol(mesh, alpha, lam)
     ref = [oracles.near_pair_ref(mesh.h, alpha, lam, m) for m in range(3)]
-    np.testing.assert_allclose(sym[:3], ref, rtol=1e-10)
+    np.testing.assert_allclose(sym[:3], ref, rtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_near_pair_oracle_matches_mpmath_at_strong_tempering(alpha):
+    # the adaptive oracle above is only as good as scipy's algebraic-weight
+    # rule against e^{-512 t}; check it against 30-digit mpmath there
+    h = 1.0 / 16.0
+    lam = 512.0 / h
+    for m in range(3):
+        assert oracles.near_pair_ref(h, alpha, lam, m) == pytest.approx(
+            oracles.near_pair_mp(h, alpha, lam, m), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("mu", [1e-20, 1e-12])
+def test_near_pairing_matches_mpmath_at_vanishing_tempering(alpha, mu):
+    # either side of the switch to the mu = 0 limit of the [0, 1] piece;
+    # mpmath, since the adaptive oracle drifts to ~3e-13 here at alpha = 1.1
+    mesh = Mesh(0.0, 1.0, 16)
+    lam = mu / mesh.h
+    sym = assembly.frac_pair_symbol(mesh, alpha, lam)
+    ref = [oracles.near_pair_mp(mesh.h, alpha, lam, m) for m in range(3)]
+    np.testing.assert_allclose(sym[:3], ref, rtol=1e-14)
 
 
 def test_pairing_symbol_dyadic_mesh_consistency():

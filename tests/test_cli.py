@@ -1,9 +1,12 @@
 """End-to-end command-line checks through real subprocess invocations."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
+
+from tempermg import cli
 
 BASE = [sys.executable, "-m", "tempermg.cli"]
 
@@ -143,6 +146,24 @@ def test_fixed_benchmark_parameter_rejected():
     proc = run_cli("example2", "--b", "2.0")
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
+
+
+@pytest.mark.parametrize("command", ["example1", "example2", "mgbench"])
+def test_quad_order_is_verify_only(command):
+    # no benchmark evaluates a pointwise fractional derivative, so setting
+    # the rule size there is an error rather than silently ignored
+    proc = run_cli(command, "--quad-order", "50", "--M", "2^5")
+    assert proc.returncode == 2
+    assert "--quad-order" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_verify_quad_order_defaults_to_100():
+    args = cli.build_parser().parse_args(["verify"])
+    assert args.quad_order is None
+    default = cli._check_power_rule(args)
+    assert default[0] == "PASS"
+    assert default == cli._check_power_rule(argparse.Namespace(quad_order=100))
 
 
 def test_missing_subcommand_is_usage_error():

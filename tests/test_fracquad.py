@@ -273,14 +273,14 @@ def test_low_order_is_zero_outside_accumulation_range():
 def test_integral_of_one_power_law():
     nu, a = 0.6, 0.5
     x = np.array([0.9, 2.0])
-    got = fracquad.tempered_left_integral(lambda s: np.ones_like(s), nu, 0.0, a, x)
+    got = oracles.tempered_left_integral(lambda s: np.ones_like(s), nu, 0.0, a, x)
     np.testing.assert_allclose(got, (x - a) ** nu / gamma_fn(nu + 1.0), rtol=1e-12)
 
 
 def test_integral_unit_order_tempered():
     lam, a = 1.3, 0.0
     x = np.array([0.5, 2.5])
-    got = fracquad.tempered_left_integral(lambda s: np.ones_like(s), 1.0, lam, a, x)
+    got = oracles.tempered_left_integral(lambda s: np.ones_like(s), 1.0, lam, a, x)
     np.testing.assert_allclose(got, (1.0 - np.exp(-lam * x)) / lam, rtol=1e-10)
 
 
@@ -292,7 +292,7 @@ def test_integral_inverts_derivative():
         return fracquad.tempered_left_deriv_low(u, nu, lam, a, s)
 
     for x in (0.3, 0.8):
-        got = fracquad.tempered_left_integral(deriv, nu, lam, a, x)
+        got = oracles.tempered_left_integral(deriv, nu, lam, a, x)
         assert got == pytest.approx(u.value(x), rel=1e-6)
 
 
@@ -310,7 +310,7 @@ def test_riesz_reduces_to_plain_sum_at_zero_tempering():
     alpha, b = 1.3, 2.0
     u = fracquad.polynomial_bump(b)
     x = np.array([0.5, 1.0, 1.5])
-    got = fracquad.riesz_apply(u, alpha, 0.0, 0.0, b, x)
+    got = oracles.riesz_apply(u, alpha, 0.0, 0.0, b, x)
     kap = fracquad.riesz_kappa(alpha)
     ref = kap * (fracquad.rl_left_deriv(u, alpha, 0.0, x)
                  + fracquad.rl_right_deriv(u, alpha, b, x))
@@ -321,8 +321,8 @@ def test_riesz_respects_even_symmetry():
     alpha, lam, b = 1.7, 0.4, 2.0
     u = fracquad.polynomial_bump(b)  # symmetric about b/2
     x = np.array([0.3, 0.8])
-    fwd = fracquad.riesz_apply(u, alpha, lam, 0.0, b, x)
-    bwd = fracquad.riesz_apply(u, alpha, lam, 0.0, b, b - x)
+    fwd = oracles.riesz_apply(u, alpha, lam, 0.0, b, x)
+    bwd = oracles.riesz_apply(u, alpha, lam, 0.0, b, b - x)
     np.testing.assert_allclose(fwd, bwd, rtol=1e-10)
 
 
@@ -351,7 +351,40 @@ def test_forcing_satisfies_evolution_residual(alpha):
                       + oracles.tempered_right_deriv_ref(w, alpha, lam, b, x)
                       - 2.0 * lam**alpha * w.value(x))
         residual = np.exp(-t) * (-w.value(x) - op_u + sigma * w.value(x))
-        assert f(x, t) == pytest.approx(residual, rel=1e-6)
+        assert f(x, t) == pytest.approx(residual, rel=1e-10)
+
+
+def _forcing_points(b):
+    # the ends, where F is a small difference of large terms, and the bulk
+    ends = np.array([1e-8, 1e-4, 0.01, 0.3])
+    return np.concatenate((ends, np.linspace(0.5, b - 0.5, 41), b - ends[::-1]))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_closed_form_forcing_matches_pointwise_quadrature(alpha, lam):
+    # the tempered power rule against 101-node Lobatto-Jacobi quadrature of
+    # both one-sided derivatives; relative to the profile's largest value,
+    # since F crosses zero near the ends
+    b = 32.0
+    x = _forcing_points(b)
+    kap = fracquad.riesz_kappa(alpha)
+    w = fracquad.polynomial_bump(b)
+    ref = -(w.value(x) * (1.0 - 3.0 * lam**alpha * kap)
+            + oracles.riesz_apply(w, alpha, lam, 0.0, b, x))
+    got = fracquad.example1_forcing(alpha, lam, 0.0, b).space(x)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_closed_form_forcing_matches_mpmath_at_strong_tempering(alpha):
+    # lam x reaches 512, where e^{-lam x} 1F1(k+1; .; lam x) overflows in
+    # double precision and the Kummer-transformed form must carry it
+    lam, b = 16.0, 32.0
+    x = _forcing_points(b)[::3]
+    ref = np.array([oracles.example1_space_mp(alpha, lam, b, xi) for xi in x])
+    got = fracquad.example1_forcing(alpha, lam, 0.0, b).space(x)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_forcing_requires_zero_left_endpoint():
@@ -382,6 +415,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         fracquad.tempered_left_deriv_low(u, 1.5, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        fracquad.tempered_left_integral(u.value, -0.5, 0.0, 0.0, 0.5)
+        oracles.tempered_left_integral(u.value, -0.5, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        fracquad.riesz_apply(u, 1.5, 0.0, 0.0, 1.0, 1.0)
+        oracles.riesz_apply(u, 1.5, 0.0, 0.0, 1.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tempermg import assembly, multigrid, timestep
+from tempermg import assembly, fracquad, multigrid, timestep
 from tempermg.assembly import Mesh, ProblemSpec
 from tempermg.timestep import SolutionRecord
 
@@ -118,6 +118,16 @@ def test_manufactured_problem_error_level(alpha, expected):
     assert rec.l2_error == pytest.approx(expected, rel=1.0)  # same magnitude
     assert rec.l2_error < 2.0 * expected
     assert 0 < rec.mean_iterations <= 30
+
+
+def test_manufactured_run_uses_no_pointwise_quadrature(monkeypatch):
+    # the forcing is closed form: a run must never build a Lobatto rule
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pointwise fractional quadrature on a solve path")
+
+    monkeypatch.setattr(fracquad, "jacobi_gl", forbidden)
+    rec = timestep.run_simulation(assembly.make_example1(1.8, 0.5), 64, 4)
+    assert np.isfinite(rec.l2_error) and rec.l2_error < 1.0
 
 
 def test_separable_fast_path_matches_generic_loads():
