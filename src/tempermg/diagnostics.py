@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fracquad
 from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
-from .multigrid import MgConfig, build_hierarchy
+from .multigrid import build_hierarchy
 from .toeplitz import power_iteration, structure_report
 
 
@@ -211,8 +211,8 @@ def spectral_radius_sweep(problem: ProblemSpec, Ms: List[int], tau: float,
     return rows
 
 
-def structure_sweep(problem: ProblemSpec, Ms: List[int], tau: float,
-                    coarse_max: int = 7) -> List[dict]:
+def structure_sweep(problem: ProblemSpec, Ms: List[int],
+                    tau: float) -> List[dict]:
     """Structure reports for stiffness and system operators on all levels.
 
     The levels are the solver's own: those of ``build_hierarchy`` (fine
@@ -225,10 +225,8 @@ def structure_sweep(problem: ProblemSpec, Ms: List[int], tau: float,
     """
     rows: List[dict] = []
     hard = problem.lam == 0.0 and problem.sigma == 0.0
-    config = MgConfig(coarse_max=coarse_max)
     for M in Ms:
-        hier = build_hierarchy(problem, Mesh(problem.a, problem.b, M), tau,
-                               config)
+        hier = build_hierarchy(problem, Mesh(problem.a, problem.b, M), tau)
         for level in reversed(hier.levels):
             for name, op, severity in (
                     ("stiffness", level.stiff, "hard" if hard else "warn"),

@@ -12,19 +12,19 @@ Transfers are linear interpolation and its h-weighted adjoint; the smoother
 is damped Jacobi, which for these constant-diagonal operators is plain
 scalar Richardson.
 
-From a zero first guess the cycle on a coarse level is a fixed linear map of
-its right-hand side, so the largest coarse level small enough to be stored
-dense is collapsed at set-up into one matrix C_K = V_K(I), built by a single
-batched cycle; the default-config cycle applies C_K in place of recursing
-below level K + 1.  ``mg_solve`` cycles in correction form,
-z <- z + V(0, g - A z), reusing the residual of its stopping test.
+Every cycle starts from zero, so it is a fixed linear map of its right-hand
+side, and set-up stores all of it at and below one level b as a read-only
+bottom matrix C_b: C_0 = A_0^{-1}, or, when a dense level K lies strictly
+between the coarsest and the fine one, C_K = V_K(I) from one batched cycle.
+``mg_solve`` and ``contraction_factor`` iterate in correction form,
+z <- z + V(g - A z).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -42,7 +42,7 @@ class MgConfig:
     eta_post: float = 0.5
     tol: float = 1e-10       # relative residual target
     max_iter: int = 100
-    coarse_max: int = 7      # direct solve at or below this interior size
+    coarse_max: int = 7      # coarsest level: at or below this interior size
 
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 0:
@@ -62,28 +62,17 @@ class Hierarchy:
     config: MgConfig
     levels: List[LevelOperator]
     assembly_seconds: float = 0.0
-    _coarse_factor: tuple = field(default=None, repr=False)
-    _potrs: Callable = field(default=None, repr=False)
-    # (K, C_K): level index and read-only matrix of its zero-start cycle
-    _collapsed: tuple = field(default=None, repr=False)
+    # (b, C_b): bottom level index and the read-only matrix that replaces
+    # the cycle at and below it
+    _bottom: tuple = field(default=None, repr=False)
 
     @property
     def fine(self) -> LevelOperator:
         return self.levels[-1]
 
     def coarse_solve(self, g: np.ndarray) -> np.ndarray:
-        """Solve the coarsest system with its stored Cholesky factor.
-
-        LAPACK ``potrs`` is called directly: at this size ``cho_solve``'s
-        Python-side input validation costs about ten times the solve.  The
-        finiteness guard on the result takes that validation's place.
-        """
-        factor, lower = self._coarse_factor
-        x, info = self._potrs(factor, g, lower=lower)
-        if info != 0 or not np.isfinite(x).all():
-            raise ValueError(f"coarse solve failed (LAPACK info={info}); "
-                             "right-hand side must be finite")
-        return x
+        """C_b @ g; the calling cycle's finiteness check guards the result."""
+        return self._bottom[1] @ g
 
 
 def coarsen_symbol(first_col: np.ndarray) -> np.ndarray:
@@ -106,10 +95,8 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
     """Assemble fine_mesh and Galerkin-coarsen down to the direct-solve size.
 
     Each coarse level takes the closed-form mass symbol of its mesh and the
-    stiffness symbol ``coarsen_symbol`` derives from the level above.  The
-    largest level K strictly between coarsest and fine whose system is stored
-    dense (n <= 255) is collapsed into C_K; ``assembly_seconds`` covers that
-    build and the coarse factorization too.
+    stiffness symbol ``coarsen_symbol`` derives from the level above.
+    ``assembly_seconds`` covers the bottom matrix (``_with_bottom``) too.
     """
     config = config or MgConfig()
     meshes = [fine_mesh]
@@ -127,16 +114,27 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
                                          mass_symbol(mesh), bsym))
     levels.reverse()
     hier = Hierarchy(problem=problem, tau=tau, config=config, levels=levels)
-    hier._coarse_factor = sla.cho_factor(levels[0].system.dense())
-    hier._potrs, = sla.get_lapack_funcs(("potrs",), hier._coarse_factor[:1])
+    _with_bottom(hier)
+    hier.assembly_seconds = time.perf_counter() - t0
+    return hier
+
+
+def _with_bottom(hier: Hierarchy) -> Hierarchy:
+    """Store hier's bottom matrix for hier.config and return hier.
+
+    C_0 = A_0^{-1} by Cholesky; then, if some level strictly between the
+    coarsest and the fine one is stored dense (n <= 255), the largest such K
+    gets C_K = V_K(I), one batched cycle that ends in C_0.
+    """
+    levels = hier.levels
+    a_0 = levels[0].system.dense()
+    hier._bottom = (0, sla.cho_solve(sla.cho_factor(a_0), np.eye(len(a_0))))
     dense = [k for k in range(1, len(levels) - 1)
              if levels[k].mesh.n_interior <= _DENSE_MAX_N]
     if dense:
         k = dense[-1]
-        c_k = v_cycle(hier, k, None, np.eye(levels[k].mesh.n_interior))
-        c_k.flags.writeable = False
-        hier._collapsed = (k, c_k)
-    hier.assembly_seconds = time.perf_counter() - t0
+        hier._bottom = (k, v_cycle(hier, k, np.eye(levels[k].mesh.n_interior)))
+    hier._bottom[1].flags.writeable = False
     return hier
 
 
@@ -178,34 +176,27 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     return z
 
 
-def v_cycle(hier: Hierarchy, k: int, z0: Optional[np.ndarray], g: np.ndarray,
-            config: Optional[MgConfig] = None) -> np.ndarray:
-    """One V-cycle on level index k (0 = coarsest, solved directly).
+def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
+    """One zero-start V-cycle on level index k > b with ``hier.config``.
 
-    ``z0=None`` is a zero first guess and skips the product A 0.  g (and z0)
-    may be (n, k) blocks, cycled column by column.  With ``hier.config`` the
-    correction from level K is ``C_K @ residual``; any other config recurses.
+    g may be an (n, k) block, cycled column by column.  The correction from
+    the bottom level b is ``hier.coarse_solve(residual)``.
     """
-    config = config or hier.config
+    config = hier.config
     level = hier.levels[k]
     n = level.mesh.n_interior
-    if (g.ndim not in (1, 2) or g.shape[0] != n
-            or (z0 is not None and z0.shape != g.shape)):
+    bottom = hier._bottom[0]
+    if g.ndim not in (1, 2) or g.shape[0] != n:
         raise ValueError(f"level {k} expects vectors of size {n}")
-    if k == 0:
-        return hier.coarse_solve(g)
-    if z0 is None:
-        z = (config.eta_pre / level.diag) * g
-        z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
-    else:
-        z = jacobi_smooth(level, z0, g, config.eta_pre, config.m1)
+    if k <= bottom:
+        raise ValueError(f"level {k} is at or below the bottom level {bottom}")
+    z = (config.eta_pre / level.diag) * g
+    z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
     residual = restrict(g - level.apply(z))
-    collapsed = hier._collapsed
-    if (collapsed is not None and collapsed[0] == k - 1
-            and config == hier.config):
-        correction = collapsed[1] @ residual
+    if k - 1 == bottom:
+        correction = hier.coarse_solve(residual)
     else:
-        correction = v_cycle(hier, k - 1, None, residual, config)
+        correction = v_cycle(hier, k - 1, residual)
     z = z + prolongate(correction)
     z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
     if not np.isfinite(z).all():
@@ -221,9 +212,8 @@ class MgResult:
     converged: bool
 
 
-def mg_solve(hier: Hierarchy, g: np.ndarray,
-             config: Optional[MgConfig] = None) -> MgResult:
-    """Correction-form V-cycles z <- z + V(0, g - A z) from zero to tol.
+def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
+    """Correction-form V-cycles z <- z + V(g - A z) from zero to tol.
 
     The residual of each stopping test is the next cycle's right-hand side.
 
@@ -231,7 +221,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray,
     the best iterate, never raised, so parameter sweeps can record failures.
     A non-finite right-hand side raises ``ValueError`` before any cycle runs.
     """
-    config = config or hier.config
+    config = hier.config
     g = np.asarray(g, dtype=float)
     top = len(hier.levels) - 1
     z = np.zeros_like(g)
@@ -243,7 +233,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray,
     history = [1.0]
     r = g
     for it in range(1, config.max_iter + 1):
-        z = z + v_cycle(hier, top, None, r, config)
+        z = z + v_cycle(hier, top, r)
         r = g - hier.fine.apply(z)
         rel = float(np.linalg.norm(r) / r0)
         history.append(rel)
@@ -256,17 +246,21 @@ def contraction_factor(hier: Hierarchy, m1: int, m2: int, trials: int = 3,
                        cycles: int = 20, seed: int = 0) -> float:
     """Asymptotic per-cycle energy-norm error reduction, max over trials.
 
-    For random z* with g = A z*, iterate from zero and measure the error in
-    the energy norm sqrt(h d'A d).  The factor is the geometric mean of the
-    last few (<= 5) consecutive ratios.  Each trial stops once the error
-    falls eight orders below its first measurement: past that point the
-    iterate approaches the double-precision stagnation floor (roughly
-    cond(A) * eps relative) and ratios turn into roundoff noise, which for
-    fast-contracting cycles used to inflate the estimate past 1.
+    Smoothing counts other than the hierarchy's get their own bottom matrix
+    on the same levels.  For random z* with g = A z*, iterate
+    z <- z + V(g - A z) from zero and measure the error in the energy norm
+    sqrt(h d'A d).  The factor is the geometric mean of the last few (<= 5)
+    consecutive ratios.  Each trial stops once the error falls eight orders
+    below its first measurement: past that point the iterate approaches the
+    double-precision stagnation floor (roughly cond(A) * eps relative) and
+    ratios turn into roundoff noise, which for fast-contracting cycles used
+    to inflate the estimate past 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    config = replace(hier.config, m1=m1, m2=m2)
+    if (m1, m2) != (hier.config.m1, hier.config.m2):
+        hier = _with_bottom(replace(hier, config=replace(hier.config,
+                                                         m1=m1, m2=m2)))
     rng = np.random.default_rng(seed)
     level = hier.fine
     top = len(hier.levels) - 1
@@ -279,7 +273,7 @@ def contraction_factor(hier: Hierarchy, m1: int, m2: int, trials: int = 3,
         errs = []
         e0 = None
         for _ in range(cycles):
-            z = v_cycle(hier, top, z, g, config)
+            z = z + v_cycle(hier, top, g - level.apply(z))
             d = z_star - z
             e = float(np.sqrt(h * (d @ level.apply(d))))
             if e0 is None:

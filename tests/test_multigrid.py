@@ -226,28 +226,50 @@ def test_smoother_energy_monotone(hier128):
 def test_vcycle_zero_data_is_zero(hier128):
     top = len(hier128.levels) - 1
     n = hier128.fine.mesh.n_interior
-    out = multigrid.v_cycle(hier128, top, np.zeros(n), np.zeros(n))
+    out = multigrid.v_cycle(hier128, top, np.zeros(n))
     assert np.all(out == 0.0)
 
 
-def test_vcycle_coarsest_is_direct_solve(hier128):
-    coarse = hier128.levels[0]
+@pytest.fixture(scope="module")
+def hier16():
+    # two levels: nothing between the coarsest and the fine one
+    return multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 16), 0.1)
+
+
+def test_vcycle_coarsest_is_direct_solve(hier16, hier128):
+    coarse = hier16.levels[0]
     rng = np.random.default_rng(4)
     g = rng.standard_normal(coarse.mesh.n_interior)
-    out = multigrid.v_cycle(hier128, 0, np.zeros_like(g), g)
     ref = np.linalg.solve(coarse.system.dense(), g)
-    np.testing.assert_allclose(out, ref, rtol=1e-13)
+    out = hier16.coarse_solve(g)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    # no cycle runs on the bottom level or below it
+    for hier in (hier16, hier128):
+        for k in range(hier._bottom[0] + 1):
+            g = np.ones(hier.levels[k].mesh.n_interior)
+            with pytest.raises(ValueError, match="bottom level"):
+                multigrid.v_cycle(hier, k, g)
 
 
-def test_coarse_solve_rejects_non_finite_rhs(hier128):
-    g = np.ones(hier128.levels[0].mesh.n_interior)
-    g[2] = np.nan
-    with pytest.raises(ValueError):
-        multigrid.v_cycle(hier128, 0, np.zeros_like(g), g)
-    g = np.ones(hier128.fine.mesh.n_interior)
-    g[5] = np.nan
+def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128):
+    for hier in (hier16, hier128, uncollapsed(hier128)):
+        g = np.ones(hier.fine.mesh.n_interior)
+        g[5] = np.nan
+        with pytest.raises(FloatingPointError):
+            multigrid.v_cycle(hier, len(hier.levels) - 1, g)
     with pytest.raises(ValueError):
         multigrid.mg_solve(hier128, g)
+    # a non-finite bottom product is caught by the level above it
+    k, c_k = hier128._bottom
+    poisoned = dataclasses.replace(hier128,
+                                   _bottom=(k, np.full_like(c_k, np.nan)))
+    g = np.ones(hier128.levels[k + 1].mesh.n_interior)
+    with pytest.raises(FloatingPointError, match=f"level {k + 1}"):
+        multigrid.v_cycle(poisoned, k + 1, g)
+    # a contraction estimate with the hierarchy's smoothing counts reads it
+    with pytest.raises(FloatingPointError):
+        multigrid.contraction_factor(poisoned, hier128.config.m1,
+                                     hier128.config.m2)
 
 
 def test_mg_solve_rejects_non_finite_rhs_before_cycling(hier128, monkeypatch):
@@ -269,41 +291,26 @@ def test_mg_solve_rejects_non_finite_rhs_before_cycling(hier128, monkeypatch):
 def test_vcycle_shape_validation(hier128):
     top = len(hier128.levels) - 1
     with pytest.raises(ValueError):
-        multigrid.v_cycle(hier128, top, np.zeros(5), np.zeros(5))
-
-
-def test_vcycle_is_affine(hier128):
-    top = len(hier128.levels) - 1
-    n = hier128.fine.mesh.n_interior
-    rng = np.random.default_rng(5)
-    z0 = rng.standard_normal(n)
-    g = rng.standard_normal(n)
-    full = multigrid.v_cycle(hier128, top, z0.copy(), g)
-    shifted = z0 + multigrid.v_cycle(
-        hier128, top, np.zeros(n), g - hier128.fine.apply(z0))
-    scale = np.linalg.norm(full)
-    assert np.linalg.norm(full - shifted) <= 1e-12 * scale
+        multigrid.v_cycle(hier128, top, np.zeros(5))
 
 
 def test_vcycle_error_operator_selfadjoint_in_energy():
     # with symmetric smoothing (m1 = m2, same damping) the cycle's error
-    # operator is self-adjoint in the operator inner product
+    # operator I - V A is self-adjoint in the operator inner product; at
+    # M = 32 the cycle ends in the stored C_K of the middle level
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 32),
-                                     tau=0.25)
-    config = MgConfig(m1=1, m2=1)
-    n = hier.fine.mesh.n_interior
+                                     tau=0.25, config=MgConfig(m1=1, m2=1))
+    assert hier._bottom[0] == 1 and len(hier.levels) == 3
     top = len(hier.levels) - 1
-    e_mat = np.column_stack([
-        multigrid.v_cycle(hier, top, col.copy(), np.zeros(n), config)
-        for col in np.eye(n)
-    ])
     a_dense = hier.fine.system.dense()
+    e_mat = np.eye(len(a_dense)) - np.column_stack([
+        multigrid.v_cycle(hier, top, col) for col in a_dense.T])
     sym = a_dense @ e_mat
     assert np.linalg.norm(sym - sym.T) <= 1e-10 * np.linalg.norm(sym)
 
 
 # ---------------------------------------------------------------------------
-# collapsed sub-fine cycle
+# stored bottom matrix
 
 
 @pytest.fixture(scope="module")
@@ -313,22 +320,29 @@ def hier1024():
 
 
 def uncollapsed(hier):
-    return dataclasses.replace(hier, _collapsed=None)
+    # the same cycle with bottom level b = 0: it recurses to the coarsest
+    # level and ends in A_0^{-1}
+    a_0 = hier.levels[0].system.dense()
+    return dataclasses.replace(hier, _bottom=(0, np.linalg.inv(a_0)))
 
 
-def test_collapse_level_is_the_largest_dense_coarse_level(hier128, hier1024):
+def test_collapse_level_is_the_largest_dense_coarse_level(hier16, hier128,
+                                                          hier1024):
     # fine n = 127: every level below it is dense, so K is the one under the
     # fine level; fine n = 1023: K is n = 255, two levels down
-    assert hier128._collapsed[0] == len(hier128.levels) - 2
-    assert hier1024._collapsed[0] == len(hier1024.levels) - 3
-    for hier in (hier128, hier1024):
-        k, c_k = hier._collapsed
+    assert hier128._bottom[0] == len(hier128.levels) - 2
+    assert hier1024._bottom[0] == len(hier1024.levels) - 3
+    for hier in (hier16, hier128, hier1024):
+        k, c_k = hier._bottom
         n = hier.levels[k].mesh.n_interior
         assert n <= toeplitz._DENSE_MAX_N
         assert c_k.shape == (n, n) and not c_k.flags.writeable
-    # no coarse level strictly between the coarsest and the fine one
-    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 16), 0.1)
-    assert len(hier.levels) == 2 and hier._collapsed is None
+    # no coarse level strictly between the coarsest and the fine one: the
+    # bottom matrix is the coarsest inverse
+    assert len(hier16.levels) == 2 and hier16._bottom[0] == 0
+    inv = np.linalg.inv(hier16.levels[0].system.dense())
+    gap = np.linalg.norm(hier16._bottom[1] - inv)
+    assert gap <= 1e-13 * np.linalg.norm(inv)
 
 
 @pytest.mark.parametrize("cells", [128, 1024])
@@ -336,28 +350,18 @@ def test_collapse_level_is_the_largest_dense_coarse_level(hier128, hier1024):
 def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
     hier = multigrid.build_hierarchy(model_problem(lam=lam, sigma=sigma),
                                      Mesh(0.0, 1.0, cells), tau=1.0 / cells)
-    k, c_k = hier._collapsed
+    k, c_k = hier._bottom
+    ref_hier = uncollapsed(hier)
+    # the recursive cycle on level K itself, column by column
+    ref = np.column_stack([multigrid.v_cycle(ref_hier, k, col)
+                           for col in np.eye(len(c_k))])
+    assert np.linalg.norm(c_k - ref) <= 1e-13 * np.linalg.norm(ref)
     rng = np.random.default_rng(cells)
-    g = rng.standard_normal(hier.levels[k].mesh.n_interior)
-    # v_cycle on level K itself recurses; C_K only replaces it from K + 1
-    ref = multigrid.v_cycle(hier, k, None, g)
-    assert np.linalg.norm(c_k @ g - ref) <= 1e-13 * np.linalg.norm(ref)
     top = len(hier.levels) - 1
     g = rng.standard_normal(hier.fine.mesh.n_interior)
-    ref = multigrid.v_cycle(uncollapsed(hier), top, None, g)
-    got = multigrid.v_cycle(hier, top, None, g)
+    ref = multigrid.v_cycle(ref_hier, top, g)
+    got = multigrid.v_cycle(hier, top, g)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-def test_zero_start_is_bit_identical_to_zero_vector(hier128):
-    hier = uncollapsed(hier128)
-    rng = np.random.default_rng(9)
-    for config in (hier.config, MgConfig(m1=3, m2=1)):
-        for k, level in enumerate(hier.levels):
-            g = rng.standard_normal(level.mesh.n_interior)
-            np.testing.assert_array_equal(
-                multigrid.v_cycle(hier, k, None, g, config),
-                multigrid.v_cycle(hier, k, np.zeros_like(g), g, config))
 
 
 def test_block_vcycle_matches_column_by_column(hier128):
@@ -365,34 +369,10 @@ def test_block_vcycle_matches_column_by_column(hier128):
     top = len(hier128.levels) - 1
     block = rng.standard_normal((hier128.fine.mesh.n_interior, 3))
     for hier in (hier128, uncollapsed(hier128)):
-        for z0 in (None, rng.standard_normal(block.shape)):
-            got = multigrid.v_cycle(hier, top, z0, block)
-            cols = np.column_stack([
-                multigrid.v_cycle(hier, top, None if z0 is None else z0[:, j],
-                                  block[:, j])
-                for j in range(block.shape[1])])
-            assert np.linalg.norm(got - cols) <= 1e-14 * np.linalg.norm(cols)
-
-
-def test_other_config_never_reads_collapsed_matrix(hier128):
-    k, c_k = hier128._collapsed
-    poisoned = dataclasses.replace(hier128,
-                                   _collapsed=(k, np.full_like(c_k, np.nan)))
-    top = len(hier128.levels) - 1
-    g = np.random.default_rng(11).standard_normal(hier128.fine.mesh.n_interior)
-    other = MgConfig(m1=1, m2=1)
-    np.testing.assert_array_equal(
-        multigrid.v_cycle(poisoned, top, None, g, other),
-        multigrid.v_cycle(uncollapsed(hier128), top, None, g, other))
-    assert (multigrid.contraction_factor(poisoned, 2, 2)
-            == multigrid.contraction_factor(hier128, 2, 2))
-    # the default config does read it, and so does a contraction estimate
-    # whose smoothing counts equal the hierarchy's
-    with pytest.raises(FloatingPointError):
-        multigrid.v_cycle(poisoned, top, None, g)
-    with pytest.raises(FloatingPointError):
-        multigrid.contraction_factor(poisoned, hier128.config.m1,
-                                     hier128.config.m2)
+        got = multigrid.v_cycle(hier, top, block)
+        cols = np.column_stack([multigrid.v_cycle(hier, top, block[:, j])
+                                for j in range(block.shape[1])])
+        assert np.linalg.norm(got - cols) <= 1e-14 * np.linalg.norm(cols)
 
 
 @pytest.mark.parametrize("cells, per_cycle", [
@@ -443,10 +423,13 @@ def test_mg_solve_zero_rhs(hier128):
     assert np.all(res.solution == 0.0)
 
 
-def test_mg_solve_reports_nonconvergence(hier128):
+def test_mg_solve_reports_nonconvergence():
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 128),
+                                     tau=1.0 / 128.0,
+                                     config=MgConfig(tol=1e-14, max_iter=1))
     rng = np.random.default_rng(7)
-    g = rng.standard_normal(hier128.fine.mesh.n_interior)
-    res = multigrid.mg_solve(hier128, g, MgConfig(tol=1e-14, max_iter=1))
+    g = rng.standard_normal(hier.fine.mesh.n_interior)
+    res = multigrid.mg_solve(hier, g)
     assert not res.converged
     assert res.iters == 1
 
@@ -464,6 +447,34 @@ def test_contraction_improves_with_smoothing(hier128):
     lazy = multigrid.contraction_factor(hier128, 1, 1)
     eager = multigrid.contraction_factor(hier128, 4, 4)
     assert eager < lazy
+
+
+@pytest.mark.parametrize("cells", [128, 1024])
+def test_contraction_factor_other_smoothing_reuses_levels(
+        hier128, hier1024, monkeypatch, cells):
+    # other smoothing counts rebuild only the bottom matrix: no quadrature,
+    # the stored one is never read, and the factor is that of a hierarchy
+    # built with those counts
+    hier = hier128 if cells == 128 else hier1024
+    m1, m2 = 3, 1
+    built = multigrid.build_hierarchy(hier.problem, hier.fine.mesh, hier.tau,
+                                      MgConfig(m1=m1, m2=m2))
+    ref = multigrid.contraction_factor(built, m1, m2)
+    bottom = hier._bottom
+    calls = []
+    pair_symbol = assembly.frac_pair_symbol
+
+    def counting(*args):
+        calls.append(1)
+        return pair_symbol(*args)
+
+    monkeypatch.setattr(assembly, "frac_pair_symbol", counting)
+    assert multigrid.contraction_factor(hier, m1, m2) == ref
+    poisoned = dataclasses.replace(
+        hier, _bottom=(bottom[0], np.full_like(bottom[1], np.nan)))
+    assert multigrid.contraction_factor(poisoned, m1, m2) == ref
+    assert calls == []
+    assert hier._bottom is bottom
 
 
 def test_contraction_factor_validation(hier128):
