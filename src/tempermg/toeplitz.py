@@ -3,6 +3,13 @@
 A symmetric Toeplitz matrix is fully determined by its first column.  We embed
 it into a 2n x 2n circulant, diagonalize that once with an FFT, and apply the
 operator as pad -> transform -> multiply -> inverse transform -> truncate.
+The embedding is symmetric (``emb[k] == emb[L - k]``), so the circulant's
+spectrum is real and the whole product stays in real arithmetic: one
+real-to-real packed transform pair from ``scipy.fftpack`` and an in-place
+multiply by the real eigenvalues.  ``scipy.fftpack`` is SciPy's legacy
+interface, but it is the public one with a packed real-to-real FFT
+(``scipy.fft.rfft`` returns complex bins), and it raises no deprecation
+warning on SciPy 1.17.
 Below a measured crossover size the FFT path's fixed per-call cost dominates,
 so small operators also store their dense matrix and apply that instead.
 The module also carries the dense materialization, a power-iteration
@@ -14,13 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.fftpack as fftpack
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest n whose matvec is a stored dense product rather than the FFT path.
-# Measured per call on a 2-core x86 host (numpy 2.4, OpenBLAS, pocketfft),
-# dense vs FFT: 4.3 vs 21 us at n = 127, 12.8 vs 28 us at n = 255, 66 vs 40 us
-# at n = 511.  Multigrid levels have n = 2^k - 1, so 255 is the last size
-# where dense wins.
+# Measured per call on a 2-core x86 host (numpy 2.4, scipy 1.17, OpenBLAS,
+# one thread), dense vs packed real FFT, best of 40 interleaved batches:
+# 3.9 vs 10.3 us at n = 127, 11.2 vs 12.6 us at n = 255, 60 vs 18 us at
+# n = 511.  Multigrid levels have n = 2^k - 1, so 255 is the last size
+# where dense wins, now by a narrow margin.
 _DENSE_MAX_N = 255
 
 
@@ -29,7 +38,8 @@ class SymToeplitz:
 
     For n <= 255 the read-only dense matrix is stored and ``matvec`` is one
     dense product; above that only the circulant spectrum is cached, at
-    construction, and ``matvec`` costs two real FFTs of length ~2n.
+    construction, as a real vector, and ``matvec`` costs two real FFTs of
+    length ~2n.
     Instances are safe to share across threads (matvec allocates per-call
     scratch).
     """
@@ -59,12 +69,16 @@ class SymToeplitz:
             self._spec = self._spectrum()
 
     def _spectrum(self):
-        """Eigenvalues of the circulant that embeds the operator."""
-        emb = np.zeros(self._fft_len)
+        """Eigenvalues of the circulant that embeds the operator, in
+        ``scipy.fftpack``'s packed order ``[l0, l1, l1, l2, l2, ...]`` (for
+        even length the last eigenvalue ``l_{L/2}`` is unpaired)."""
+        L = self._fft_len
+        emb = np.zeros(L)
         emb[: self.n] = self.first_col
         if self.n > 1:
-            emb[self._fft_len - self.n + 1:] = self.first_col[1:][::-1]
-        return sfft.rfft(emb)
+            emb[L - self.n + 1:] = self.first_col[1:][::-1]
+        # emb is symmetric, so the imaginary part is rounding only
+        return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1]
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -91,9 +105,11 @@ class SymToeplitz:
         spec = self._spec if self._spec is not None else self._spectrum()
         if x.ndim == 2:
             spec = spec[:, None]
-        y = sfft.irfft(sfft.rfft(x, self._fft_len, axis=0) * spec,
-                       self._fft_len, axis=0)
-        return y[: self.n]
+        buf = np.zeros((self._fft_len,) + x.shape[1:])
+        buf[: self.n] = x
+        y = fftpack.rfft(buf, axis=0, overwrite_x=True)
+        y *= spec
+        return fftpack.irfft(y, axis=0, overwrite_x=True)[: self.n]
 
     def dense(self):
         """Materialize the full matrix (small n: the dense matvec, diagnostics)."""

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from tempermg import multigrid, timestep, toeplitz
 from tempermg.assembly import Mesh, make_example1, make_example2
@@ -234,6 +235,17 @@ def _matvec_doubling_ratios(repeats=9, batch=20):
 def test_matvec_doubling_cost_stays_near_linear():
     times, ratios = _matvec_doubling_ratios()
     assert all(ratio <= 2.6 for ratio in ratios), (times, ratios)
+
+
+def test_matvec_is_two_real_transforms_of_length_about_2n():
+    # machine-independent companion of the timing test above: each product
+    # is a real FFT and its inverse of length next_fast_len(2n) <= 2n + 2,
+    # against one stored real spectrum of that length
+    for n in MATVEC_SIZES:
+        op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n, dtype=float)) ** 2.5)
+        assert op._fft_len == sfft.next_fast_len(2 * n, real=True) <= 2 * n + 2
+        assert op._dense is None
+        assert op._spec.dtype == float and op._spec.shape == (op._fft_len,)
 
 
 def test_per_step_solve_cost_stays_near_linear(example1_sweep):

@@ -1,7 +1,11 @@
 """Symmetric Toeplitz operator: FFT matvec vs dense oracles, spectra, structure."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.linalg as sla
 
 from tempermg import toeplitz
@@ -48,7 +52,10 @@ def test_direct_matches_materialized_dense():
     np.testing.assert_allclose(op.dense(), dense, atol=0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100, 129, 256, 511, 512])
+# n = 13 and n = 301 have odd embedding lengths (27 and 625): the packed
+# spectrum then ends in a full (real, imaginary) pair
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100, 129, 256,
+                               301, 511, 512])
 def test_fft_matvec_matches_direct(n):
     rng = np.random.default_rng(n)
     op = toeplitz.SymToeplitz(rng.standard_normal(n))
@@ -76,7 +83,7 @@ def test_matvec_across_dense_crossover(n):
         assert op._dense is None and op._spec is not None
 
 
-@pytest.mark.parametrize("n", [63, 255, 256, 511])
+@pytest.mark.parametrize("n", [63, 255, 256, 301, 511])
 def test_block_matvec_matches_column_by_column(n):
     rng = np.random.default_rng(n)
     op = toeplitz.SymToeplitz(rng.standard_normal(n))
@@ -86,6 +93,44 @@ def test_block_matvec_matches_column_by_column(n):
     assert np.linalg.norm(op.matvec(block) - cols) <= 1e-14 * scale
     fft_cols = np.column_stack([op._fft_matvec(col) for col in block.T])
     assert np.linalg.norm(op._fft_matvec(block) - fft_cols) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [256, 1023])
+def test_packed_spectrum_is_the_real_circulant_spectrum(n):
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n)
+    op = toeplitz.SymToeplitz(col)
+    L = op._fft_len
+    emb = np.concatenate((col, np.zeros(L - 2 * n + 1), col[:0:-1]))
+    lam = sfft.rfft(emb)
+    # the embedding is symmetric, so the dropped imaginary part is rounding
+    assert np.max(np.abs(lam.imag)) <= 1e-13 * np.max(np.abs(lam))
+    # scipy.fftpack's packed order: l0, then (Re, Im) slots of each bin
+    # 1..L/2, the last bin unpaired when L is even
+    spec = op._spec
+    assert spec.dtype == float and spec.shape == (L,)
+    assert spec[0] == lam[0].real
+    np.testing.assert_array_equal(spec[1::2], lam.real[1: 1 + (L // 2)])
+    np.testing.assert_array_equal(spec[2::2], lam.real[1: 1 + (L - 1) // 2])
+
+
+def test_shared_operator_matvec_is_thread_safe():
+    n = 1023
+    rng = np.random.default_rng(11)
+    op = toeplitz.SymToeplitz(rng.standard_normal(n))
+    xs = list(rng.standard_normal((64, n)))
+    serial = [op.matvec(x) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # force thread switches inside matvec
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            rounds = [list(pool.map(op.matvec, xs, timeout=60))
+                      for _ in range(8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for threaded in rounds:
+        for got, ref in zip(threaded, serial):
+            np.testing.assert_array_equal(got, ref)
 
 
 def test_matvec_linearity_and_symmetry():
