@@ -128,20 +128,19 @@ def _b3(t):
                     np.maximum(2.0 - a, 0.0) ** 3 / 6.0)
 
 
+# The solver's fixed Gauss-Legendre rules, read-only and built once: per unit
+# piece of B3 in the stiffness assembly, per element for loads and for the
+# L2 error.
+_PIECE_RULE = fracquad.gauss_jacobi(0.0, 0.0, 12)
+_LOAD_RULE = fracquad.gauss_jacobi(0.0, 0.0, 3)
+_ERROR_RULE = fracquad.gauss_jacobi(0.0, 0.0, 4)
+
+
 def _unit_pieces(start, count):
     """Gauss-Legendre nodes and weights on [start, start + count], per unit piece."""
-    gl = fracquad.gauss_jacobi(0.0, 0.0, _PIECE_POINTS)
     t = (np.arange(start, start + count)[:, None]
-         + 0.5 * (1.0 + gl.nodes)[None, :]).ravel()
-    return t, np.tile(0.5 * gl.weights, count)
-
-
-# Gauss-Legendre points per unit piece of B3 in the stiffness assembly.
-_PIECE_POINTS = 12
-
-# Test hook for the CLI's fault-injection path: flips the sign of one
-# off-diagonal stiffness entry so structural checks must catch it.
-_INJECT_SIGN_FLIP = False
+         + 0.5 * (1.0 + _PIECE_RULE.nodes)[None, :]).ravel()
+    return t, np.tile(0.5 * _PIECE_RULE.weights, count)
 
 
 def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
@@ -212,8 +211,6 @@ def stiffness_symbol(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
     sym = -2.0 * problem.kappa * pair
     sym += (2.0 * problem.kappa * problem.lam**problem.alpha + problem.sigma) \
         * mass_symbol(mesh)
-    if _INJECT_SIGN_FLIP and sym.size > 1:
-        sym[1] = -sym[1]
     return sym
 
 
@@ -271,13 +268,13 @@ def assemble_level(problem: ProblemSpec, mesh: Mesh, tau: float) -> LevelOperato
                               stiffness_symbol(problem, mesh))
 
 
-def profile_load(mesh: Mesh, profile: Callable, points: int = 3) -> np.ndarray:
+def profile_load(mesh: Mesh, profile: Callable) -> np.ndarray:
     """Interior-node load vector (profile, phi_i) by per-element Gauss rules."""
-    gl = fracquad.gauss_jacobi(0.0, 0.0, points)
+    gl = _LOAD_RULE
     h = mesh.h
     edges = mesh.element_left_edges()
     xq = edges[:, None] + 0.5 * h * (1.0 + gl.nodes[None, :])
-    vals = np.asarray(profile(xq.ravel()), dtype=float).reshape(mesh.cells, points)
+    vals = np.asarray(profile(xq.ravel()), dtype=float).reshape(xq.shape)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite load sample")
     shape_r = 0.5 * (1.0 + gl.nodes)  # hat at the element's right node
@@ -290,15 +287,15 @@ def profile_load(mesh: Mesh, profile: Callable, points: int = 3) -> np.ndarray:
     return out
 
 
-def load_vector(mesh: Mesh, g: Callable, t: float, points: int = 3) -> np.ndarray:
+def load_vector(mesh: Mesh, g: Callable, t: float) -> np.ndarray:
     """Entries (g(., t), phi_i); the caller applies any mesh-product scaling."""
-    return profile_load(mesh, lambda x: g(x, t), points)
+    return profile_load(mesh, lambda x: g(x, t))
 
 
-def fe_l2_error(mesh: Mesh, nodal: np.ndarray, exact: Callable, t: float,
-                points: int = 4) -> float:
+def fe_l2_error(mesh: Mesh, nodal: np.ndarray, exact: Callable,
+                t: float) -> float:
     """L2 distance between the nodal interpolant (zero at endpoints) and exact."""
-    gl = fracquad.gauss_jacobi(0.0, 0.0, points)
+    gl = _ERROR_RULE
     h = mesh.h
     edges = mesh.element_left_edges()
     xq = edges[:, None] + 0.5 * h * (1.0 + gl.nodes[None, :])
@@ -325,7 +322,7 @@ def make_example1(alpha: float, lam: float, b_end: float = 32.0,
     w = fracquad.polynomial_bump(b_end)
     return ProblemSpec(
         alpha=alpha, lam=lam, sigma=sigma, a=0.0, b=b_end, T=T,
-        f=fracquad.example1_forcing(alpha, lam, 0.0, b_end),
+        f=fracquad.example1_forcing(alpha, lam, b_end),
         u0=w.value,
         exact=lambda x, t: np.exp(-t) * w.value(x),
     )

@@ -10,6 +10,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -29,7 +30,10 @@ class UsageError(ValueError):
 
 
 def _parse_sizes(text: str) -> List[int]:
-    """Comma list of mesh sizes; accepts plain ints and the 2^k shorthand."""
+    """Comma list of mesh sizes; accepts plain ints and the 2^k shorthand.
+
+    Each size must be a cell count ``assembly.Mesh`` accepts.
+    """
     sizes = []
     for token in text.split(","):
         token = token.strip()
@@ -38,11 +42,16 @@ def _parse_sizes(text: str) -> List[int]:
         try:
             if "^" in token:
                 base, exp = token.split("^", 1)
-                sizes.append(int(base) ** int(exp))
+                size = int(base) ** int(exp)
             else:
-                sizes.append(int(token))
+                size = int(token)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad mesh size {token!r}")
+        try:
+            assembly.Mesh(0.0, 1.0, size)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"mesh size {token!r}: {exc}")
+        sizes.append(size)
     if not sizes:
         raise argparse.ArgumentTypeError("empty size list")
     return sizes
@@ -59,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="reaction coefficient (mgbench only; benchmarks "
                            "derive their own)")
     prob.add_argument("--a", type=float, default=None, metavar="A0",
-                      help="left endpoint (fixed for the benchmark runs)")
+                      help="left endpoint (mgbench only)")
     prob.add_argument("--b", type=float, default=None, metavar="B0",
                       help="right endpoint")
     prob.add_argument("--T", type=float, default=None,
-                      help="final time (default 1)")
+                      help="final time (example1 only; default 1)")
     prob.add_argument("--M", type=_parse_sizes, action="extend", default=None,
                       metavar="LIST",
                       help='mesh sizes as a comma list ("2^7,2^8,512") '
@@ -122,9 +131,8 @@ def _mg_config(args: argparse.Namespace) -> multigrid.MgConfig:
         tol=args.tol, max_iter=args.max_iter, coarse_max=args.coarse_max)
 
 
-def _require_default(args, name: str, allowed=None):
-    value = getattr(args, name)
-    if value is not None and (allowed is None or value not in allowed):
+def _require_default(args, name: str):
+    if getattr(args, name) is not None:
         flag = name.replace("_", "-")
         raise UsageError(f"--{flag} cannot be set for {args.command}")
 
@@ -174,8 +182,7 @@ def _fmt_rate(rate: Optional[float]) -> str:
 def cmd_example1(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.8]
     sizes = args.M or [128, 256, 512, 1024]
-    _require_default(args, "a", allowed=(0.0,))
-    for name in ("sigma", "quad_order"):
+    for name in ("a", "sigma", "quad_order"):
         _require_default(args, name)
     b_end = 32.0 if args.b is None else args.b
     horizon = 1.0 if args.T is None else args.T
@@ -249,7 +256,8 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.5]
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
-    _require_default(args, "quad_order")
+    for name in ("T", "quad_order"):
+        _require_default(args, name)
     lo = 0.0 if args.a is None else args.a
     hi = 1.0 if args.b is None else args.b
     sigma = 0.0 if args.sigma is None else args.sigma
@@ -433,18 +441,34 @@ def _check_coercivity(args) -> Tuple[str, str]:
     return ("PASS" if worst >= -1e-12 else "FAIL", f"min margin {worst:.3e}")
 
 
+def _structure_hierarchy(args, problem) -> multigrid.Hierarchy:
+    """The M = 64, tau = 1 hierarchy a structure check inspects.
+
+    Under ``--inject-fault`` its fine-level stiffness is replaced by a copy
+    with the sign of lag 1 flipped, which the check must catch.
+    """
+    hier = multigrid.build_hierarchy(
+        problem, assembly.Mesh(problem.a, problem.b, 64), 1.0)
+    if args.inject_fault:
+        col = hier.fine.stiff.first_col.copy()
+        col[1] = -col[1]
+        hier.levels[-1] = dataclasses.replace(
+            hier.fine, stiff=toeplitz.SymToeplitz(col))
+    return hier
+
+
 def _check_structure_untempered(args) -> Tuple[str, str]:
     bad = 0
     for alpha in args.alpha or (1.1, 1.5, 1.9):
         problem = assembly.ProblemSpec(alpha, 0.0, 0.0, 0.0, 1.0, 1.0)
-        rows = diagnostics.structure_sweep(problem, [64], 1.0)
+        rows = diagnostics.structure_sweep(_structure_hierarchy(args, problem))
         bad += len(diagnostics.structure_hard_failures(rows))
     return ("PASS" if bad == 0 else "FAIL", f"{bad} hard failures")
 
 
 def _check_structure_tempered(args) -> Tuple[str, str]:
     problem = assembly.ProblemSpec(1.5, 0.5, 0.0, 0.0, 1.0, 1.0)
-    rows = diagnostics.structure_sweep(problem, [64], 1.0)
+    rows = diagnostics.structure_sweep(_structure_hierarchy(args, problem))
     suspect = [r for r in rows if r["severity"] == "warn" and not r["ok"]]
     if suspect:
         return ("WARN", f"{len(suspect)} suspect stiffness levels")
@@ -461,7 +485,7 @@ def _check_cn_stability(args) -> Tuple[str, str]:
         u = problem.u0(mesh.interior_nodes())
         norm_prev = float(np.sqrt(mesh.h * (u @ hier.fine.mass.matvec(u))))
         for step in range(steps):
-            u, _ = timestep.cn_step(hier, u, step * hier.tau, problem=problem)
+            u, _ = timestep.cn_step(hier, u, step * hier.tau)
             norm_now = float(np.sqrt(mesh.h * (u @ hier.fine.mass.matvec(u))))
             worst = max(worst, (norm_now - norm_prev) / norm_prev)
             norm_prev = norm_now
@@ -483,6 +507,8 @@ def _check_spectral_scaling(args) -> Tuple[str, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for name in ("M", "a", "b", "T", "sigma"):
+        _require_default(args, name)
     checks = (
         ("fft_vs_dense", _check_fft_vs_dense),
         ("transfer_adjointness", _check_adjointness),
@@ -495,18 +521,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("cn_stability", _check_cn_stability),
         ("spectral_scaling", _check_spectral_scaling),
     )
-    if args.inject_fault:
-        assembly._INJECT_SIGN_FLIP = True
     rows = []
-    try:
-        for name, fn in checks:
-            try:
-                status, detail = fn(args)
-            except Exception as exc:  # a hard failure, not a crash of ours
-                status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
-            rows.append((name, status, detail))
-    finally:
-        assembly._INJECT_SIGN_FLIP = False
+    for name, fn in checks:
+        try:
+            status, detail = fn(args)
+        except Exception as exc:  # a hard failure, not a crash of ours
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+        rows.append((name, status, detail))
     failed = sum(status == "FAIL" for _, status, _ in rows)
     warned = sum(status == "WARN" for _, status, _ in rows)
     lines = _render_block("verification manifest",

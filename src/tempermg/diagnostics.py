@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fracquad
 from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
-from .multigrid import build_hierarchy
+from .multigrid import Hierarchy
 from .toeplitz import power_iteration, structure_report
 
 
@@ -211,32 +211,29 @@ def spectral_radius_sweep(problem: ProblemSpec, Ms: List[int], tau: float,
     return rows
 
 
-def structure_sweep(problem: ProblemSpec, Ms: List[int],
-                    tau: float) -> List[dict]:
+def structure_sweep(hier: Hierarchy) -> List[dict]:
     """Structure reports for stiffness and system operators on all levels.
 
-    The levels are the solver's own: those of ``build_hierarchy`` (fine
-    quadrature, Galerkin-coarsened below), listed from fine to coarse.
-    Severity policy: the stiffness check is "hard" only in the untempered
-    reaction-free case, where the sign/dominance structure is provable;
-    otherwise it is a "warn"-level empirical expectation.  The system
-    operator's report is informational: its off-diagonal sign genuinely
-    flips with the mass contribution at small tau.
+    The levels are those of ``hier``, listed from fine to coarse; ``M`` in
+    every row is the fine level's cell count.  Severity policy: the
+    stiffness check is "hard" only in the untempered reaction-free case,
+    where the sign/dominance structure is provable; otherwise it is a
+    "warn"-level empirical expectation.  The system operator's report is
+    informational: its off-diagonal sign genuinely flips with the mass
+    contribution at small tau.
     """
     rows: List[dict] = []
-    hard = problem.lam == 0.0 and problem.sigma == 0.0
-    for M in Ms:
-        hier = build_hierarchy(problem, Mesh(problem.a, problem.b, M), tau)
-        for level in reversed(hier.levels):
-            for name, op, severity in (
-                    ("stiffness", level.stiff, "hard" if hard else "warn"),
-                    ("system", level.system, "info")):
-                rep = structure_report(op)
-                ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
-                rows.append({
-                    "M": M, "n": level.mesh.n_interior, "matrix": name,
-                    "severity": severity, "ok": bool(ok), **rep,
-                })
+    hard = hier.problem.lam == 0.0 and hier.problem.sigma == 0.0
+    for level in reversed(hier.levels):
+        for name, op, severity in (
+                ("stiffness", level.stiff, "hard" if hard else "warn"),
+                ("system", level.system, "info")):
+            rep = structure_report(op)
+            ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
+            rows.append({
+                "M": hier.fine.mesh.cells, "n": level.mesh.n_interior,
+                "matrix": name, "severity": severity, "ok": bool(ok), **rep,
+            })
     return rows
 
 

@@ -56,25 +56,13 @@ def _check_exponents(a_exp, b_exp):
         raise ValueError("Jacobi weight exponents must exceed -1")
 
 
-# Rules are immutable; load vectors (every step for a non-separable forcing),
-# the error functional, the stiffness symbol and the pointwise derivatives
-# request the same handful of (exponent, order) combinations over and over.
-_RULE_CACHE: dict = {}
-
-
 def gauss_jacobi(a_exp: float, b_exp: float, count: int) -> QuadRule:
     """Interior Gauss rule: ``count`` nodes, exact for degree <= 2*count - 1."""
     _check_exponents(a_exp, b_exp)
     if count < 1:
         raise ValueError("count must be >= 1")
-    key = ("gauss", float(a_exp), float(b_exp), int(count))
-    hit = _RULE_CACHE.get(key)
-    if hit is not None:
-        return hit
     x, w = roots_jacobi(count, a_exp, b_exp)
-    rule = QuadRule(_freeze(x), _freeze(w), float(a_exp), float(b_exp))
-    _RULE_CACHE[key] = rule
-    return rule
+    return QuadRule(_freeze(x), _freeze(w), float(a_exp), float(b_exp))
 
 
 def jacobi_gl(a_exp: float, b_exp: float, order: int) -> QuadRule:
@@ -87,10 +75,6 @@ def jacobi_gl(a_exp: float, b_exp: float, order: int) -> QuadRule:
     _check_exponents(a_exp, b_exp)
     if order < 1:
         raise ValueError("order must be >= 1")
-    key = ("lobatto", float(a_exp), float(b_exp), int(order))
-    hit = _RULE_CACHE.get(key)
-    if hit is not None:
-        return hit
     # moments of the weight: m0 = int w, m1 = int x w
     m0 = 2.0 ** (a_exp + b_exp + 1) * beta_fn(a_exp + 1.0, b_exp + 1.0)
     m1 = 2.0 ** (a_exp + b_exp + 1) * (
@@ -106,9 +90,7 @@ def jacobi_gl(a_exp: float, b_exp: float, order: int) -> QuadRule:
         wr = 0.5 * (m0 + m1) - np.sum(lam / (2.0 * (1.0 - xi)))
         nodes = np.concatenate(([-1.0], xi, [1.0]))
         weights = np.concatenate(([wl], wi, [wr]))
-    rule = QuadRule(_freeze(nodes), _freeze(weights), float(a_exp), float(b_exp))
-    _RULE_CACHE[key] = rule
-    return rule
+    return QuadRule(_freeze(nodes), _freeze(weights), float(a_exp), float(b_exp))
 
 
 def _check_alpha(alpha):
@@ -293,11 +275,10 @@ def polynomial_bump(b_end: float) -> SmoothFn:
     return SmoothFn(w, dw, d2w)
 
 
-def example1_forcing(alpha: float, lam: float, a: float,
-                     b: float) -> SeparableForcing:
+def example1_forcing(alpha: float, lam: float, b: float) -> SeparableForcing:
     """Manufactured source driving u(x,t) = e^{-t} w(x), w = x^2 (1 - x/b)^2.
 
-    Assumes the domain starts at 0 and the reaction coefficient
+    Assumes the domain (0, b) and the reaction coefficient
     sigma = 3 lam^alpha kappa; then f(x,t) = e^{-t} F(x) with
     F = -(w (1 - 3 lam^alpha kappa) + kappa (L(x) + L(b - x) - 2 lam^alpha w)),
     L the tempered left derivative of w anchored at 0 (the right one is
@@ -312,8 +293,6 @@ def example1_forcing(alpha: float, lam: float, a: float,
     factors overflow once lam x reaches a few hundred.
     """
     _check_alpha(alpha)
-    if a != 0.0:
-        raise ValueError("closed-form source requires the domain to start at 0")
     kap = riesz_kappa(alpha)
     temper = lam**alpha
     w = polynomial_bump(b)

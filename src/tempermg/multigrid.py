@@ -218,7 +218,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     The residual of each stopping test is the next cycle's right-hand side.
 
     Non-convergence within max_iter is reported via ``converged=False`` with
-    the best iterate, never raised, so parameter sweeps can record failures.
+    the last iterate, never raised, so parameter sweeps can record failures.
     A non-finite right-hand side raises ``ValueError`` before any cycle runs.
     """
     config = hier.config

@@ -40,15 +40,14 @@ class SolutionRecord:
 
 
 def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
-            problem: Optional[ProblemSpec] = None,
             midpoint_load: Optional[np.ndarray] = None):
-    """One Crank-Nicolson step; returns (u_next, iters).
+    """One Crank-Nicolson step of hier.problem; returns (u_next, iters).
 
     The right-hand side pairs the previous state against the mass/stiffness
     split and adds the source integrated at the midpoint time.  A solver
     stall is escalated with step context (the solver itself only flags it).
     """
-    problem = problem or hier.problem
+    problem = hier.problem
     level = hier.fine
     tau, h = hier.tau, level.mesh.h
     if midpoint_load is None:
@@ -88,7 +87,7 @@ def run_simulation(problem: ProblemSpec, M: int, N: int,
         mid = None
         if separable:
             mid = problem.f.time_factor(t_prev + 0.5 * tau) * base_load
-        u, iters = cn_step(hier, u, t_prev, problem, midpoint_load=mid)
+        u, iters = cn_step(hier, u, t_prev, midpoint_load=mid)
         iterations.append(iters)
     loop_seconds = time.perf_counter() - t0
     err = None

@@ -258,12 +258,12 @@ def test_tempered_coarse_level_warns_but_assembles():
 
 def test_untempered_structure_violation_raises():
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
-    assembly._INJECT_SIGN_FLIP = True
-    try:
-        with pytest.raises(RuntimeError):
-            assembly.assemble_level(prob, Mesh(0.0, 1.0, 16), 0.5)
-    finally:
-        assembly._INJECT_SIGN_FLIP = False
+    mesh = Mesh(0.0, 1.0, 16)
+    bsym = assembly.stiffness_symbol(prob, mesh)
+    bsym[1] = -bsym[1]
+    with pytest.raises(RuntimeError):
+        assembly.level_from_symbols(prob, mesh, 0.5,
+                                    assembly.mass_symbol(mesh), bsym)
 
 
 # ---------------------------------------------------------------------------

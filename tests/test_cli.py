@@ -123,11 +123,19 @@ def test_verify_reports_every_check(verify_run):
     assert set(status) <= {"PASS", "WARN"}
 
 
-def test_verify_catches_injected_fault():
+def test_verify_catches_injected_fault(verify_run):
+    # the fault is a sign-flipped lag 1 in the fine stiffness of the
+    # hierarchies the two structure checks inspect; every other row must
+    # read exactly as in the clean run
     proc = run_cli("verify", "--inject-fault")
     assert proc.returncode == 1
-    assert "RESULT: FAIL" in proc.stdout
-    assert "FAIL" in proc.stdout
+    lines, clean = proc.stdout.splitlines(), verify_run.stdout.splitlines()
+    assert len(lines) == len(clean)
+    assert {got for got, ref in zip(lines, clean) if got != ref} == {
+        "structure_untempered,FAIL,3 hard failures",
+        "structure_tempered,WARN,1 suspect stiffness levels",
+        "RESULT: FAIL (10 checks, 1 failed, 1 warnings)",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +163,26 @@ def test_quad_order_is_verify_only(command):
     proc = run_cli(command, "--quad-order", "50", "--M", "2^5")
     assert proc.returncode == 2
     assert "--quad-order" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("verify", "--M", "64"), "--M"),
+    (("verify", "--a", "0"), "--a"),
+    (("verify", "--b", "2"), "--b"),
+    (("verify", "--T", "3"), "--T"),
+    (("verify", "--sigma", "1"), "--sigma"),
+    (("mgbench", "--T", "5", "--M", "2^5"), "--T"),
+    (("example1", "--a", "0", "--M", "2^5"), "--a"),
+    (("example1", "--M", "100"), "--M"),
+    (("example2", "--M", "2^5,48"), "--M"),
+])
+def test_unread_or_invalid_flag_is_usage_error(args, flag):
+    # a flag the subcommand does not read, or a size no mesh accepts, is
+    # rejected before any work rather than silently ignored
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
     assert proc.stdout == ""
 
 

@@ -243,7 +243,9 @@ def test_spectral_radius_mass_dominated_limit():
 
 def test_structure_sweep_untempered_all_hard_and_clean():
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
-    rows = diagnostics.structure_sweep(prob, [32, 64], tau=1.0)
+    rows = [row for M in (32, 64)
+            for row in diagnostics.structure_sweep(
+                multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, M), 1.0))]
     stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
     assert stiff_rows and all(r["severity"] == "hard" for r in stiff_rows)
     assert all(r["ok"] for r in stiff_rows)
@@ -253,7 +255,8 @@ def test_structure_sweep_untempered_all_hard_and_clean():
 
 def test_structure_sweep_covers_all_levels():
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
-    rows = diagnostics.structure_sweep(prob, [64], tau=1.0)
+    rows = diagnostics.structure_sweep(
+        multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 64), 1.0))
     assert [r["n"] for r in rows if r["matrix"] == "stiffness"] == [63, 31, 15, 7]
 
 
@@ -261,8 +264,8 @@ def test_structure_sweep_reports_solver_levels():
     # the sweep checks the Galerkin levels the solver runs on, not a
     # re-discretization of each mesh
     prob = assembly.make_example2(1.5)
-    rows = diagnostics.structure_sweep(prob, [32], tau=0.5)
     hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.5)
+    rows = diagnostics.structure_sweep(hier)
     stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
     assert len(stiff_rows) == len(hier.levels)
     for level, row in zip(reversed(hier.levels), stiff_rows):
@@ -272,7 +275,8 @@ def test_structure_sweep_reports_solver_levels():
 
 def test_structure_sweep_tempered_is_warn_severity():
     prob = assembly.make_example2(1.5)
-    rows = diagnostics.structure_sweep(prob, [32], tau=0.5)
+    rows = diagnostics.structure_sweep(
+        multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.5))
     stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
     assert all(r["severity"] == "warn" for r in stiff_rows)
     assert diagnostics.structure_hard_failures(rows) == []
@@ -282,7 +286,8 @@ def test_structure_sweep_system_rows_are_informational():
     # tiny tau: the mass term flips the system's off-diagonal sign, which is
     # recorded but never escalated
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
-    rows = diagnostics.structure_sweep(prob, [32], tau=1e-6)
+    rows = diagnostics.structure_sweep(
+        multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 1e-6))
     system_rows = [r for r in rows if r["matrix"] == "system"]
     assert all(r["severity"] == "info" for r in system_rows)
     assert any(not r["ok"] for r in system_rows)

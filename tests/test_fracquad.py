@@ -1,11 +1,16 @@
 """Jacobi quadrature rules and pointwise tempered fractional calculus."""
 
+import dataclasses
+import importlib
+import pkgutil
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
+import tempermg
 from tempermg import fracquad
 
 import oracles
@@ -92,9 +97,23 @@ def test_exactness_against_binomial_beta_moments(k):
         float(ref), rel=1e-12)
 
 
-def test_rule_caching_returns_same_object():
-    assert fracquad.gauss_jacobi(0.0, 0.0, 7) is fracquad.gauss_jacobi(0.0, 0.0, 7)
-    assert fracquad.jacobi_gl(-0.5, 0.0, 30) is fracquad.jacobi_gl(-0.5, 0.0, 30)
+def test_no_mutable_module_state():
+    # shared rules and tables are read-only constants; nothing a module holds
+    # can change between calls or threads
+    for info in pkgutil.iter_modules(tempermg.__path__):
+        module = importlib.import_module(f"tempermg.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            where = f"tempermg.{info.name}.{name}"
+            assert not isinstance(value, (dict, list, set, bytearray)), where
+            arrays = [value]
+            if dataclasses.is_dataclass(value) and not isinstance(value, type):
+                arrays = [getattr(value, f.name)
+                          for f in dataclasses.fields(value)]
+            for array in arrays:
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable, where
 
 
 def test_rule_validation():
@@ -331,7 +350,7 @@ def test_riesz_respects_even_symmetry():
 
 
 def test_forcing_time_factorization():
-    f = fracquad.example1_forcing(1.5, 0.5, 0.0, 32.0)
+    f = fracquad.example1_forcing(1.5, 0.5, 32.0)
     x = np.array([3.0, 17.0])
     np.testing.assert_allclose(f(x, 0.7), np.exp(-0.7) * f.space(x), rtol=1e-14)
     np.testing.assert_allclose(f(x, 0.0), f.space(x), rtol=1e-14)
@@ -345,7 +364,7 @@ def test_forcing_satisfies_evolution_residual(alpha):
     kap = fracquad.riesz_kappa(alpha)
     sigma = 3.0 * lam**alpha * kap
     w = fracquad.polynomial_bump(b)
-    f = fracquad.example1_forcing(alpha, lam, 0.0, b)
+    f = fracquad.example1_forcing(alpha, lam, b)
     for x in (1.3, 16.0, 28.5):
         op_u = kap * (oracles.tempered_left_deriv_ref(w, alpha, lam, 0.0, x)
                       + oracles.tempered_right_deriv_ref(w, alpha, lam, b, x)
@@ -372,7 +391,7 @@ def test_closed_form_forcing_matches_pointwise_quadrature(alpha, lam):
     w = fracquad.polynomial_bump(b)
     ref = -(w.value(x) * (1.0 - 3.0 * lam**alpha * kap)
             + oracles.riesz_apply(w, alpha, lam, 0.0, b, x))
-    got = fracquad.example1_forcing(alpha, lam, 0.0, b).space(x)
+    got = fracquad.example1_forcing(alpha, lam, b).space(x)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -383,13 +402,8 @@ def test_closed_form_forcing_matches_mpmath_at_strong_tempering(alpha):
     lam, b = 16.0, 32.0
     x = _forcing_points(b)[::3]
     ref = np.array([oracles.example1_space_mp(alpha, lam, b, xi) for xi in x])
-    got = fracquad.example1_forcing(alpha, lam, 0.0, b).space(x)
+    got = fracquad.example1_forcing(alpha, lam, b).space(x)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_forcing_requires_zero_left_endpoint():
-    with pytest.raises(ValueError):
-        fracquad.example1_forcing(1.5, 0.5, 1.0, 32.0)
 
 
 def test_bump_derivatives_match_finite_differences():
