@@ -20,7 +20,7 @@ Entry m is then, with mu = lam h and D_m(t) = B3(m + t) + B3(m - t) - 2 B3(m),
 
 one formula for every lag.  D_m is a cubic on each unit piece, vanishes to
 second order at t = 0 and is constant beyond t = m + 2, so every I_m is a
-fixed Gauss sum plus, for m <= 2, incomplete-gamma pieces on [0, 1] and
+Gauss sum plus, for m <= 2, incomplete-gamma pieces on [0, 1] and
 [4, inf); each entry keeps its relative accuracy for every lam h, and the
 whole symbol costs O(p n) for p nodes per entry.
 """
@@ -136,11 +136,29 @@ _LOAD_RULE = fracquad.gauss_jacobi(0.0, 0.0, 3)
 _ERROR_RULE = fracquad.gauss_jacobi(0.0, 0.0, 4)
 
 
-def _unit_pieces(start, count):
-    """Gauss-Legendre nodes and weights on [start, start + count], per unit piece."""
-    t = (np.arange(start, start + count)[:, None]
-         + 0.5 * (1.0 + _PIECE_RULE.nodes)[None, :]).ravel()
-    return t, np.tile(0.5 * _PIECE_RULE.weights, count)
+def _pieces(edges):
+    """Gauss-Legendre nodes and weights on each interval between edges."""
+    edges = np.asarray(edges, dtype=float)
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    t = left + 0.5 * width * (1.0 + _PIECE_RULE.nodes)
+    return t.ravel(), (0.5 * width * _PIECE_RULE.weights).ravel()
+
+
+def _far_edges(mu):
+    """Piece edges on [-2, 2] for the far-field weight B3(t) e^{-mu (t + 2)}.
+
+    B3's unit pieces while mu <= 1.  Beyond, each is cut into pieces no wider
+    than 1/mu, so e^{-mu (t + 2)} falls by at most e across a piece, and the
+    edges stop at t + 2 = 50/mu, past which the weight is below 1e-17 of its
+    peak; at mu = 8 unit pieces alone are off by 3e-11, at mu = 64 by 2%.
+    """
+    if mu <= 1.0:
+        return np.arange(-2.0, 3.0)
+    end = min(2.0, 50.0 / mu - 2.0)
+    knots = np.append(np.arange(-2.0, end), end)
+    return np.concatenate([knots[:1]] + [
+        np.linspace(a, b, int(np.ceil((b - a) * mu)) + 1)[1:]
+        for a, b in zip(knots[:-1], knots[1:])])
 
 
 def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
@@ -151,12 +169,13 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
     D_m(t) = B3(m + t) + B3(m - t) - 2 B3(m) (see the module docstring).
 
     For m >= 3 the hat supports are separated, D_m(t) = B3(m - t), and I_m
-    is a Gauss sum over B3's four pieces.  For m = 0, 1, 2, I_m splits into
-    [0, 1], where D_m(t) / t^2 is the exact linear c2 + c3 t and the piece is
-    two lower incomplete gamma functions (forming D_m from B3 values there
-    would cancel catastrophically); [1, 4], a cubic per unit piece; and
-    [4, inf), where D_m = -2 B3(m) and the integral is an upper incomplete
-    gamma function.  Cost is O(p n) for p nodes per entry.
+    is a Gauss sum over B3's four pieces, cut finer once mu > 1.  For
+    m = 0, 1, 2, I_m splits into [0, 1], where D_m(t) / t^2 is the exact
+    linear c2 + c3 t and the piece is two lower incomplete gamma functions
+    (forming D_m from B3 values there would cancel catastrophically);
+    [1, 4], a cubic per unit piece; and [4, inf), where D_m = -2 B3(m) and
+    the integral is an upper incomplete gamma function.  Cost is O(p n) for
+    p nodes per entry.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
@@ -165,12 +184,19 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
     n, h = mesh.n_interior, mesh.h
     mu = lam * h
     scale = 0.5 * h ** (1.0 - alpha) / gamma_fn(-alpha)
-    sym = np.empty(n)
-    # far field: the kernel at lag m + t is weighted by B3(t) dt
-    t, w = _unit_pieces(-2.0, 4)
-    lag = np.arange(3.0, n)[:, None] + t[None, :]
-    kern = lag ** (-1.0 - alpha) * np.exp(-mu * lag)
-    sym[3:] = scale * (kern @ (w * _b3(t)))
+    sym = np.zeros(n)
+    # far field: the kernel at lag m + t is weighted by B3(t) dt.  Its
+    # tempering factors as e^{-mu (m - 2)} e^{-mu (t + 2)}, both <= 1 (an
+    # unshifted split meets inf * 0 once mu is in the hundreds), so it costs
+    # n exponentials plus one per node; lags whose first factor underflows
+    # are zero
+    t, w = _pieces(_far_edges(mu))
+    w *= _b3(t) * np.exp(-mu * (t + 2.0))
+    lags = np.arange(3.0, n)
+    tempering = np.exp(-mu * (lags - 2.0))
+    live = np.count_nonzero(tempering)
+    sym[3:3 + live] = scale * tempering[:live] * (
+        (lags[:live, None] + t) ** (-1.0 - alpha) @ w)
     # near field, lags 0-2.  [0, 1]: D_m(t) = t^2 (c2 + c3 t) exactly, and
     # int_0^1 t^{s-1} e^{-mu t} dt = mu^{-s} gamma(s, mu), the lower incomplete
     # gamma function; below mu = 1e-16 its O(mu) departure from the mu = 0
@@ -187,7 +213,7 @@ def frac_pair_symbol(mesh: Mesh, alpha: float, lam: float) -> np.ndarray:
                 + c3 * mu ** (alpha - 3.0) * gamma_fn(3.0 - alpha)
                 * gammainc(3.0 - alpha, mu))
     # [1, 4]: D_m is a cubic on each unit piece
-    t, w = _unit_pieces(1.0, 3)
+    t, w = _pieces(np.arange(1.0, 5.0))
     d = _b3(m[:, None] + t) + _b3(m[:, None] - t) - 2.0 * b3m[:, None]
     near += d @ (w * t ** (-1.0 - alpha) * np.exp(-mu * t))
     # [4, inf): D_m = -2 B3(m), and int_4^inf e^{-mu t} t^{-1-alpha} dt is
@@ -216,37 +242,54 @@ def stiffness_symbol(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 @dataclass
 class LevelOperator:
-    """One multigrid level: mesh, time step, and the assembled operators.
+    """One multigrid level: mesh, time step, symbols and the system operator.
 
-    ``apply`` realizes (1/h)(tau^{-1} M + B/2) through a single cached
-    Toeplitz symbol; ``diag`` is its (constant) diagonal.
+    ``apply`` realizes (1/h)(tau^{-1} M + B/2) through ``system``, the one
+    operator whose product data (dense matrix or spectrum) is built at
+    assembly; ``diag`` is its (constant) diagonal.  The mass and stiffness
+    are kept as first columns, and ``apply_mass`` applies the tridiagonal
+    mass as its 3-point stencil.  ``mass`` and ``stiff`` build an operator
+    from the columns on each access, for diagnostics.
     """
 
     mesh: Mesh
     tau: float
-    mass: SymToeplitz
-    stiff: SymToeplitz
+    mass_col: np.ndarray
+    stiff_col: np.ndarray
     system: SymToeplitz
     diag: float
 
+    @property
+    def mass(self) -> SymToeplitz:
+        return SymToeplitz(self.mass_col)
+
+    @property
+    def stiff(self) -> SymToeplitz:
+        return SymToeplitz(self.stiff_col)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.system.matvec(v)
+
+    def apply_mass(self, v: np.ndarray) -> np.ndarray:
+        return np.convolve(v, self.mass_col[[1, 0, 1]], "same")
 
 
 def level_from_symbols(problem: ProblemSpec, mesh: Mesh, tau: float,
                        msym: np.ndarray, bsym: np.ndarray) -> LevelOperator:
     """Level operator from mass and stiffness symbols of one mesh.
 
-    The system symbol is (tau^{-1} M + B/2)/h.  The stiffness structure check
-    (nonpositive off-diagonals plus weak diagonal dominance) is a hard
-    invariant in the untempered pure-diffusion case; with tempering or
-    reaction it is expected empirically, so a violation only warns.
+    The system symbol is (tau^{-1} M + B/2)/h; the mass symbol must be
+    tridiagonal.  The stiffness structure check (nonpositive off-diagonals
+    plus weak diagonal dominance) is a hard invariant in the untempered
+    pure-diffusion case; with tempering or reaction it is expected
+    empirically, so a violation only warns.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if np.any(msym[2:]):
+        raise ValueError("mass symbol must be tridiagonal")
     asym = (msym / tau + 0.5 * bsym) / mesh.h
-    stiff = SymToeplitz(bsym)
-    rep = structure_report(stiff)
+    rep = structure_report(bsym)
     ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
     if not ok:
         if problem.lam == 0.0 and problem.sigma == 0.0:
@@ -257,8 +300,10 @@ def level_from_symbols(problem: ProblemSpec, mesh: Mesh, tau: float,
             f"stiffness structure check failed at lam={problem.lam}, "
             f"sigma={problem.sigma}, M={mesh.cells} (expected empirically)",
             RuntimeWarning, stacklevel=3)
-    return LevelOperator(mesh=mesh, tau=tau, mass=SymToeplitz(msym),
-                         stiff=stiff, system=SymToeplitz(asym),
+    mass_col, stiff_col = (np.array(sym, dtype=float) for sym in (msym, bsym))
+    mass_col.flags.writeable = stiff_col.flags.writeable = False
+    return LevelOperator(mesh=mesh, tau=tau, mass_col=mass_col,
+                         stiff_col=stiff_col, system=SymToeplitz(asym),
                          diag=float(asym[0]))
 
 

@@ -125,7 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mg_config(args: argparse.Namespace) -> multigrid.MgConfig:
+def _mg_config(args: argparse.Namespace,
+               sizes: Sequence[int]) -> multigrid.MgConfig:
+    """The multigrid flags, checked against the cell counts they will run.
+
+    A mesh whose interior size is at or below ``--coarse-max`` would be a
+    single level, which the V-cycle cannot run.
+    """
+    smallest = min(sizes)
+    if smallest - 1 <= args.coarse_max:
+        raise UsageError(
+            f"--M {smallest} leaves {smallest - 1} interior nodes, at or "
+            f"below --coarse-max {args.coarse_max}: a single multigrid level")
     return multigrid.MgConfig(
         m1=args.m1, m2=args.m2, eta_pre=args.eta_pre, eta_post=args.eta_post,
         tol=args.tol, max_iter=args.max_iter, coarse_max=args.coarse_max)
@@ -186,7 +197,7 @@ def cmd_example1(args: argparse.Namespace) -> int:
         _require_default(args, name)
     b_end = 32.0 if args.b is None else args.b
     horizon = 1.0 if args.T is None else args.T
-    config = _mg_config(args)
+    config = _mg_config(args, sizes)
     problems = {alpha: assembly.make_example1(alpha, args.lam, b_end, horizon)
                 for alpha in alphas}
 
@@ -222,7 +233,7 @@ def cmd_example2(args: argparse.Namespace) -> int:
     sizes = args.M or [128, 256, 512, 1024]
     for name in ("a", "b", "T", "sigma", "quad_order"):
         _require_default(args, name)
-    config = _mg_config(args)
+    config = _mg_config(args, sizes)
 
     def run(alpha):
         problem = assembly.make_example2(alpha, args.lam)
@@ -261,7 +272,7 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     lo = 0.0 if args.a is None else args.a
     hi = 1.0 if args.b is None else args.b
     sigma = 0.0 if args.sigma is None else args.sigma
-    config = _mg_config(args)
+    config = _mg_config(args, sizes)
 
     def hierarchy(problem, m, tau):
         return multigrid.build_hierarchy(problem, assembly.Mesh(lo, hi, m),
@@ -368,7 +379,7 @@ def _check_galerkin(args) -> Tuple[str, str]:
     # and against an independent re-discretization of the problem on its mesh
     problem = assembly.make_example1(1.5, args.lam)
     hier = multigrid.build_hierarchy(problem, assembly.Mesh(0.0, 32.0, 32),
-                                     0.1, _mg_config(args))
+                                     0.1, _mg_config(args, (32,)))
 
     def gap(x, ref):
         return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
@@ -444,16 +455,15 @@ def _check_coercivity(args) -> Tuple[str, str]:
 def _structure_hierarchy(args, problem) -> multigrid.Hierarchy:
     """The M = 64, tau = 1 hierarchy a structure check inspects.
 
-    Under ``--inject-fault`` its fine-level stiffness is replaced by a copy
-    with the sign of lag 1 flipped, which the check must catch.
+    Under ``--inject-fault`` its fine-level stiffness column is replaced by
+    a copy with the sign of lag 1 flipped, which the check must catch.
     """
     hier = multigrid.build_hierarchy(
         problem, assembly.Mesh(problem.a, problem.b, 64), 1.0)
     if args.inject_fault:
-        col = hier.fine.stiff.first_col.copy()
+        col = hier.fine.stiff_col.copy()
         col[1] = -col[1]
-        hier.levels[-1] = dataclasses.replace(
-            hier.fine, stiff=toeplitz.SymToeplitz(col))
+        hier.levels[-1] = dataclasses.replace(hier.fine, stiff_col=col)
     return hier
 
 
@@ -481,12 +491,12 @@ def _check_cn_stability(args) -> Tuple[str, str]:
     worst = -np.inf
     for steps in (16, 6):  # tau = T/6 is ~10x the mesh width
         hier = multigrid.build_hierarchy(problem, mesh, problem.T / steps,
-                                         _mg_config(args))
+                                         _mg_config(args, (mesh.cells,)))
         u = problem.u0(mesh.interior_nodes())
-        norm_prev = float(np.sqrt(mesh.h * (u @ hier.fine.mass.matvec(u))))
+        norm_prev = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
         for step in range(steps):
             u, _ = timestep.cn_step(hier, u, step * hier.tau)
-            norm_now = float(np.sqrt(mesh.h * (u @ hier.fine.mass.matvec(u))))
+            norm_now = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
             worst = max(worst, (norm_now - norm_prev) / norm_prev)
             norm_prev = norm_now
     return ("PASS" if worst <= 1e-12 else "FAIL", f"max growth {worst:.2e}")
@@ -509,6 +519,7 @@ def _check_spectral_scaling(args) -> Tuple[str, str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("M", "a", "b", "T", "sigma"):
         _require_default(args, name)
+    _mg_config(args, (32,))  # the smallest mesh a check runs these flags on
     checks = (
         ("fft_vs_dense", _check_fft_vs_dense),
         ("transfer_adjointness", _check_adjointness),

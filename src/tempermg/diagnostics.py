@@ -63,10 +63,11 @@ def check_discrete_coercivity(level: LevelOperator, problem: ProblemSpec,
     c0 = coercivity_constant(problem.alpha, problem.lam, problem.sigma) or 0.0
     rng = np.random.default_rng(seed)
     n = level.mesh.n_interior
+    stiff = level.stiff
     margin = np.inf
     for _ in range(trials):
         v = rng.standard_normal(n)
-        ratio = float(v @ level.stiff.matvec(v)) / float(v @ level.mass.matvec(v))
+        ratio = float(v @ stiff.matvec(v)) / float(v @ level.apply_mass(v))
         margin = min(margin, ratio - c0)
     return float(margin)
 
@@ -225,10 +226,10 @@ def structure_sweep(hier: Hierarchy) -> List[dict]:
     rows: List[dict] = []
     hard = hier.problem.lam == 0.0 and hier.problem.sigma == 0.0
     for level in reversed(hier.levels):
-        for name, op, severity in (
-                ("stiffness", level.stiff, "hard" if hard else "warn"),
-                ("system", level.system, "info")):
-            rep = structure_report(op)
+        for name, col, severity in (
+                ("stiffness", level.stiff_col, "hard" if hard else "warn"),
+                ("system", level.system.first_col, "info")):
+            rep = structure_report(col)
             ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
             rows.append({
                 "M": hier.fine.mesh.cells, "n": level.mesh.n_interior,

@@ -15,7 +15,8 @@ scalar Richardson.
 Every cycle starts from zero, so it is a fixed linear map of its right-hand
 side, and set-up stores all of it at and below one level b as a read-only
 bottom matrix C_b: C_0 = A_0^{-1}, or, when a dense level K lies strictly
-between the coarsest and the fine one, C_K = V_K(I) from one batched cycle.
+between the coarsest and the fine one, C_K = V_K(I), built level by level
+from C_0 as C_k = V_k(I) with coarse correction C_{k-1}.
 ``mg_solve`` and ``contraction_factor`` iterate in correction form,
 z <- z + V(g - A z).
 """
@@ -109,7 +110,7 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
     t0 = time.perf_counter()
     levels = [assemble_level(problem, fine_mesh, tau)]
     for mesh in meshes[1:]:
-        bsym = coarsen_symbol(levels[-1].stiff.first_col)
+        bsym = coarsen_symbol(levels[-1].stiff_col)
         levels.append(level_from_symbols(problem, mesh, tau,
                                          mass_symbol(mesh), bsym))
     levels.reverse()
@@ -122,19 +123,48 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 def _with_bottom(hier: Hierarchy) -> Hierarchy:
     """Store hier's bottom matrix for hier.config and return hier.
 
-    C_0 = A_0^{-1} by Cholesky; then, if some level strictly between the
-    coarsest and the fine one is stored dense (n <= 255), the largest such K
-    gets C_K = V_K(I), one batched cycle that ends in C_0.
+    C_0 = A_0^{-1} by Cholesky.  Then every level k strictly between the
+    coarsest and the fine one that is stored dense (n <= 255; these are the
+    lowest ones) gets, in turn, C_k = V_k(I): one zero-start cycle of level
+    k on the identity whose coarse correction is C_{k-1}.  The largest such
+    level is the bottom.  On the identity the pre-smoothed iterate and its
+    residual are s(I + E + ... + E^{m1-1}) and E^{m1}, E = I - s A, so the
+    cycle costs m1 - 1 + m2 block products with A and one with C_{k-1} at a
+    quarter of the size: about 2.25 n^3 multiply-adds at the default (1, 2).
     """
+    config = hier.config
     levels = hier.levels
     a_0 = levels[0].system.dense()
-    hier._bottom = (0, sla.cho_solve(sla.cho_factor(a_0), np.eye(len(a_0))))
-    dense = [k for k in range(1, len(levels) - 1)
-             if levels[k].mesh.n_interior <= _DENSE_MAX_N]
-    if dense:
-        k = dense[-1]
-        hier._bottom = (k, v_cycle(hier, k, np.eye(levels[k].mesh.n_interior)))
-    hier._bottom[1].flags.writeable = False
+    c = sla.cho_solve(sla.cho_factor(a_0), np.eye(len(a_0)))
+    b = 0
+    for k in range(1, len(levels) - 1):
+        level = levels[k]
+        n = level.mesh.n_interior
+        if n > _DENSE_MAX_N:
+            break
+        s_pre = config.eta_pre / level.diag
+        s_post = config.eta_post / level.diag
+        # multiples of I go onto the diagonal, .flat[::n + 1], which spares
+        # the n x n temporaries of an identity
+        z = np.zeros((n, n))
+        z.flat[::n + 1] = s_pre
+        residual = level.system.dense()
+        residual *= -s_pre
+        residual.flat[::n + 1] += 1.0
+        for _ in range(config.m1 - 1):
+            z += s_pre * residual
+            residual -= s_pre * level.apply(residual)
+        z += prolongate(c @ restrict(residual))
+        for _ in range(config.m2):
+            step = level.apply(z)   # z += s_post (I - A z)
+            step *= -s_post
+            step.flat[::n + 1] += s_post
+            z += step
+        c, b = z, k
+    if not np.isfinite(c).all():
+        raise FloatingPointError(f"non-finite bottom matrix on level {b}")
+    c.flags.writeable = False
+    hier._bottom = (b, c)
     return hier
 
 

@@ -43,9 +43,12 @@ def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
             midpoint_load: Optional[np.ndarray] = None):
     """One Crank-Nicolson step of hier.problem; returns (u_next, iters).
 
-    The right-hand side pairs the previous state against the mass/stiffness
-    split and adds the source integrated at the midpoint time.  A solver
-    stall is escalated with step context (the solver itself only flags it).
+    The right-hand side (M u / tau - B u / 2 + f) / h, with the source f
+    integrated at the midpoint time, is formed as (2 M u / tau + f) / h - A u
+    with the fine system A = (M / tau + B / 2) / h: the mass is applied as
+    its 3-point stencil, so the step makes one fine product outside the
+    solve.  A solver stall is escalated with step context (the solver
+    itself only flags it).
     """
     problem = hier.problem
     level = hier.fine
@@ -55,8 +58,11 @@ def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
             midpoint_load = np.zeros(level.mesh.n_interior)
         else:
             midpoint_load = load_vector(level.mesh, problem.f, t_prev + 0.5 * tau)
-    g = (level.mass.matvec(u_prev) / tau - 0.5 * level.stiff.matvec(u_prev)
-         + midpoint_load) / h
+    g = level.apply_mass(u_prev)
+    g *= 2.0 / tau
+    g += midpoint_load
+    g /= h
+    g -= level.apply(u_prev)
     result = mg_solve(hier, g)
     if not result.converged:
         raise RuntimeError(

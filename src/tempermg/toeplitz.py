@@ -147,16 +147,18 @@ def power_iteration(apply, n, tol=1e-10, max_iter=10000):
     return rho, False
 
 
-def structure_report(T: SymToeplitz) -> dict:
-    """Sign-pattern / dominance report for a symmetric Toeplitz operator.
+def structure_report(first_col) -> dict:
+    """Sign-pattern / dominance report for the symmetric Toeplitz matrix
+    with this first column.
 
     M-matrix sign pattern: positive diagonal, off-diagonals <= 1e-14 * t_0
     (tolerance absorbs quadrature noise on entries that vanish analytically).
     Weak diagonal dominance is checked on the full-length row sum, which
     bounds every row of any finite section.
     """
-    t0 = float(T.first_col[0])
-    off = T.first_col[1:]
+    col = np.asarray(first_col, dtype=float)
+    t0 = float(col[0])
+    off = col[1:]
     off_sum = 2.0 * float(np.sum(np.abs(off)))
     return {
         "is_m_matrix_sign_pattern": bool(t0 > 0.0 and np.all(off <= 1e-14 * t0)),

@@ -122,6 +122,24 @@ def test_far_pairing_matches_levy_kernel_integral(alpha, lam, cells):
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("mu", [8.0, 64.0, 512.0])
+def test_far_pairing_matches_levy_kernel_integral_under_strong_tempering(
+        alpha, mu):
+    # lam * h large enough that e^{-lam h t} falls by e^8 to e^512 across a
+    # unit piece; lags either side of where the entries leave the normal
+    # floats (lag 88 at mu = 8, 12 at mu = 64, 3 at mu = 512) are included
+    mesh = Mesh(0.0, 1.0, 128)
+    lam = mu / mesh.h
+    sym = assembly.frac_pair_symbol(mesh, alpha, lam)
+    assert np.all(np.isfinite(sym))
+    lags = [3, 4, 5, 10, 12, 13, 40, 88, 89, mesh.n_interior - 1]
+    ref = np.array([oracles.far_pair_ref(mesh.h, alpha, lam, m) for m in lags])
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert normal[0]
+    np.testing.assert_allclose(sym[lags][normal], ref[normal], rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 @pytest.mark.parametrize("cells", [16, 1024])
 def test_untempered_pairing_matches_closed_form(alpha, cells):
     # at lam = 0 every lag, near and far, is a fourth difference of |m|^(3-alpha)
@@ -193,7 +211,7 @@ def test_stiffness_untempered_structure():
     mesh = Mesh(0.0, 1.0, 64)
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
     rep = structure_report(
-        assembly.assemble_level(prob, mesh, 1.0).stiff)
+        assembly.assemble_level(prob, mesh, 1.0).stiff_col)
     assert rep["is_m_matrix_sign_pattern"]
     assert rep["is_weakly_diag_dominant"]
 

@@ -186,6 +186,22 @@ def test_unread_or_invalid_flag_is_usage_error(args, flag):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("example1", "--M", "8"),
+    ("example1", "--M", "64,16", "--coarse-max", "15"),
+    ("example2", "--M", "2^5,2^6", "--coarse-max", "31"),
+    ("mgbench", "--M", "32", "--coarse-max", "40"),
+    ("verify", "--coarse-max", "31"),
+])
+def test_single_level_size_is_usage_error(args):
+    # a mesh whose interior size is at or below --coarse-max has no level
+    # to cycle on; that is a bad flag combination, found before any run
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "--coarse-max" in proc.stderr and "usage error" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_quad_order_defaults_to_100():
     args = cli.build_parser().parse_args(["verify"])
     assert args.quad_order is None

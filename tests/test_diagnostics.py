@@ -270,7 +270,8 @@ def test_structure_sweep_reports_solver_levels():
     assert len(stiff_rows) == len(hier.levels)
     for level, row in zip(reversed(hier.levels), stiff_rows):
         assert row["n"] == level.mesh.n_interior
-        assert row["gershgorin_low"] == structure_report(level.stiff)["gershgorin_low"]
+        rep = structure_report(level.stiff_col)
+        assert row["gershgorin_low"] == rep["gershgorin_low"]
 
 
 def test_structure_sweep_tempered_is_warn_severity():

@@ -364,6 +364,88 @@ def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def record_block_products(monkeypatch):
+    # (operator, is the operand a scaled identity) per block product
+    products = []
+    matvec = toeplitz.SymToeplitz.matvec
+
+    def recording(self, x):
+        if np.ndim(x) == 2:
+            d = np.diag(x)
+            scaled_eye = (x.shape[0] == x.shape[1] and np.ptp(d) == 0.0
+                          and np.count_nonzero(x - np.diag(d)) == 0)
+            products.append((self, scaled_eye))
+        return matvec(self, x)
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", recording)
+    return products
+
+
+def assert_bottom_build_products(hier, products):
+    # levels 1..K each get m1 - 1 pre- and m2 post-smoothing products with
+    # their own system, none on s * I; the coarsest and the levels above K
+    # get none
+    config = hier.config
+    k_bottom = hier._bottom[0]
+    assert k_bottom > 0
+    per_level = Counter()
+    for op, scaled_eye in products:
+        assert not scaled_eye
+        k = next(k for k, lvl in enumerate(hier.levels) if lvl.system is op)
+        per_level[k] += 1
+    expected = config.m1 - 1 + config.m2
+    assert per_level == Counter({k: expected for k in range(1, k_bottom + 1)})
+
+
+@pytest.mark.parametrize("cells, k_bottom", [(128, 3), (4096, 5)])
+def test_bottom_build_makes_m1_minus_1_plus_m2_block_products(
+        monkeypatch, cells, k_bottom):
+    products = record_block_products(monkeypatch)
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
+                                     tau=1.0 / cells)
+    assert hier._bottom[0] == k_bottom
+    assert len(products) == 2 * k_bottom
+    assert_bottom_build_products(hier, products)
+
+
+@pytest.mark.parametrize("m1, m2", [(3, 1), (2, 3), (1, 0)])
+def test_contraction_rebuild_makes_m1_minus_1_plus_m2_block_products(
+        hier128, monkeypatch, m1, m2):
+    products = record_block_products(monkeypatch)
+    multigrid.contraction_factor(hier128, m1, m2, trials=1, cycles=3)
+    rebuilt = dataclasses.replace(
+        hier128, config=dataclasses.replace(hier128.config, m1=m1, m2=m2))
+    assert_bottom_build_products(rebuilt, products)
+
+
+def test_setup_builds_product_data_for_the_system_only(monkeypatch):
+    # every level's system holds its dense matrix or spectrum once set-up
+    # returns, and no mass or stiffness operator is constructed there
+    built = []
+    init = toeplitz.SymToeplitz.__init__
+
+    def recording(self, first_col):
+        init(self, first_col)
+        built.append(self)
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "__init__", recording)
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 1024),
+                                     tau=1.0 / 1024.0)
+    assert [id(op) for op in built] == [id(lvl.system)
+                                        for lvl in reversed(hier.levels)]
+    for level in hier.levels:
+        system = level.system
+        if level.mesh.n_interior <= toeplitz._DENSE_MAX_N:
+            assert system._dense is not None and system._spec is None
+        else:
+            assert system._spec is not None and system._dense is None
+        np.testing.assert_array_equal(level.mass.first_col,
+                                      assembly.mass_symbol(level.mesh))
+        np.testing.assert_array_equal(level.stiff.first_col, level.stiff_col)
+        assert not (level.mass_col.flags.writeable
+                    or level.stiff_col.flags.writeable)
+
+
 def test_block_vcycle_matches_column_by_column(hier128):
     rng = np.random.default_rng(10)
     top = len(hier128.levels) - 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tempermg import assembly, fracquad, multigrid, timestep
+from tempermg import assembly, fracquad, multigrid, timestep, toeplitz
 from tempermg.assembly import Mesh, ProblemSpec
 from tempermg.timestep import SolutionRecord
 
@@ -31,6 +31,45 @@ def test_cn_step_mass_norm_never_grows(steps):
         cur = norm(u)
         assert cur <= prev * (1.0 + 1e-12)
         prev = cur
+
+
+def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
+    # g = (2 M u / tau + f) / h - A u, with M as its stencil, is the
+    # right-hand side (M u / tau - B u / 2 + f) / h, and A u is the one
+    # product the step makes outside mg_solve
+    prob = assembly.make_example1(1.8, 0.5)
+    mesh = Mesh(prob.a, prob.b, 512)
+    tau = prob.T / 64
+    hier = multigrid.build_hierarchy(prob, mesh, tau)
+    u = prob.u0(mesh.interior_nodes())
+    load = assembly.load_vector(mesh, prob.f, 0.5 * tau)
+    fine = hier.fine
+    expected = (fine.mass.matvec(u) / tau - 0.5 * fine.stiff.matvec(u)
+                + load) / mesh.h
+    outside, rhs, solving = [], [], []
+    matvec = toeplitz.SymToeplitz.matvec
+    solve = timestep.mg_solve
+
+    def recording_matvec(self, x):
+        if not solving:
+            outside.append(self)
+        return matvec(self, x)
+
+    def recording_solve(hier_, g):
+        rhs.append(g)
+        solving.append(True)
+        try:
+            return solve(hier_, g)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", recording_matvec)
+    monkeypatch.setattr(timestep, "mg_solve", recording_solve)
+    _, iters = timestep.cn_step(hier, u, 0.0, midpoint_load=load)
+    assert iters > 0
+    assert len(outside) == 1 and outside[0] is fine.system
+    np.testing.assert_allclose(rhs[0], expected, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_cn_step_preserves_zero_state():

@@ -214,7 +214,7 @@ def test_power_iteration_nonconvergence_flag():
 
 
 def test_structure_report_laplacian():
-    rep = toeplitz.structure_report(toeplitz.SymToeplitz([2.0, -1.0, 0.0]))
+    rep = toeplitz.structure_report([2.0, -1.0, 0.0])
     assert rep["is_m_matrix_sign_pattern"]
     assert rep["is_weakly_diag_dominant"]
     assert rep["gershgorin_low"] == pytest.approx(0.0, abs=1e-15)
@@ -222,15 +222,14 @@ def test_structure_report_laplacian():
 
 
 def test_structure_report_positive_offdiagonal():
-    rep = toeplitz.structure_report(toeplitz.SymToeplitz([1.0, 1.0]))
+    rep = toeplitz.structure_report([1.0, 1.0])
     assert not rep["is_m_matrix_sign_pattern"]
 
 
 def test_structure_report_mass_symbol_distinguishes():
     # mass matrix: weakly dominant but NOT an M-matrix (positive off-diagonal)
     h = 0.125
-    rep = toeplitz.structure_report(
-        toeplitz.SymToeplitz([2 * h / 3, h / 6, 0.0, 0.0]))
+    rep = toeplitz.structure_report([2 * h / 3, h / 6, 0.0, 0.0])
     assert rep["is_weakly_diag_dominant"]
     assert not rep["is_m_matrix_sign_pattern"]
     assert rep["gershgorin_low"] > 0.0
