@@ -129,17 +129,24 @@ def _mg_config(args: argparse.Namespace,
                sizes: Sequence[int]) -> multigrid.MgConfig:
     """The multigrid flags, checked against the cell counts they will run.
 
-    A mesh whose interior size is at or below ``--coarse-max`` would be a
-    single level, which the V-cycle cannot run.
+    A value ``MgConfig`` rejects is a usage error naming its flag, and so is
+    a mesh whose interior size is at or below ``--coarse-max``: it would be
+    a single level, which the V-cycle cannot run.
     """
+    values = {name: getattr(args, name) for name in
+              ("m1", "m2", "eta_pre", "eta_post", "tol", "max_iter",
+               "coarse_max")}
+    for name, value in values.items():
+        try:  # against the defaults, so the error names this flag alone
+            multigrid.MgConfig(**{name: value})
+        except ValueError as exc:
+            raise UsageError(f"--{name.replace('_', '-')} {value}: {exc}")
     smallest = min(sizes)
     if smallest - 1 <= args.coarse_max:
         raise UsageError(
             f"--M {smallest} leaves {smallest - 1} interior nodes, at or "
             f"below --coarse-max {args.coarse_max}: a single multigrid level")
-    return multigrid.MgConfig(
-        m1=args.m1, m2=args.m2, eta_pre=args.eta_pre, eta_post=args.eta_post,
-        tol=args.tol, max_iter=args.max_iter, coarse_max=args.coarse_max)
+    return multigrid.MgConfig(**values)
 
 
 def _require_default(args, name: str):

@@ -6,7 +6,8 @@ for left/right Riemann-Liouville derivatives of order alpha in (1,2) in their
 second-derivative (Caputo-equivalent) form, their exponentially tempered
 versions and the low-order (0, 1] tempered derivatives.  The manufactured
 forcing of the first benchmark problem needs none of them: it is the
-tempered power rule in closed form, one Kummer function per monomial.
+tempered power rule in closed form, one Kummer function per monomial, three
+of which come from two evaluations and a contiguous relation.
 
 All function arguments tagged SmoothFn must be numpy-vectorized callables and
 satisfy the vanishing boundary conditions stated per operation; the
@@ -291,22 +292,48 @@ def example1_forcing(alpha: float, lam: float, b: float) -> SeparableForcing:
 
     Kummer's transform of e^{-lam x} 1F1(k+1; k+1-alpha; lam x), whose
     factors overflow once lam x reaches a few hundred.
+
+    Write M_q = 1F1(-alpha; q; z), z = -lam x.  At lam = 0 every M_q is 1.
+    Otherwise only M_q at q = 2-alpha and 3-alpha are evaluated; the
+    contiguous relation (DLMF 13.3.2)
+
+        q (q-1) M_{q-1} + q (1-q-z) M_q + z (q+alpha) M_{q+1} = 0
+
+    steps up to q = 4-alpha and 5-alpha, the two dearer evaluations.  Its
+    division by z loses about eps/|z|^2 relative accuracy, so at |z| < 1
+    (including x = 0, where z = 0) those two are evaluated directly.
     """
     _check_alpha(alpha)
     kap = riesz_kappa(alpha)
     temper = lam**alpha
     w = polynomial_bump(b)
-    terms = [(c * gamma_fn(k + 1.0) / gamma_fn(k + 1.0 - alpha), k - alpha,
-              k + 1.0 - alpha)
+    terms = [(c * gamma_fn(k + 1.0) / gamma_fn(k + 1.0 - alpha), k - alpha)
              for k, c in ((2, 1.0), (3, -2.0 / b), (4, 1.0 / b**2))]
 
+    def kummer(z):
+        """M_q(z) for q = 3-alpha, 4-alpha, 5-alpha."""
+        if lam == 0.0:
+            return [1.0, 1.0, 1.0]
+        m = [hyp1f1(-alpha, 2.0 - alpha, z), hyp1f1(-alpha, 3.0 - alpha, z)]
+        near = np.abs(z) < 1.0
+        far = ~near
+        zf = z[far]
+        for q in (3.0 - alpha, 4.0 - alpha):
+            up = np.empty_like(z)
+            up[far] = -(q * (q - 1.0) * m[-2][far]
+                        + q * (1.0 - q - zf) * m[-1][far]) / (zf * (q + alpha))
+            up[near] = hyp1f1(-alpha, q + 1.0, z[near])
+            m.append(up)
+        return m[1:]
+
     def left(x):
-        return sum(c * x**p * hyp1f1(-alpha, q, -lam * x) for c, p, q in terms)
+        return sum(c * x**p * m for (c, p), m in zip(terms, kummer(-lam * x)))
 
     def space(x):
-        x = np.asarray(x, dtype=float)
-        wx = w.value(x)
-        return -(wx * (1.0 - 3.0 * temper * kap)
-                 + kap * (left(x) + left(b - x) - 2.0 * temper * wx))
+        xs, scalar = _as_points(x)
+        wx = w.value(xs)
+        out = -(wx * (1.0 - 3.0 * temper * kap)
+                + kap * (left(xs) + left(b - xs) - 2.0 * temper * wx))
+        return float(out[0]) if scalar else out
 
     return SeparableForcing(space, lambda t: np.exp(-t))

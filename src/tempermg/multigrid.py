@@ -177,8 +177,9 @@ def prolongate(coarse: np.ndarray) -> np.ndarray:
     nc = vc.shape[0]
     vf = np.zeros((2 * nc + 1,) + vc.shape[1:])
     vf[1::2] = vc
-    vf[0:-2:2] += 0.5 * vc   # coarse j feeds fine node 2j
-    vf[2::2] += 0.5 * vc     # and fine node 2j + 2
+    half = 0.5 * vc
+    vf[0:-2:2] += half   # coarse j feeds fine node 2j
+    vf[2::2] += half     # and fine node 2j + 2
     return vf
 
 
@@ -190,7 +191,12 @@ def restrict(fine: np.ndarray) -> np.ndarray:
     vf = np.asarray(fine, dtype=float)
     if vf.ndim == 0 or vf.shape[0] < 3 or vf.shape[0] % 2 == 0:
         raise ValueError("fine vector must have odd size >= 3")
-    return 0.25 * vf[0:-2:2] + 0.5 * vf[1::2] + 0.25 * vf[2::2]
+    # (0.25 left + 0.5 centre) + 0.25 right, summed in place
+    out = np.multiply(vf[0:-2:2], 0.25)
+    part = np.multiply(vf[1::2], 0.5)
+    out += part
+    out += np.multiply(vf[2::2], 0.25, out=part)
+    return out
 
 
 def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
@@ -202,7 +208,11 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     """
     scale = eta / level.diag
     for _ in range(steps):
-        z = z + scale * (g - level.apply(z))
+        step = level.apply(z)   # the new iterate, built in A z's fresh buffer
+        np.subtract(g, step, out=step)
+        step *= scale
+        step += z
+        z = step
     return z
 
 
@@ -222,12 +232,13 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"level {k} is at or below the bottom level {bottom}")
     z = (config.eta_pre / level.diag) * g
     z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
-    residual = restrict(g - level.apply(z))
+    residual = level.apply(z)
+    residual = restrict(np.subtract(g, residual, out=residual))
     if k - 1 == bottom:
         correction = hier.coarse_solve(residual)
     else:
         correction = v_cycle(hier, k - 1, residual)
-    z = z + prolongate(correction)
+    z += prolongate(correction)
     z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
     if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
@@ -263,8 +274,9 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     history = [1.0]
     r = g
     for it in range(1, config.max_iter + 1):
-        z = z + v_cycle(hier, top, r)
-        r = g - hier.fine.apply(z)
+        z += v_cycle(hier, top, r)
+        r = hier.fine.apply(z)
+        np.subtract(g, r, out=r)
         rel = float(np.linalg.norm(r) / r0)
         history.append(rel)
         if rel < config.tol:

@@ -176,10 +176,18 @@ def test_quad_order_is_verify_only(command):
     (("example1", "--a", "0", "--M", "2^5"), "--a"),
     (("example1", "--M", "100"), "--M"),
     (("example2", "--M", "2^5,48"), "--M"),
+    (("example1", "--M", "2^5", "--m1", "0"), "--m1"),
+    (("example2", "--M", "2^5", "--m2", "-1"), "--m2"),
+    (("mgbench", "--M", "2^5", "--eta-pre", "0.7"), "--eta-pre"),
+    (("mgbench", "--M", "2^5", "--eta-post", "0"), "--eta-post"),
+    (("example1", "--M", "2^5", "--tol", "0"), "--tol"),
+    (("verify", "--max-iter", "0"), "--max-iter"),
+    (("example2", "--M", "2^5", "--coarse-max", "0"), "--coarse-max"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
-    # a flag the subcommand does not read, or a size no mesh accepts, is
-    # rejected before any work rather than silently ignored
+    # a flag the subcommand does not read, a size no mesh accepts, or a
+    # multigrid value MgConfig rejects is refused before any work rather
+    # than silently ignored or failing as a run error
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert flag in proc.stderr

@@ -11,7 +11,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 import tempermg
-from tempermg import fracquad
+from tempermg import assembly, fracquad
 
 import oracles
 
@@ -404,6 +404,54 @@ def test_closed_form_forcing_matches_mpmath_at_strong_tempering(alpha):
     ref = np.array([oracles.example1_space_mp(alpha, lam, b, xi) for xi in x])
     got = fracquad.example1_forcing(alpha, lam, b).space(x)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.05])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_closed_form_forcing_matches_mpmath_at_weak_tempering(alpha, lam):
+    # lam x < 1 over much or all of the domain, where stepping the Kummer
+    # function up in its second parameter would divide by a small lam x
+    b = 32.0
+    x = _forcing_points(b)[::3]
+    ref = np.array([oracles.example1_space_mp(alpha, lam, b, xi) for xi in x])
+    got = fracquad.example1_forcing(alpha, lam, b).space(x)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 16.0])
+def test_forcing_is_finite_at_the_ends_and_keeps_scalars(lam):
+    b = 32.0
+    space = fracquad.example1_forcing(1.8, lam, b).space
+    assert np.all(np.isfinite(space(np.array([0.0, b]))))
+    value = space(0.3)
+    assert isinstance(value, float)
+    assert value == space(np.array([0.3]))[0]
+
+
+def test_forcing_kummer_calls_on_load_points(monkeypatch):
+    # two full-size 1F1 evaluations per side, plus the two dearer ones only
+    # where |lam x| < 1; none at all without tempering
+    sizes = []
+    kummer = fracquad.hyp1f1
+
+    def counting(a, q, z):
+        sizes.append(np.size(z))
+        return kummer(a, q, z)
+
+    monkeypatch.setattr(fracquad, "hyp1f1", counting)
+    b, lam = 32.0, 0.5
+    mesh = assembly.Mesh(0.0, b, 1024)
+    x = []
+    assembly.profile_load(mesh, lambda xs: x.append(xs) or np.ones_like(xs))
+    n = x[0].size
+    near_left = int(np.count_nonzero(lam * x[0] < 1.0))
+    near_right = int(np.count_nonzero(lam * (b - x[0]) < 1.0))
+    assert 0 < near_left < n // 8 and 0 < near_right < n // 8
+    assembly.profile_load(mesh, fracquad.example1_forcing(1.8, lam, b).space)
+    assert sizes == [n, n, near_left, near_left, n, n, near_right, near_right]
+    sizes.clear()
+    assembly.profile_load(mesh, fracquad.example1_forcing(1.1, 0.0, b).space)
+    assert sizes == []
 
 
 def test_bump_derivatives_match_finite_differences():

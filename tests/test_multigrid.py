@@ -159,15 +159,31 @@ def test_restrict_validation():
 
 
 def test_transfers_act_on_blocks_column_by_column():
+    # the in-place transfers keep the stencil's operations in order, so a
+    # block (C or Fortran order), its strided columns and the plain
+    # expression agree to the last bit, and no input is written
     rng = np.random.default_rng(8)
-    coarse = rng.standard_normal((7, 3))
-    fine = rng.standard_normal((15, 3))
-    np.testing.assert_array_equal(
-        multigrid.prolongate(coarse),
-        np.column_stack([multigrid.prolongate(c) for c in coarse.T]))
-    np.testing.assert_array_equal(
-        multigrid.restrict(fine),
-        np.column_stack([multigrid.restrict(c) for c in fine.T]))
+    for nc in (1, 7, 127):
+        coarse = rng.standard_normal((nc, 3))
+        fine = rng.standard_normal((2 * nc + 1, 3))
+        kept = coarse.copy(), fine.copy()
+        want_p = np.zeros((2 * nc + 1, 3))
+        want_p[1::2] = coarse
+        want_p[0:-2:2] += 0.5 * coarse
+        want_p[2::2] += 0.5 * coarse
+        want_r = 0.25 * fine[0:-2:2] + 0.5 * fine[1::2] + 0.25 * fine[2::2]
+        for c_block, f_block in ((coarse, fine), (np.asfortranarray(coarse),
+                                                  np.asfortranarray(fine))):
+            np.testing.assert_array_equal(multigrid.prolongate(c_block), want_p)
+            np.testing.assert_array_equal(multigrid.restrict(f_block), want_r)
+            np.testing.assert_array_equal(
+                np.column_stack([multigrid.prolongate(c) for c in c_block.T]),
+                want_p)
+            np.testing.assert_array_equal(
+                np.column_stack([multigrid.restrict(c) for c in f_block.T]),
+                want_r)
+        np.testing.assert_array_equal(coarse, kept[0])
+        np.testing.assert_array_equal(fine, kept[1])
 
 
 @pytest.mark.parametrize("nc", [7, 15, 31])
@@ -496,6 +512,24 @@ def test_mg_solve_recovers_manufactured_solution(hier128):
     assert res.residual_history[0] == 1.0
     assert res.residual_history[-1] < hier128.config.tol
     assert len(res.residual_history) == res.iters + 1
+
+
+def test_cycle_functions_leave_their_inputs_untouched(hier128):
+    # smoother, cycle and mg_solve update in place, but only arrays they own
+    rng = np.random.default_rng(11)
+    level = hier128.fine
+    top = len(hier128.levels) - 1
+    z = rng.standard_normal(level.mesh.n_interior)
+    g = rng.standard_normal(level.mesh.n_interior)
+    kept = z.copy(), g.copy()
+    for steps in (0, 1, 3):
+        out = multigrid.jacobi_smooth(level, z, g, 0.5, steps)
+        assert steps == 0 or not np.shares_memory(out, z)
+    multigrid.v_cycle(hier128, top, g)
+    multigrid.v_cycle(hier128, top, np.column_stack((g, z)))
+    multigrid.mg_solve(hier128, g)
+    np.testing.assert_array_equal(z, kept[0])
+    np.testing.assert_array_equal(g, kept[1])
 
 
 def test_mg_solve_zero_rhs(hier128):
