@@ -21,8 +21,6 @@ from .fracquad import (
     gauss_jacobi,
     jacobi_gl,
     riesz_kappa,
-    rl_left_deriv,
-    rl_right_deriv,
     tempered_left_deriv,
     tempered_right_deriv,
 )

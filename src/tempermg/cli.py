@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from . import assembly, diagnostics, fracquad, multigrid, timestep, toeplitz
+from . import assembly, diagnostics, multigrid, timestep, toeplitz
 
 
 class UsageError(ValueError):
@@ -91,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--coarse-max", type=int, default=7, metavar="I",
                     help="direct solve at or below this interior size")
     misc = shared.add_argument_group("run")
-    misc.add_argument("--quad-order", type=int, default=None, metavar="I",
-                      help="verify only: node count of the pointwise "
-                           "fractional-derivative quadrature in the power-rule "
-                           "check (default 100)")
     misc.add_argument("--seed", type=int, default=0,
                       help="seed for randomized checks")
     misc.add_argument("--threads", type=int, default=1,
@@ -149,6 +145,19 @@ def _mg_config(args: argparse.Namespace,
     return multigrid.MgConfig(**values)
 
 
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Run and problem values out of range are usage errors naming the flag."""
+    for flag, value, ok, bound in (
+            *(("--alpha", a, 1.0 < a < 2.0, "in (1, 2)") for a in args.alpha or ()),
+            ("--lambda", args.lam, args.lam >= 0.0, ">= 0"),
+            ("--sigma", args.sigma, (args.sigma or 0.0) >= 0.0, ">= 0"),
+            ("--T", args.T, args.T is None or args.T > 0.0, "> 0"),
+            ("--seed", args.seed, args.seed >= 0, ">= 0"),
+            ("--threads", args.threads, args.threads >= 1, ">= 1")):
+        if not ok:
+            raise UsageError(f"{flag} {value}: must be {bound}")
+
+
 def _require_default(args, name: str):
     if getattr(args, name) is not None:
         flag = name.replace("_", "-")
@@ -200,7 +209,7 @@ def _fmt_rate(rate: Optional[float]) -> str:
 def cmd_example1(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.8]
     sizes = args.M or [128, 256, 512, 1024]
-    for name in ("a", "sigma", "quad_order"):
+    for name in ("a", "sigma"):
         _require_default(args, name)
     b_end = 32.0 if args.b is None else args.b
     horizon = 1.0 if args.T is None else args.T
@@ -238,7 +247,7 @@ def cmd_example1(args: argparse.Namespace) -> int:
 def cmd_example2(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.5, 1.9]
     sizes = args.M or [128, 256, 512, 1024]
-    for name in ("a", "b", "T", "sigma", "quad_order"):
+    for name in ("a", "b", "T", "sigma"):
         _require_default(args, name)
     config = _mg_config(args, sizes)
 
@@ -274,8 +283,7 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.5]
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
-    for name in ("T", "quad_order"):
-        _require_default(args, name)
+    _require_default(args, "T")
     lo = 0.0 if args.a is None else args.a
     hi = 1.0 if args.b is None else args.b
     sigma = 0.0 if args.sigma is None else args.sigma
@@ -406,45 +414,16 @@ def _check_galerkin(args) -> Tuple[str, str]:
             f"{rebuilt_gap:.2e} vs re-discretized")
 
 
-def _check_power_rule(args) -> Tuple[str, str]:
-    from scipy.special import gamma as gamma_fn
-    order = 100 if args.quad_order is None else args.quad_order
-    x = np.linspace(0.05, 1.0, 20)
-    worst = 0.0
-    for alpha in (1.25, 1.75):
-        for p in (2, 3, 4):
-            u = fracquad.SmoothFn(
-                value=lambda s, p=p: s**p,
-                first_derivative=lambda s, p=p: p * s**(p - 1),
-                second_derivative=lambda s, p=p: p * (p - 1) * s**(p - 2))
-            ref = gamma_fn(p + 1) / gamma_fn(p + 1 - alpha) * x**(p - alpha)
-            got = fracquad.rl_left_deriv(u, alpha, 0.0, x, order=order)
-            worst = max(worst, _rel(got, ref))
-            mirrored = fracquad.SmoothFn(
-                value=lambda s, p=p: (1.0 - s)**p,
-                first_derivative=lambda s, p=p: -p * (1.0 - s)**(p - 1),
-                second_derivative=lambda s, p=p: p * (p - 1) * (1.0 - s)**(p - 2))
-            got_r = fracquad.rl_right_deriv(mirrored, alpha, 1.0, 1.0 - x,
-                                            order=order)
-            worst = max(worst, _rel(got_r, ref))
-    return ("PASS" if worst <= 1e-8 else "FAIL", f"max rel {worst:.2e}")
-
-
-def _check_fourier(args) -> Tuple[str, str]:
-    bump = diagnostics.windowed_bump(0.0, 1.0)
-    cases = (
-        (1.0, 0.3, "left", 4096, 1e-6),
-        (0.75, 0.0, "left", 4096, 1e-3),
-        (0.6, 0.4, "right", 4096, 1e-3),
-    )
-    details = []
-    ok = True
-    for nu, lam, direction, grid, tol in cases:
-        err = diagnostics.verify_fourier_symbol(bump, nu, lam, grid_size=grid,
-                                                direction=direction)
-        ok = ok and err <= tol
-        details.append(f"nu={nu:g},lam={lam:g},{direction}: {err:.1e}")
-    return ("PASS" if ok else "FAIL", "; ".join(details))
+def _check_stiffness_symbol(args) -> Tuple[str, str]:
+    # h = 1/64; tempered meshes hold >= 40 / (lam h) lags, so e^{-lam h m}
+    # ends below rounding, and lam = 0 runs at 2^17 cells
+    cases = ((1.9, 1.0, 64), (1.5, 0.125, 512), (1.1, 0.5, 128),
+             (1.5, 0.003, 16384), (1.1, 0.0, 2**17), (1.5, 0.0, 2**17),
+             (1.9, 0.0, 2**17))
+    worst = max(diagnostics.stiffness_symbol_gap(
+        assembly.Mesh(0.0, cells / 64.0, cells), alpha, 64.0 * lam_h)
+        for alpha, lam_h, cells in cases)
+    return ("PASS" if worst <= 1e-9 else "FAIL", f"max rel {worst:.2e}")
 
 
 def _check_coercivity(args) -> Tuple[str, str]:
@@ -531,8 +510,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("fft_vs_dense", _check_fft_vs_dense),
         ("transfer_adjointness", _check_adjointness),
         ("galerkin_consistency", _check_galerkin),
-        ("power_rule_derivatives", _check_power_rule),
-        ("fourier_symbol", _check_fourier),
+        ("stiffness_symbol", _check_stiffness_symbol),
         ("coercivity_margin", _check_coercivity),
         ("structure_untempered", _check_structure_untempered),
         ("structure_tempered", _check_structure_tempered),
@@ -561,6 +539,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"example1": cmd_example1, "example2": cmd_example2,
                 "mgbench": cmd_mgbench, "verify": cmd_verify}
     try:
+        _check_ranges(args)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
-"""Mesh-dependent norms and numerical verification sweeps.
+"""Numerical verification sweeps.
 
 Everything here measures consequences of the analysis the solver relies on:
-the discrete norm family built from powers of the system operator, the
-closed-form coercivity constant and its discrete margin, Fourier-symbol
-checks of the one-sided tempered derivatives, spectral-radius scaling of the
-system operator, and the structural (sign/dominance) sweeps that back the
+the closed-form coercivity constant and its discrete margin, the assembled
+fractional pairing against its Fourier symbol (the tempered Riesz symbol
+against the hat's transform), spectral-radius scaling of the system
+operator, and the structural (sign/dominance) sweeps that back the
 smoother's admissibility.
 """
 
@@ -14,24 +14,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import fracquad
+from . import assembly, fracquad
 from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
 from .multigrid import Hierarchy
 from .toeplitz import power_iteration, structure_report
-
-
-def mesh_norm(level: LevelOperator, v: np.ndarray, s: int) -> float:
-    """Discrete norm sqrt(h * v' A^s v) for s in {0, 1, 2}."""
-    v = np.asarray(v, dtype=float)
-    h = level.mesh.h
-    if s == 0:
-        return float(np.sqrt(h * np.dot(v, v)))
-    if s == 1:
-        return float(np.sqrt(h * np.dot(v, level.apply(v))))
-    if s == 2:
-        av = level.apply(v)
-        return float(np.sqrt(h * np.dot(av, av)))
-    raise ValueError("s must be 0, 1 or 2")
 
 
 def coercivity_constant(alpha: float, lam: float, sigma: float) -> Optional[float]:
@@ -72,120 +58,35 @@ def check_discrete_coercivity(level: LevelOperator, problem: ProblemSpec,
     return float(margin)
 
 
-def windowed_bump(lo: float = 0.0, hi: float = 1.0) -> fracquad.SmoothFn:
-    """C^3 bump ((x-lo)(hi-x))^4, normalized to peak 1, zero outside (lo, hi).
+# stiffness_symbol_gap compares at these frequencies and sums the symbol's
+# aliases up to |k| = _ALIASES
+_SYMBOL_THETAS = (0.3, 1.0, 2.0, np.pi)
+_ALIASES = 20000
 
-    Smooth enough at the support edges that its spectrum decays well past the
-    low-frequency band verify_fourier_symbol compares on.
+
+def stiffness_symbol_gap(mesh: Mesh, alpha: float, lam: float) -> float:
+    """Worst relative gap between the pairing column and its Fourier symbol.
+
+    By Poisson summation the generating function S_0 + 2 sum_m S_m cos(m t)
+    of S = ``assembly.frac_pair_symbol(mesh, alpha, lam)`` is the tempered
+    Riesz symbol Re(lam + i w)^alpha (Sabzikar, Meerschaert & Chen 2015)
+    against the hat's h^2 sinc^4(w h / 2), aliased:
+    h sum_k Re(lam + i x_k / h)^alpha sinc^4(x_k / 2), x_k = t + 2 pi k.
+    That form shares nothing with the Levy-kernel integrals of the assembly.
+    Past |k| = _ALIASES the terms go as |x_k|^(alpha-4), added back as an
+    integral.  The mesh must hold enough lags for the dropped S_m tail.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    scale = ((hi - lo) / 2.0) ** 8
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        p = (x - lo) * (hi - x)
-        return np.where((x > lo) & (x < hi), p**4 / scale, 0.0)
-
-    def first(x):
-        x = np.asarray(x, dtype=float)
-        p = (x - lo) * (hi - x)
-        dp = lo + hi - 2.0 * x
-        return np.where((x > lo) & (x < hi), 4.0 * p**3 * dp / scale, 0.0)
-
-    def second(x):
-        x = np.asarray(x, dtype=float)
-        p = (x - lo) * (hi - x)
-        dp = lo + hi - 2.0 * x
-        return np.where((x > lo) & (x < hi),
-                        (12.0 * p**2 * dp**2 - 8.0 * p**3) / scale, 0.0)
-
-    return fracquad.SmoothFn(value=value, first_derivative=first,
-                             second_derivative=second)
-
-
-def _farfield_deriv(u: fracquad.SmoothFn, nu: float, lam: float,
-                    support, x: np.ndarray, direction: str) -> np.ndarray:
-    """Tempered derivative at points strictly beyond the density's support.
-
-    Outside the support of (u' + lam u) the integrand has no singularity, so
-    plain Gauss-Legendre against the compactly supported density converges
-    spectrally; the near-support quadratures lose accuracy out here because
-    their nodes cluster at the (absent) endpoint singularity.
-    """
-    from scipy.special import gamma as gamma_fn, roots_legendre
-
-    sa, sb = support
-    z, w = roots_legendre(64)
-    nodes = sa + 0.5 * (sb - sa) * (1.0 + z)
-    weights = 0.5 * (sb - sa) * w
-    if direction == "left":
-        dens = u.first_derivative(nodes) + lam * u.value(nodes)
-        gap = x[:, None] - nodes[None, :]
-    else:
-        dens = lam * u.value(nodes) - u.first_derivative(nodes)
-        gap = nodes[None, :] - x[:, None]
-    if np.any(gap <= 0.0):
-        raise ValueError("far-field points must lie beyond the support")
-    kernel = gap**(-nu) * np.exp(-lam * gap)
-    return kernel @ (weights * dens) / gamma_fn(1.0 - nu)
-
-
-def verify_fourier_symbol(u: fracquad.SmoothFn, nu: float, lam: float,
-                          grid_size: int = 4096, support=(0.0, 1.0),
-                          direction: str = "left", order: int = 200,
-                          periods: int = 64) -> float:
-    """Relative mismatch between a sampled tempered derivative and its symbol.
-
-    ``u`` (with derivatives) must evaluate to zero outside ``support`` and
-    vanish smoothly at its edges.  The derivative is sampled on a uniform
-    grid over a domain padded to 4x the support length (anchoring at the
-    support edge is then exact: nothing accumulates over the zero stretch),
-    and its DFT is compared against symbol * DFT(u) on the low-frequency
-    half of the resolved band.
-
-    The symbol side of that comparison is the transform of the derivative's
-    *periodization*, so the derivative's trailing tail — algebraic, x^(-1-nu),
-    when lam = 0 — must be folded back into the window rather than truncated;
-    ``periods - 1`` extra window lengths are evaluated far-field and wrapped
-    (the tail runs right of the window for the left derivative and left of it
-    for the right one).  Truncating instead leaves an O(1e-2) floor at lam=0.
-
-    With the DFT kernel e^{-i omega x}, differentiation maps to +i omega, so
-    the left-derivative symbol is (lam + i omega)^nu and the right one is
-    (lam - i omega)^nu.
-    """
-    sa, sb = float(support[0]), float(support[1])
-    if not sb > sa:
-        raise ValueError("support must be a nonempty interval")
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
-    width = sb - sa
-    span = 4.0 * width
-    lo = sa - 1.5 * width
-    dx = span / grid_size
-    x = lo + dx * np.arange(grid_size)
-    u_samp = np.asarray(u.value(x), dtype=float)
-    if direction == "left":
-        d_samp = fracquad.tempered_left_deriv_low(u, nu, lam, sa, x, order)
-    else:
-        d_samp = fracquad.tempered_right_deriv_low(u, nu, lam, sb, x, order)
-    if nu < 1.0:  # at nu = 1 the derivative is local: nothing beyond support
-        for k in range(1, periods):
-            shift = k * span if direction == "left" else -k * span
-            d_samp = d_samp + _farfield_deriv(u, nu, lam, (sa, sb), x + shift,
-                                              direction)
-    omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, dx)
-    base = lam + 1j * omega if direction == "left" else lam - 1j * omega
-    symbol = base**nu
-    lhs = np.fft.fft(d_samp)
-    rhs = symbol * np.fft.fft(u_samp)
-    band = np.abs(np.fft.fftfreq(grid_size)) <= 0.25  # low half of the resolved band
-    num = np.linalg.norm(lhs[band] - rhs[band])
-    den = np.linalg.norm(rhs[band])
-    return float(num / den)
+    h, t = mesh.h, np.array(_SYMBOL_THETAS)
+    col = assembly.frac_pair_symbol(mesh, alpha, lam)
+    stiff = col[0] + 2.0 * np.cos(np.outer(t, np.arange(1, col.size))) @ col[1:]
+    x = t[:, None] + 2.0 * np.pi * np.arange(-_ALIASES, _ALIASES + 1)
+    sym = h * np.sum(np.real((lam + 1j * x / h) ** alpha)
+                     * np.sinc(x / (2.0 * np.pi)) ** 4, axis=1)
+    edge = 2.0 * np.pi * (_ALIASES + 0.5)
+    sym += (16.0 * np.sin(t / 2.0) ** 4 * np.cos(alpha * np.pi / 2.0)
+            * h ** (1.0 - alpha) / (2.0 * np.pi * (3.0 - alpha))
+            * ((edge + t) ** (alpha - 3.0) + (edge - t) ** (alpha - 3.0)))
+    return float(np.max(np.abs(stiff - sym) / np.abs(sym)))
 
 
 def spectral_radius_sweep(problem: ProblemSpec, Ms: List[int], tau: float,

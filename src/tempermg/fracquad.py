@@ -1,18 +1,24 @@
-"""Gauss-Jacobi quadrature and pointwise tempered fractional calculus.
+"""Gauss-Jacobi quadrature, the manufactured forcing and pointwise derivatives.
 
 Quadrature rules target the weight (1-x)^a_exp (1+x)^b_exp on [-1, 1]; the
-Lobatto variant pins both endpoints.  On top of them sit pointwise evaluators
-for left/right Riemann-Liouville derivatives of order alpha in (1,2) in their
-second-derivative (Caputo-equivalent) form, their exponentially tempered
-versions and the low-order (0, 1] tempered derivatives.  The manufactured
-forcing of the first benchmark problem needs none of them: it is the
-tempered power rule in closed form, one Kummer function per monomial, three
-of which come from two evaluations and a contiguous relation.
+Lobatto variant pins both endpoints.  The solver uses ``gauss_jacobi`` for
+its Gauss-Legendre rules.  The manufactured forcing of the first benchmark
+problem is the tempered power rule in closed form, one Kummer function per
+monomial, three of which come from two evaluations and a contiguous
+relation.
 
-All function arguments tagged SmoothFn must be numpy-vectorized callables and
-satisfy the vanishing boundary conditions stated per operation; the
-Caputo-equivalent forms are only valid for functions with u = u' = 0 at the
-anchored endpoint.
+No solve path evaluates a pointwise fractional derivative.  The tempered
+left/right derivatives of order alpha in (1, 2) (second-derivative,
+Caputo-equivalent form by Lobatto-Jacobi quadrature; lam = 0 gives the plain
+Riemann-Liouville ones), ``jacobi_gl``, ``SmoothFn`` and ``_left/_right_caputo2``
+stay for two outside readers: ``perfbench/child.py`` wraps
+``tempered_*_deriv``, ``jacobi_gl`` and ``gauss_jacobi`` by name, and the
+test oracle ``riesz_apply``, the quadrature reference for the forcing,
+calls ``tempered_*_deriv``.
+
+All function arguments tagged SmoothFn must be numpy-vectorized callables;
+the Caputo-equivalent forms are only valid for functions with u = u' = 0 at
+the anchored endpoint.
 """
 
 from __future__ import annotations
@@ -132,21 +138,6 @@ def _right_caputo2(d2v, alpha, b, x, order):
     return float(out[0]) if scalar else out
 
 
-def rl_left_deriv(u: SmoothFn, alpha: float, a: float, x, order: int = 100):
-    """Left fractional derivative of order alpha in (1,2), anchored at a.
-
-    Uses the second-derivative form, valid when u(a) = u'(a) = 0.
-    """
-    _check_alpha(alpha)
-    return _left_caputo2(u.second_derivative, alpha, a, x, order)
-
-
-def rl_right_deriv(u: SmoothFn, alpha: float, b: float, x, order: int = 100):
-    """Right fractional derivative of order alpha in (1,2), anchored at b."""
-    _check_alpha(alpha)
-    return _right_caputo2(u.second_derivative, alpha, b, x, order)
-
-
 def tempered_left_deriv(u: SmoothFn, alpha: float, lam: float, a: float, x,
                         order: int = 100):
     """Tempered left derivative: e^{-lam x} (left deriv of e^{lam s} u)."""
@@ -183,59 +174,6 @@ def tempered_right_deriv(u: SmoothFn, alpha: float, lam: float, b: float, x,
     core = _right_caputo2(d2v, alpha, b, x, order)
     return np.exp(lam * np.asarray(x, dtype=float)) * core if np.ndim(x) \
         else float(np.exp(lam * x) * core)
-
-
-def tempered_left_deriv_low(u: SmoothFn, nu: float, lam: float, a: float, x,
-                            order: int = 100):
-    """Tempered left derivative of LOW order nu in (0, 1].
-
-    First-derivative form over (u' + lam u), valid for u(a) = 0.  Points with
-    x <= a return 0 (nothing accumulated yet), which makes the function
-    directly samplable on grids that extend left of the support.
-    """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    xs, scalar = _as_points(x)
-    if nu == 1.0:
-        out = np.where(xs > a, u.first_derivative(xs) + lam * u.value(xs), 0.0)
-        return float(out[0]) if scalar else out
-    rule = gauss_jacobi(-nu, 0.0, order)  # weight (1-z)^(-nu): singular end z=1 <-> xi=x
-    out = np.zeros_like(xs)
-    act = xs > a
-    if act.any():
-        xa = xs[act]
-        half = 0.5 * (xa - a)
-        dist = half[:, None] * (1.0 - rule.nodes[None, :])  # x - xi >= 0
-        xi = xa[:, None] - dist
-        vals = (u.first_derivative(xi) + lam * u.value(xi)) * np.exp(-lam * dist)
-        out[act] = half ** (1.0 - nu) / gamma_fn(1.0 - nu) * (vals @ rule.weights)
-    return float(out[0]) if scalar else out
-
-
-def tempered_right_deriv_low(u: SmoothFn, nu: float, lam: float, b: float, x,
-                             order: int = 100):
-    """Mirror of tempered_left_deriv_low: order nu in (0,1], anchored at b."""
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    xs, scalar = _as_points(x)
-    if nu == 1.0:
-        out = np.where(xs < b, -u.first_derivative(xs) + lam * u.value(xs), 0.0)
-        return float(out[0]) if scalar else out
-    rule = gauss_jacobi(0.0, -nu, order)  # weight (1+z)^(-nu): singular end z=-1 <-> xi=x
-    out = np.zeros_like(xs)
-    act = xs < b
-    if act.any():
-        xa = xs[act]
-        half = 0.5 * (b - xa)
-        dist = half[:, None] * (1.0 + rule.nodes[None, :])  # xi - x >= 0
-        xi = xa[:, None] + dist
-        vals = (lam * u.value(xi) - u.first_derivative(xi)) * np.exp(-lam * dist)
-        out[act] = half ** (1.0 - nu) / gamma_fn(1.0 - nu) * (vals @ rule.weights)
-    return float(out[0]) if scalar else out
 
 
 def riesz_kappa(alpha: float) -> float:

@@ -272,24 +272,6 @@ def tempered_right_deriv_ref(u, alpha, lam, b, x):
 # pointwise quadrature: the package's Lobatto/Gauss-Jacobi rules
 
 
-def tempered_left_integral(u, nu, lam, a, x, order=100):
-    """(1/Gamma(nu)) int_a^x e^{-lam(x-xi)} (x-xi)^(nu-1) u(xi) dxi."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= a):
-        raise ValueError("evaluation points must satisfy x > a")
-    rule = fracquad.gauss_jacobi(nu - 1.0, 0.0, order)  # weight (1-z)^(nu-1)
-    half = 0.5 * (xs - a)
-    dist = half[:, None] * (1.0 - rule.nodes[None, :])  # x - xi
-    vals = u(xs[:, None] - dist) * np.exp(-lam * dist)
-    out = half**nu / gamma_fn(nu) * (vals @ rule.weights)
-    return float(out[0]) if scalar else out
-
-
 def riesz_apply(u, alpha, lam, a, b, x, order=100):
     """Symmetric two-sided tempered operator by pointwise Lobatto quadrature.
 
@@ -330,6 +312,24 @@ def example1_space_mp(alpha, lam, b, x):
         temper = lam**a if lam > 0 else 0
         return float(-(w * (1 - 3 * temper * kap)
                        + kap * (left(x) + left(b - x) - 2 * temper * w)))
+
+
+# ---------------------------------------------------------------------------
+# mesh-dependent norms
+
+
+def mesh_norm(level, v, s):
+    """Discrete norm sqrt(h * v' A^s v) for s in {0, 1, 2}, A = level.apply."""
+    v = np.asarray(v, dtype=float)
+    h = level.mesh.h
+    if s == 0:
+        return float(np.sqrt(h * np.dot(v, v)))
+    if s == 1:
+        return float(np.sqrt(h * np.dot(v, level.apply(v))))
+    if s == 2:
+        av = level.apply(v)
+        return float(np.sqrt(h * np.dot(av, av)))
+    raise ValueError("s must be 0, 1 or 2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """End-to-end command-line checks through real subprocess invocations."""
 
-import argparse
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tempermg import cli
+from tempermg import assembly, cli
 
 BASE = [sys.executable, "-m", "tempermg.cli"]
 
@@ -112,14 +112,14 @@ def verify_run():
 
 def test_verify_passes_clean_build(verify_run):
     assert verify_run.returncode == 0, verify_run.stdout + verify_run.stderr
-    assert "RESULT: PASS (10 checks, 0 failed" in verify_run.stdout
+    assert "RESULT: PASS (9 checks, 0 failed" in verify_run.stdout
 
 
 def test_verify_reports_every_check(verify_run):
     status = [line.split(",")[1] for line in verify_run.stdout.splitlines()
               if line.split(",")[1:2] and line.split(",")[1] in ("PASS", "FAIL",
                                                                  "WARN")]
-    assert len(status) == 10
+    assert len(status) == 9
     assert set(status) <= {"PASS", "WARN"}
 
 
@@ -134,8 +134,40 @@ def test_verify_catches_injected_fault(verify_run):
     assert {got for got, ref in zip(lines, clean) if got != ref} == {
         "structure_untempered,FAIL,3 hard failures",
         "structure_tempered,WARN,1 suspect stiffness levels",
-        "RESULT: FAIL (10 checks, 1 failed, 1 warnings)",
+        "RESULT: FAIL (9 checks, 1 failed, 1 warnings)",
     }
+
+
+def _lag1_sign_flip(pair):
+    def faulty(mesh, alpha, lam):
+        col = pair(mesh, alpha, lam)
+        col[1] = -col[1]
+        return col
+    return faulty
+
+
+def _alpha_nudged(pair):
+    return lambda mesh, alpha, lam: pair(mesh, alpha + 1e-6, lam)
+
+
+def _local_term_dropped(pair):
+    # the lam^alpha h B3(m) term of lags 0-2 (B3 = 2/3, 1/6, 0)
+    def faulty(mesh, alpha, lam):
+        col = pair(mesh, alpha, lam)
+        col[:3] -= lam**alpha * mesh.h * np.array([2.0 / 3.0, 1.0 / 6.0, 0.0])
+        return col
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [None, _lag1_sign_flip, _alpha_nudged,
+                                   _local_term_dropped])
+def test_stiffness_symbol_row_catches_pairing_faults(monkeypatch, fault):
+    args = cli.build_parser().parse_args(["verify"])
+    if fault is not None:
+        monkeypatch.setattr(assembly, "frac_pair_symbol",
+                            fault(assembly.frac_pair_symbol))
+    status, _ = cli._check_stiffness_symbol(args)
+    assert status == ("PASS" if fault is None else "FAIL")
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +188,13 @@ def test_fixed_benchmark_parameter_rejected():
     assert proc.stderr.strip() != ""
 
 
-@pytest.mark.parametrize("command", ["example1", "example2", "mgbench"])
-def test_quad_order_is_verify_only(command):
-    # no benchmark evaluates a pointwise fractional derivative, so setting
-    # the rule size there is an error rather than silently ignored
-    proc = run_cli(command, "--quad-order", "50", "--M", "2^5")
+@pytest.mark.parametrize("command", ["example1", "example2", "mgbench",
+                                     "verify"])
+def test_quad_order_is_unknown_flag(command):
+    # no subcommand evaluates a pointwise fractional derivative, so none
+    # takes a rule size for one
+    extra = () if command == "verify" else ("--M", "2^5")
+    proc = run_cli(command, "--quad-order", "50", *extra)
     assert proc.returncode == 2
     assert "--quad-order" in proc.stderr
     assert proc.stdout == ""
@@ -183,11 +217,19 @@ def test_quad_order_is_verify_only(command):
     (("example1", "--M", "2^5", "--tol", "0"), "--tol"),
     (("verify", "--max-iter", "0"), "--max-iter"),
     (("example2", "--M", "2^5", "--coarse-max", "0"), "--coarse-max"),
+    (("verify", "--seed", "-1"), "--seed"),
+    (("verify", "--alpha", "2.5"), "--alpha"),
+    (("example1", "--M", "2^5", "--alpha", "2.5"), "--alpha"),
+    (("example1", "--M", "2^5", "--lambda", "-1"), "--lambda"),
+    (("example2", "--M", "2^5", "--threads", "0"), "--threads"),
+    (("mgbench", "--M", "2^5", "--sigma", "-1"), "--sigma"),
+    (("example1", "--M", "2^5", "--T", "0"), "--T"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
-    # a flag the subcommand does not read, a size no mesh accepts, or a
-    # multigrid value MgConfig rejects is refused before any work rather
-    # than silently ignored or failing as a run error
+    # a flag the subcommand does not read, a size no mesh accepts, a
+    # multigrid value MgConfig rejects, or a run or problem value out of
+    # range is refused before any work rather than silently ignored or
+    # failing as a run error
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert flag in proc.stderr
@@ -208,14 +250,6 @@ def test_single_level_size_is_usage_error(args):
     assert proc.returncode == 2
     assert "--coarse-max" in proc.stderr and "usage error" in proc.stderr
     assert proc.stdout == ""
-
-
-def test_verify_quad_order_defaults_to_100():
-    args = cli.build_parser().parse_args(["verify"])
-    assert args.quad_order is None
-    default = cli._check_power_rule(args)
-    assert default[0] == "PASS"
-    assert default == cli._check_power_rule(argparse.Namespace(quad_order=100))
 
 
 def test_missing_subcommand_is_usage_error():

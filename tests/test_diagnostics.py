@@ -1,4 +1,4 @@
-"""Norm family, coercivity margins, Fourier-symbol and structure sweeps."""
+"""Norm family, coercivity margins, stiffness symbol and structure sweeps."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from tempermg import assembly, diagnostics, fracquad, multigrid
 from tempermg.assembly import Mesh, ProblemSpec
 from tempermg.toeplitz import structure_report
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +21,7 @@ def level():
 
 
 def test_mesh_norm_zeroth_is_weighted_euclidean(level):
-    assert diagnostics.mesh_norm(level, np.ones(4), 0) == pytest.approx(
+    assert oracles.mesh_norm(level, np.ones(4), 0) == pytest.approx(
         np.sqrt(0.8), rel=1e-14)
 
 
@@ -28,11 +30,11 @@ def test_mesh_norm_definitions(level):
     v = rng.standard_normal(7)
     h = level.mesh.h
     av = level.apply(v)
-    assert diagnostics.mesh_norm(level, v, 0) == pytest.approx(
+    assert oracles.mesh_norm(level, v, 0) == pytest.approx(
         np.sqrt(h * v @ v), rel=1e-14)
-    assert diagnostics.mesh_norm(level, v, 1) == pytest.approx(
+    assert oracles.mesh_norm(level, v, 1) == pytest.approx(
         np.sqrt(h * v @ av), rel=1e-14)
-    assert diagnostics.mesh_norm(level, v, 2) == pytest.approx(
+    assert oracles.mesh_norm(level, v, 2) == pytest.approx(
         np.sqrt(h * av @ av), rel=1e-14)
 
 
@@ -40,21 +42,21 @@ def test_mesh_norm_definitions(level):
 def test_mesh_norm_is_a_norm(level, s):
     rng = np.random.default_rng(s)
     v, w = rng.standard_normal(7), rng.standard_normal(7)
-    nv = diagnostics.mesh_norm(level, v, s)
-    nw = diagnostics.mesh_norm(level, w, s)
+    nv = oracles.mesh_norm(level, v, s)
+    nw = oracles.mesh_norm(level, w, s)
     assert nv > 0.0
-    assert diagnostics.mesh_norm(level, 2.5 * v, s) == pytest.approx(2.5 * nv,
-                                                                     rel=1e-13)
-    assert diagnostics.mesh_norm(level, v + w, s) <= nv + nw + 1e-13
+    assert oracles.mesh_norm(level, 2.5 * v, s) == pytest.approx(2.5 * nv,
+                                                                 rel=1e-13)
+    assert oracles.mesh_norm(level, v + w, s) <= nv + nw + 1e-13
 
 
 def test_mesh_norm_interpolation_inequality(level):
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.standard_normal(7)
-        mid = diagnostics.mesh_norm(level, v, 1) ** 2
-        ends = (diagnostics.mesh_norm(level, v, 0)
-                * diagnostics.mesh_norm(level, v, 2))
+        mid = oracles.mesh_norm(level, v, 1) ** 2
+        ends = (oracles.mesh_norm(level, v, 0)
+                * oracles.mesh_norm(level, v, 2))
         assert mid <= ends * (1.0 + 1e-12)
 
 
@@ -65,14 +67,14 @@ def test_operator_pairing_cauchy_schwarz(level, theta):
     for _ in range(20):
         v, w = rng.standard_normal(7), rng.standard_normal(7)
         pairing = abs(h * (v @ level.apply(w)))
-        bound = (diagnostics.mesh_norm(level, v, 1 + theta)
-                 * diagnostics.mesh_norm(level, w, 1 - theta))
+        bound = (oracles.mesh_norm(level, v, 1 + theta)
+                 * oracles.mesh_norm(level, w, 1 - theta))
         assert pairing <= bound * (1.0 + 1e-12)
 
 
 def test_mesh_norm_invalid_exponent(level):
     with pytest.raises(ValueError):
-        diagnostics.mesh_norm(level, np.ones(7), 3)
+        oracles.mesh_norm(level, np.ones(7), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -124,96 +126,36 @@ def test_discrete_coercivity_validation(level):
 
 
 # ---------------------------------------------------------------------------
-# window profile for the symbol check
+# assembled pairing against its Fourier symbol
 
 
-def test_windowed_bump_support_and_peak():
-    u = diagnostics.windowed_bump(0.0, 1.0)
-    assert u.value(0.5) == pytest.approx(1.0)
-    for x in (-0.5, 0.0, 1.0, 2.0):
-        assert u.value(x) == 0.0
-        assert u.first_derivative(x) == 0.0
-        assert u.second_derivative(x) == 0.0
+def _symbol_mesh(cells):
+    return Mesh(0.0, cells / 64.0, cells)  # h = 1/64
 
 
-def test_windowed_bump_derivatives_match_finite_differences():
-    u = diagnostics.windowed_bump(0.2, 1.7)
-    xs = np.array([0.4, 0.95, 1.5])
-    eps = 1e-5
-    fd1 = (u.value(xs + eps) - u.value(xs - eps)) / (2 * eps)
-    fd2 = (u.value(xs + eps) - 2 * u.value(xs) + u.value(xs - eps)) / eps**2
-    np.testing.assert_allclose(u.first_derivative(xs), fd1, rtol=1e-6)
-    np.testing.assert_allclose(u.second_derivative(xs), fd2, rtol=1e-4)
+@pytest.mark.parametrize("alpha, lam_h, cells", [
+    (1.9, 1.0, 64), (1.5, 0.125, 512), (1.1, 0.5, 128), (1.5, 0.003, 16384),
+])
+def test_stiffness_matches_fourier_symbol_tempered(alpha, lam_h, cells):
+    gap = diagnostics.stiffness_symbol_gap(_symbol_mesh(cells), alpha,
+                                           64.0 * lam_h)
+    assert gap <= 1e-10
 
 
-def test_windowed_bump_validation():
-    with pytest.raises(ValueError):
-        diagnostics.windowed_bump(1.0, 1.0)
+def test_stiffness_matches_fourier_symbol_untempered():
+    # lam = 0 takes the mu < 1e-16 branch of the near field; the lag tail
+    # is algebraic, so the column needs 2^17 cells
+    gap = diagnostics.stiffness_symbol_gap(_symbol_mesh(2**17), 1.5, 0.0)
+    assert gap <= 1e-11
 
 
-def test_farfield_tail_has_algebraic_decay():
-    # untempered far field of a compact density decays like x^-(1+nu)
-    u = diagnostics.windowed_bump()
-    nu = 0.75
-    vals = diagnostics._farfield_deriv(u, nu, 0.0, (0.0, 1.0),
-                                       np.array([32.0, 64.0]), "left")
-    assert vals[0] / vals[1] == pytest.approx(2.0 ** (1.0 + nu), rel=0.04)
-
-
-def test_farfield_rejects_points_inside_support():
-    u = diagnostics.windowed_bump()
-    with pytest.raises(ValueError):
-        diagnostics._farfield_deriv(u, 0.5, 0.0, (0.0, 1.0),
-                                    np.array([0.5]), "left")
-
-
-# ---------------------------------------------------------------------------
-# Fourier-symbol verification
-
-
-def test_fourier_symbol_local_limit():
-    # nu = 1: the operator is u' + lam u, the symbol is exactly lam + i omega
-    u = diagnostics.windowed_bump()
-    err = diagnostics.verify_fourier_symbol(u, 1.0, 0.3)
-    assert err <= 1e-6
-
-
-def test_fourier_symbol_untempered_with_tail_folding():
-    u = diagnostics.windowed_bump()
-    err = diagnostics.verify_fourier_symbol(u, 0.75, 0.0)
-    assert err <= 1e-3
-
-
-def test_fourier_symbol_tempered():
-    u = diagnostics.windowed_bump()
-    err = diagnostics.verify_fourier_symbol(u, 0.7, 0.8)
-    assert err <= 1e-4
-
-
-def test_fourier_symbol_right_variant():
-    u = diagnostics.windowed_bump()
-    err = diagnostics.verify_fourier_symbol(u, 0.6, 0.4, direction="right")
-    assert err <= 1e-3
-
-
-def test_fourier_symbol_folding_is_load_bearing():
-    # with the tail truncated (periods=1) the untempered check must be
-    # visibly worse than with folding enabled
-    u = diagnostics.windowed_bump()
-    folded = diagnostics.verify_fourier_symbol(u, 0.75, 0.0, periods=64)
-    truncated = diagnostics.verify_fourier_symbol(u, 0.75, 0.0, periods=1)
-    assert truncated > 5e-3
-    assert folded < truncated / 5.0
-
-
-def test_fourier_symbol_validation():
-    u = diagnostics.windowed_bump()
-    with pytest.raises(ValueError):
-        diagnostics.verify_fourier_symbol(u, 0.5, 0.0, support=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        diagnostics.verify_fourier_symbol(u, 0.5, 0.0, direction="up")
-    with pytest.raises(ValueError):
-        diagnostics.verify_fourier_symbol(u, 0.5, 0.0, periods=0)
+@pytest.mark.parametrize("lam", [0.0, 8.0])
+def test_symbol_gap_sees_a_truncated_column(lam):
+    # 63 lags drop e^{-lam h m} tails of ~e^{-8} (lam h = 1/8) and m^{-5/2}
+    # ones at lam = 0: the gap must show them, not round them away
+    gap = diagnostics.stiffness_symbol_gap(_symbol_mesh(64 if lam else 1024),
+                                           1.5, lam)
+    assert gap > 1e-8
 
 
 # ---------------------------------------------------------------------------

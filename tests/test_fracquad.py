@@ -128,7 +128,8 @@ def test_rule_validation():
 
 
 # ---------------------------------------------------------------------------
-# one-sided derivatives: power rules and reflections
+# one-sided derivatives without tempering (lam = 0): power rules and
+# reflections
 
 
 @pytest.mark.parametrize("alpha", [1.25, 1.75])
@@ -136,7 +137,7 @@ def test_rule_validation():
 def test_left_power_rule(alpha, p):
     a = 0.5
     x = np.array([0.75, 1.3, 2.9])
-    got = fracquad.rl_left_deriv(power_fn(p, a), alpha, a, x)
+    got = fracquad.tempered_left_deriv(power_fn(p, a), alpha, 0.0, a, x)
     ref = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - alpha) * (x - a) ** (p - alpha)
     np.testing.assert_allclose(got, ref, rtol=1e-8)
 
@@ -146,7 +147,8 @@ def test_left_power_rule(alpha, p):
 def test_right_power_rule(alpha, p):
     b = 2.0
     x = np.array([0.1, 0.9, 1.7])
-    got = fracquad.rl_right_deriv(power_fn(p, b, sign=-1.0), alpha, b, x)
+    got = fracquad.tempered_right_deriv(power_fn(p, b, sign=-1.0), alpha, 0.0,
+                                         b, x)
     ref = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - alpha) * (b - x) ** (p - alpha)
     np.testing.assert_allclose(got, ref, rtol=1e-8)
 
@@ -155,12 +157,12 @@ def test_quadratic_half_order_closed_form():
     # u = (x - a)^2, alpha = 3/2: derivative is 2 sqrt(x - a) / Gamma(3/2)
     a = 1.0
     x = 1.81
-    got = fracquad.rl_left_deriv(power_fn(2, a), 1.5, a, x)
+    got = fracquad.tempered_left_deriv(power_fn(2, a), 1.5, 0.0, a, x)
     assert got == pytest.approx(2.0 * np.sqrt(x - a) / gamma_fn(1.5), rel=1e-10)
 
 
 def test_left_derivative_vanishes_toward_anchor():
-    got = fracquad.rl_left_deriv(power_fn(2, 0.0), 1.5, 0.0, 1e-12)
+    got = fracquad.tempered_left_deriv(power_fn(2, 0.0), 1.5, 0.0, 0.0, 1e-12)
     assert abs(got) < 1e-5
 
 
@@ -179,8 +181,9 @@ def test_reflection_maps_left_to_right():
         second_derivative=lambda x: v.second_derivative(a + b - x),
     )
     x = np.array([0.4, 1.1, 2.2])
-    right = fracquad.rl_right_deriv(v, 1.6, b, x)
-    left_of_reflection = fracquad.rl_left_deriv(v_ref, 1.6, a, a + b - x)
+    right = fracquad.tempered_right_deriv(v, 1.6, 0.0, b, x)
+    left_of_reflection = fracquad.tempered_left_deriv(v_ref, 1.6, 0.0, a,
+                                                      a + b - x)
     np.testing.assert_allclose(right, left_of_reflection, rtol=1e-10)
 
 
@@ -195,26 +198,14 @@ def test_derivative_is_linear():
         second_derivative=lambda x: (2.0 * u2.second_derivative(x)
                                      - 0.5 * u3.second_derivative(x)),
     )
-    got = fracquad.rl_left_deriv(combo, alpha, a, x)
-    ref = (2.0 * fracquad.rl_left_deriv(u2, alpha, a, x)
-           - 0.5 * fracquad.rl_left_deriv(u3, alpha, a, x))
+    got = fracquad.tempered_left_deriv(combo, alpha, 0.0, a, x)
+    ref = (2.0 * fracquad.tempered_left_deriv(u2, alpha, 0.0, a, x)
+           - 0.5 * fracquad.tempered_left_deriv(u3, alpha, 0.0, a, x))
     np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # tempered variants
-
-
-@pytest.mark.parametrize("alpha", [1.1, 1.8])
-def test_tempered_reduces_to_plain_at_zero_tempering(alpha):
-    u = fracquad.polynomial_bump(2.0)
-    x = np.array([0.3, 1.2, 1.9])
-    np.testing.assert_allclose(
-        fracquad.tempered_left_deriv(u, alpha, 0.0, 0.0, x),
-        fracquad.rl_left_deriv(u, alpha, 0.0, x), rtol=1e-12)
-    np.testing.assert_allclose(
-        fracquad.tempered_right_deriv(u, alpha, 0.0, 2.0, x),
-        fracquad.rl_right_deriv(u, alpha, 2.0, x), rtol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.8])
@@ -237,84 +228,6 @@ def test_tempered_right_matches_adaptive_reference(alpha):
         assert got == pytest.approx(ref, rel=1e-8)
 
 
-def test_high_order_consistent_with_low_order_of_drift():
-    # D^alpha u == D^(alpha-1) (u' + lam u) for u vanishing at the anchor
-    alpha, lam, b = 1.7, 0.8, 2.0
-    u = fracquad.polynomial_bump(b)
-    drift = fracquad.SmoothFn(
-        value=lambda x: u.first_derivative(x) + lam * u.value(x),
-        first_derivative=lambda x: u.second_derivative(x) + lam * u.first_derivative(x),
-        second_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    x = np.array([0.4, 1.0, 1.8])
-    high = fracquad.tempered_left_deriv(u, alpha, lam, 0.0, x)
-    low = fracquad.tempered_left_deriv_low(drift, alpha - 1.0, lam, 0.0, x)
-    np.testing.assert_allclose(high, low, rtol=1e-8)
-
-
-@pytest.mark.parametrize("nu", [0.3, 0.75])
-@pytest.mark.parametrize("p", [2, 3])
-def test_low_order_power_rule(nu, p):
-    x = np.array([0.6, 1.9])
-    left = fracquad.tempered_left_deriv_low(power_fn(p), nu, 0.0, 0.0, x)
-    ref = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - nu) * x ** (p - nu)
-    np.testing.assert_allclose(left, ref, rtol=1e-8)
-    b = 2.5
-    right = fracquad.tempered_right_deriv_low(power_fn(p, b, sign=-1.0),
-                                              nu, 0.0, b, x)
-    np.testing.assert_allclose(
-        right, gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - nu) * (b - x) ** (p - nu),
-        rtol=1e-8)
-
-
-def test_low_order_unit_exponent_is_drift():
-    lam, b = 0.9, 2.0
-    u = fracquad.polynomial_bump(b)
-    x = np.array([0.25, 1.5])
-    np.testing.assert_allclose(
-        fracquad.tempered_left_deriv_low(u, 1.0, lam, 0.0, x),
-        u.first_derivative(x) + lam * u.value(x), rtol=1e-13)
-    np.testing.assert_allclose(
-        fracquad.tempered_right_deriv_low(u, 1.0, lam, b, x),
-        -u.first_derivative(x) + lam * u.value(x), rtol=1e-13)
-
-
-def test_low_order_is_zero_outside_accumulation_range():
-    u = fracquad.polynomial_bump(1.0)
-    assert fracquad.tempered_left_deriv_low(u, 0.5, 0.3, 0.0, -2.0) == 0.0
-    assert fracquad.tempered_right_deriv_low(u, 0.5, 0.3, 1.0, 4.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# tempered integral and the inversion identity
-
-
-def test_integral_of_one_power_law():
-    nu, a = 0.6, 0.5
-    x = np.array([0.9, 2.0])
-    got = oracles.tempered_left_integral(lambda s: np.ones_like(s), nu, 0.0, a, x)
-    np.testing.assert_allclose(got, (x - a) ** nu / gamma_fn(nu + 1.0), rtol=1e-12)
-
-
-def test_integral_unit_order_tempered():
-    lam, a = 1.3, 0.0
-    x = np.array([0.5, 2.5])
-    got = oracles.tempered_left_integral(lambda s: np.ones_like(s), 1.0, lam, a, x)
-    np.testing.assert_allclose(got, (1.0 - np.exp(-lam * x)) / lam, rtol=1e-10)
-
-
-def test_integral_inverts_derivative():
-    nu, lam, a = 0.6, 0.7, 0.0
-    u = fracquad.polynomial_bump(1.0)
-
-    def deriv(s):
-        return fracquad.tempered_left_deriv_low(u, nu, lam, a, s)
-
-    for x in (0.3, 0.8):
-        got = oracles.tempered_left_integral(deriv, nu, lam, a, x)
-        assert got == pytest.approx(u.value(x), rel=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # symmetric two-sided operator
 
@@ -323,17 +236,6 @@ def test_kappa_values():
     assert fracquad.riesz_kappa(1.5) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
     for alpha in (1.05, 1.4, 1.95):
         assert fracquad.riesz_kappa(alpha) > 0.0
-
-
-def test_riesz_reduces_to_plain_sum_at_zero_tempering():
-    alpha, b = 1.3, 2.0
-    u = fracquad.polynomial_bump(b)
-    x = np.array([0.5, 1.0, 1.5])
-    got = oracles.riesz_apply(u, alpha, 0.0, 0.0, b, x)
-    kap = fracquad.riesz_kappa(alpha)
-    ref = kap * (fracquad.rl_left_deriv(u, alpha, 0.0, x)
-                 + fracquad.rl_right_deriv(u, alpha, b, x))
-    np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 def test_riesz_respects_even_symmetry():
@@ -467,16 +369,12 @@ def test_bump_derivatives_match_finite_differences():
 def test_argument_validation():
     u = fracquad.polynomial_bump(1.0)
     with pytest.raises(ValueError):
-        fracquad.rl_left_deriv(u, 2.5, 0.0, 0.5)
+        fracquad.tempered_left_deriv(u, 2.5, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        fracquad.rl_left_deriv(u, 1.5, 0.0, -0.1)
+        fracquad.tempered_left_deriv(u, 1.5, 0.0, 0.0, -0.1)
     with pytest.raises(ValueError):
-        fracquad.rl_right_deriv(u, 1.5, 1.0, 1.0)
+        fracquad.tempered_right_deriv(u, 1.5, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         fracquad.tempered_left_deriv(u, 1.5, -0.2, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        fracquad.tempered_left_deriv_low(u, 1.5, 0.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        oracles.tempered_left_integral(u.value, -0.5, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         oracles.riesz_apply(u, 1.5, 0.0, 0.0, 1.0, 1.0)
