@@ -158,6 +158,22 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise UsageError(f"{flag} {value}: must be {bound}")
 
 
+def _domain(args: argparse.Namespace, a: float,
+            b: float) -> Tuple[float, float]:
+    """The interval from --a and --b over the subcommand's defaults a, b.
+
+    Anything but finite a < b is a usage error naming the flags given.
+    """
+    lo = a if args.a is None else args.a
+    hi = b if args.b is None else args.b
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        given = " ".join(f"--{name} {value:g}" for name, value in
+                         (("a", args.a), ("b", args.b)) if value is not None)
+        raise UsageError(f"{given}: need finite a < b, got the interval "
+                         f"[{lo:g}, {hi:g}]")
+    return lo, hi
+
+
 def _require_default(args, name: str):
     if getattr(args, name) is not None:
         flag = name.replace("_", "-")
@@ -211,7 +227,7 @@ def cmd_example1(args: argparse.Namespace) -> int:
     sizes = args.M or [128, 256, 512, 1024]
     for name in ("a", "sigma"):
         _require_default(args, name)
-    b_end = 32.0 if args.b is None else args.b
+    b_end = _domain(args, 0.0, 32.0)[1]
     horizon = 1.0 if args.T is None else args.T
     config = _mg_config(args, sizes)
     problems = {alpha: assembly.make_example1(alpha, args.lam, b_end, horizon)
@@ -284,8 +300,7 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
     _require_default(args, "T")
-    lo = 0.0 if args.a is None else args.a
-    hi = 1.0 if args.b is None else args.b
+    lo, hi = _domain(args, 0.0, 1.0)
     sigma = 0.0 if args.sigma is None else args.sigma
     config = _mg_config(args, sizes)
 

@@ -14,21 +14,27 @@ scalar Richardson.
 
 Every cycle starts from zero, so it is a fixed linear map of its right-hand
 side, and set-up stores all of it at and below one level b as a read-only
-bottom matrix C_b: C_0 = A_0^{-1}, or, when a dense level K lies strictly
-between the coarsest and the fine one, C_K = V_K(I), built level by level
-from C_0 as C_k = V_k(I) with coarse correction C_{k-1}.
+bottom matrix C_b: C_0 = A_0^{-1}, or, when a dense level lies strictly
+between the coarsest and the fine one, C_b = V_b(I) for the largest such
+level, built level by level from C_0 as C_k = V_k(I) with coarse
+correction C_{k-1}.  When the fine level is dense too, b is the level below
+it, and set-up also stores K = S + P C_b R E^{m1}, the fine cycle up to its
+first post-smoothing step (the pre-smoothed iterate S g plus the coarse
+correction of its residual E^{m1} g): there a cycle is K g and m2
+post-smoothing steps.
 ``mg_solve`` and ``contraction_factor`` iterate in correction form,
 z <- z + V(g - A z).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
                        level_from_symbols, mass_symbol)
@@ -66,6 +72,9 @@ class Hierarchy:
     # (b, C_b): bottom level index and the read-only matrix that replaces
     # the cycle at and below it
     _bottom: tuple = field(default=None, repr=False)
+    # K: the read-only zero-start top cycle up to its post-smoothing, stored
+    # when the fine level is dense; None otherwise
+    _top: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def fine(self) -> LevelOperator:
@@ -97,7 +106,8 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 
     Each coarse level takes the closed-form mass symbol of its mesh and the
     stiffness symbol ``coarsen_symbol`` derives from the level above.
-    ``assembly_seconds`` covers the bottom matrix (``_with_bottom``) too.
+    ``assembly_seconds`` covers the bottom matrix and K (``_with_bottom``)
+    too.
     """
     config = config or MgConfig()
     meshes = [fine_mesh]
@@ -121,9 +131,10 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 
 
 def _with_bottom(hier: Hierarchy) -> Hierarchy:
-    """Store hier's bottom matrix for hier.config and return hier.
+    """Store hier's bottom matrix, and K on a dense fine level, and return hier.
 
-    C_0 = A_0^{-1} by Cholesky.  Then every level k strictly between the
+    C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
+    A_0 raises ``LinAlgError``.  Then every level k strictly between the
     coarsest and the fine one that is stored dense (n <= 255; these are the
     lowest ones) gets, in turn, C_k = V_k(I): one zero-start cycle of level
     k on the identity whose coarse correction is C_{k-1}.  The largest such
@@ -131,29 +142,21 @@ def _with_bottom(hier: Hierarchy) -> Hierarchy:
     residual are s(I + E + ... + E^{m1-1}) and E^{m1}, E = I - s A, so the
     cycle costs m1 - 1 + m2 block products with A and one with C_{k-1} at a
     quarter of the size: about 2.25 n^3 multiply-adds at the default (1, 2).
+    When the fine level is dense too, it gets K = S + P C_b R E^{m1}, the
+    same cycle up to its first post-smoothing step (``_top_matrix``).
     """
     config = hier.config
     levels = hier.levels
-    a_0 = levels[0].system.dense()
-    c = sla.cho_solve(sla.cho_factor(a_0), np.eye(len(a_0)))
+    chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system.dense()))
+    c = chol_inv.T @ chol_inv
     b = 0
     for k in range(1, len(levels) - 1):
         level = levels[k]
         n = level.mesh.n_interior
         if n > _DENSE_MAX_N:
             break
-        s_pre = config.eta_pre / level.diag
         s_post = config.eta_post / level.diag
-        # multiples of I go onto the diagonal, .flat[::n + 1], which spares
-        # the n x n temporaries of an identity
-        z = np.zeros((n, n))
-        z.flat[::n + 1] = s_pre
-        residual = level.system.dense()
-        residual *= -s_pre
-        residual.flat[::n + 1] += 1.0
-        for _ in range(config.m1 - 1):
-            z += s_pre * residual
-            residual -= s_pre * level.apply(residual)
+        z, residual = _presmoothed_identity(level, config)
         z += prolongate(c @ restrict(residual))
         for _ in range(config.m2):
             step = level.apply(z)   # z += s_post (I - A z)
@@ -165,7 +168,66 @@ def _with_bottom(hier: Hierarchy) -> Hierarchy:
         raise FloatingPointError(f"non-finite bottom matrix on level {b}")
     c.flags.writeable = False
     hier._bottom = (b, c)
+    hier._top = None
+    if hier.fine.mesh.n_interior <= _DENSE_MAX_N:
+        top = _top_matrix(hier.fine, c, config)
+        if not np.isfinite(top).all():
+            raise FloatingPointError(
+                f"non-finite top matrix on level {len(levels) - 1}")
+        top.flags.writeable = False
+        hier._top = top
     return hier
+
+
+def _presmoothed_identity(level: LevelOperator, config: MgConfig) -> tuple:
+    """(S, E^{m1}): m1 zero-start pre-smoothing steps on the identity and
+    their residual, S = s(I + E + ... + E^{m1-1}), E = I - s A.
+
+    Costs m1 - 1 block products with A.  Multiples of I go onto the
+    diagonal, .flat[::n + 1], which spares the n x n temporaries of an
+    identity.
+    """
+    n = level.mesh.n_interior
+    s = config.eta_pre / level.diag
+    z = np.zeros((n, n))
+    z.flat[::n + 1] = s
+    residual = level.system.dense()
+    residual *= -s
+    residual.flat[::n + 1] += 1.0
+    for _ in range(config.m1 - 1):
+        z += s * residual
+        residual -= s * level.apply(residual)
+    return z, residual
+
+
+def _top_matrix(level: LevelOperator, c: np.ndarray,
+                config: MgConfig) -> np.ndarray:
+    """K = S + P c R E^{m1}: the zero-start cycle on level up to its first
+    post-smoothing step, with coarse correction c.
+
+    At m1 > 1 this is ``_presmoothed_identity`` and one restriction.  At the
+    default m1 = 1, S = s I and R E costs no product: E = I - s A is
+    symmetric Toeplitz with symbol e, so row j of R E, the rows 2j, 2j + 1
+    and 2j + 2 of E weighted (1, 2, 1)/4, is row 2j + 1 of the Toeplitz
+    matrix with symbol f_d = (e_{d-1} + 2 e_d + e_{d+1})/4.  K is then the
+    only n x n array built.
+    """
+    if config.m1 > 1:
+        top, residual = _presmoothed_identity(level, config)
+        top += prolongate(c @ restrict(residual))
+        return top
+    n = level.mesh.n_interior
+    s = config.eta_pre / level.diag
+    e = -s * level.system.first_col
+    e[0] += 1.0
+    mirrored = np.concatenate((e[:0:-1], e))   # e_{-(n-1)}, ..., e_{n-1}
+    filtered = (0.25 * (mirrored[:-2] + mirrored[2:])
+                + 0.5 * mirrored[1:-1])       # f_d at index d + n - 2
+    # (R E)[j, i] = f_{i - 2j - 1}: window n - 3 - 2j of the filtered symbol
+    rows = sliding_window_view(filtered, n)[n - 3::-2].copy()
+    top = prolongate(c @ rows)
+    top.flat[::n + 1] += s
+    return top
 
 
 def prolongate(coarse: np.ndarray) -> np.ndarray:
@@ -220,7 +282,8 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
     """One zero-start V-cycle on level index k > b with ``hier.config``.
 
     g may be an (n, k) block, cycled column by column.  The correction from
-    the bottom level b is ``hier.coarse_solve(residual)``.
+    the bottom level b is ``hier.coarse_solve(residual)``.  On the fine
+    level, when K is stored, pre-smoothing and coarse correction are K @ g.
     """
     config = hier.config
     level = hier.levels[k]
@@ -230,15 +293,18 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"level {k} expects vectors of size {n}")
     if k <= bottom:
         raise ValueError(f"level {k} is at or below the bottom level {bottom}")
-    z = (config.eta_pre / level.diag) * g
-    z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
-    residual = level.apply(z)
-    residual = restrict(np.subtract(g, residual, out=residual))
-    if k - 1 == bottom:
-        correction = hier.coarse_solve(residual)
+    if hier._top is not None and k == len(hier.levels) - 1:
+        z = hier._top @ g
     else:
-        correction = v_cycle(hier, k - 1, residual)
-    z += prolongate(correction)
+        z = (config.eta_pre / level.diag) * g
+        z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
+        residual = level.apply(z)
+        residual = restrict(np.subtract(g, residual, out=residual))
+        if k - 1 == bottom:
+            correction = hier.coarse_solve(residual)
+        else:
+            correction = v_cycle(hier, k - 1, residual)
+        z += prolongate(correction)
     z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
     if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
@@ -266,7 +332,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     g = np.asarray(g, dtype=float)
     top = len(hier.levels) - 1
     z = np.zeros_like(g)
-    r0 = float(np.linalg.norm(g))
+    r0 = math.sqrt(g @ g)
     if not np.isfinite(r0):
         raise ValueError("right-hand side g is not finite")
     if r0 == 0.0:
@@ -277,7 +343,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
         z += v_cycle(hier, top, r)
         r = hier.fine.apply(z)
         np.subtract(g, r, out=r)
-        rel = float(np.linalg.norm(r) / r0)
+        rel = math.sqrt(r @ r) / r0
         history.append(rel)
         if rel < config.tol:
             return MgResult(z, it, history, True)
@@ -289,7 +355,7 @@ def contraction_factor(hier: Hierarchy, m1: int, m2: int, trials: int = 3,
     """Asymptotic per-cycle energy-norm error reduction, max over trials.
 
     Smoothing counts other than the hierarchy's get their own bottom matrix
-    on the same levels.  For random z* with g = A z*, iterate
+    and K on the same levels.  For random z* with g = A z*, iterate
     z <- z + V(g - A z) from zero and measure the error in the energy norm
     sqrt(h d'A d).  The factor is the geometric mean of the last few (<= 5)
     consecutive ratios.  Each trial stops once the error falls eight orders

@@ -224,12 +224,16 @@ def test_quad_order_is_unknown_flag(command):
     (("example2", "--M", "2^5", "--threads", "0"), "--threads"),
     (("mgbench", "--M", "2^5", "--sigma", "-1"), "--sigma"),
     (("example1", "--M", "2^5", "--T", "0"), "--T"),
+    (("mgbench", "--M", "2^5", "--a", "1", "--b", "0"), "--b"),
+    (("mgbench", "--M", "2^5", "--a", "2"), "--a"),
+    (("example1", "--M", "2^5", "--b", "-1"), "--b"),
+    (("example1", "--M", "2^5", "--b", "nan"), "--b"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
     # a flag the subcommand does not read, a size no mesh accepts, a
-    # multigrid value MgConfig rejects, or a run or problem value out of
-    # range is refused before any work rather than silently ignored or
-    # failing as a run error
+    # multigrid value MgConfig rejects, a run or problem value out of
+    # range, or an empty interval is refused before any work rather than
+    # silently ignored or failing as a run error
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert flag in proc.stderr

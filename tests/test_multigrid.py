@@ -267,7 +267,7 @@ def test_vcycle_coarsest_is_direct_solve(hier16, hier128):
                 multigrid.v_cycle(hier, k, g)
 
 
-def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128):
+def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128, hier1024):
     for hier in (hier16, hier128, uncollapsed(hier128)):
         g = np.ones(hier.fine.mesh.n_interior)
         g[5] = np.nan
@@ -275,17 +275,24 @@ def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128):
             multigrid.v_cycle(hier, len(hier.levels) - 1, g)
     with pytest.raises(ValueError):
         multigrid.mg_solve(hier128, g)
-    # a non-finite bottom product is caught by the level above it
-    k, c_k = hier128._bottom
-    poisoned = dataclasses.replace(hier128,
-                                   _bottom=(k, np.full_like(c_k, np.nan)))
-    g = np.ones(hier128.levels[k + 1].mesh.n_interior)
-    with pytest.raises(FloatingPointError, match=f"level {k + 1}"):
-        multigrid.v_cycle(poisoned, k + 1, g)
-    # a contraction estimate with the hierarchy's smoothing counts reads it
-    with pytest.raises(FloatingPointError):
-        multigrid.contraction_factor(poisoned, hier128.config.m1,
-                                     hier128.config.m2)
+    # a non-finite product with K is caught by the dense fine level, and one
+    # with C_b, on an FFT fine level, by the level above the bottom; a
+    # contraction estimate with the hierarchy's smoothing counts reads both
+    top = len(hier128.levels) - 1
+    k, c_k = hier1024._bottom
+    for poisoned, level in [
+            (dataclasses.replace(hier128,
+                                 _top=np.full_like(hier128._top, np.nan)),
+             top),
+            (dataclasses.replace(hier1024,
+                                 _bottom=(k, np.full_like(c_k, np.nan))),
+             k + 1)]:
+        g = np.ones(poisoned.levels[level].mesh.n_interior)
+        with pytest.raises(FloatingPointError, match=f"level {level}"):
+            multigrid.v_cycle(poisoned, level, g)
+        with pytest.raises(FloatingPointError):
+            multigrid.contraction_factor(poisoned, poisoned.config.m1,
+                                         poisoned.config.m2)
 
 
 def test_mg_solve_rejects_non_finite_rhs_before_cycling(hier128, monkeypatch):
@@ -313,7 +320,8 @@ def test_vcycle_shape_validation(hier128):
 def test_vcycle_error_operator_selfadjoint_in_energy():
     # with symmetric smoothing (m1 = m2, same damping) the cycle's error
     # operator I - V A is self-adjoint in the operator inner product; at
-    # M = 32 the cycle ends in the stored C_K of the middle level
+    # M = 32 the fine level's cycle is the stored K, whose coarse correction
+    # is the stored C_b of the middle level, and one post-smoothing step
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 32),
                                      tau=0.25, config=MgConfig(m1=1, m2=1))
     assert hier._bottom[0] == 1 and len(hier.levels) == 3
@@ -336,16 +344,17 @@ def hier1024():
 
 
 def uncollapsed(hier):
-    # the same cycle with bottom level b = 0: it recurses to the coarsest
-    # level and ends in A_0^{-1}
+    # the same cycle with bottom level b = 0 and no K: it recurses to the
+    # coarsest level and ends in A_0^{-1}
     a_0 = hier.levels[0].system.dense()
-    return dataclasses.replace(hier, _bottom=(0, np.linalg.inv(a_0)))
+    return dataclasses.replace(hier, _bottom=(0, np.linalg.inv(a_0)),
+                               _top=None)
 
 
 def test_collapse_level_is_the_largest_dense_coarse_level(hier16, hier128,
                                                           hier1024):
-    # fine n = 127: every level below it is dense, so K is the one under the
-    # fine level; fine n = 1023: K is n = 255, two levels down
+    # fine n = 127: every level below it is dense, so b is the one under the
+    # fine level; fine n = 1023: b is n = 255, two levels down
     assert hier128._bottom[0] == len(hier128.levels) - 2
     assert hier1024._bottom[0] == len(hier1024.levels) - 3
     for hier in (hier16, hier128, hier1024):
@@ -359,6 +368,20 @@ def test_collapse_level_is_the_largest_dense_coarse_level(hier16, hier128,
     inv = np.linalg.inv(hier16.levels[0].system.dense())
     gap = np.linalg.norm(hier16._bottom[1] - inv)
     assert gap <= 1e-13 * np.linalg.norm(inv)
+    # K is stored on a dense fine level only
+    for hier in (hier16, hier128):
+        n = hier.fine.mesh.n_interior
+        assert hier._top.shape == (n, n) and not hier._top.flags.writeable
+    assert hier1024._top is None
+
+
+def test_non_spd_coarsest_level_raises_linalg_error(hier16):
+    coarse = hier16.levels[0]
+    flipped = dataclasses.replace(
+        coarse, system=toeplitz.SymToeplitz(-coarse.system.first_col))
+    hier = dataclasses.replace(hier16, levels=[flipped, *hier16.levels[1:]])
+    with pytest.raises(np.linalg.LinAlgError):
+        multigrid._with_bottom(hier)
 
 
 @pytest.mark.parametrize("cells", [128, 1024])
@@ -368,7 +391,7 @@ def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
                                      Mesh(0.0, 1.0, cells), tau=1.0 / cells)
     k, c_k = hier._bottom
     ref_hier = uncollapsed(hier)
-    # the recursive cycle on level K itself, column by column
+    # the recursive cycle on level b itself, column by column
     ref = np.column_stack([multigrid.v_cycle(ref_hier, k, col)
                            for col in np.eye(len(c_k))])
     assert np.linalg.norm(c_k - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -378,6 +401,24 @@ def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
     ref = multigrid.v_cycle(ref_hier, top, g)
     got = multigrid.v_cycle(hier, top, g)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cells", [16, 128, 256])
+@pytest.mark.parametrize("m1, m2", [(1, 2), (3, 1), (2, 0)])
+def test_top_matrix_matches_recursive_zero_start_cycle(cells, m1, m2):
+    # K g followed by m2 post-smoothing steps is the whole zero-start cycle
+    # on the dense fine level, checked on every unit vector
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
+                                     tau=1.0 / cells,
+                                     config=MgConfig(m1=m1, m2=m2))
+    ref_hier = uncollapsed(hier)
+    level = hier.fine
+    top = len(hier.levels) - 1
+    for col in np.eye(level.mesh.n_interior):
+        got = multigrid.jacobi_smooth(level, hier._top @ col, col,
+                                      hier.config.eta_post, m2)
+        ref = multigrid.v_cycle(ref_hier, top, col)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def record_block_products(monkeypatch):
@@ -398,9 +439,9 @@ def record_block_products(monkeypatch):
 
 
 def assert_bottom_build_products(hier, products):
-    # levels 1..K each get m1 - 1 pre- and m2 post-smoothing products with
-    # their own system, none on s * I; the coarsest and the levels above K
-    # get none
+    # levels 1..b each get m1 - 1 pre- and m2 post-smoothing products with
+    # their own system, and a dense fine level m1 - 1 pre-smoothing products
+    # for its K; none is on s * I, and the other levels get none
     config = hier.config
     k_bottom = hier._bottom[0]
     assert k_bottom > 0
@@ -409,8 +450,11 @@ def assert_bottom_build_products(hier, products):
         assert not scaled_eye
         k = next(k for k, lvl in enumerate(hier.levels) if lvl.system is op)
         per_level[k] += 1
-    expected = config.m1 - 1 + config.m2
-    assert per_level == Counter({k: expected for k in range(1, k_bottom + 1)})
+    expected = Counter({k: config.m1 - 1 + config.m2
+                        for k in range(1, k_bottom + 1)})
+    if hier._top is not None:
+        expected[len(hier.levels) - 1] = config.m1 - 1
+    assert per_level == expected
 
 
 @pytest.mark.parametrize("cells, k_bottom", [(128, 3), (4096, 5)])
@@ -474,7 +518,7 @@ def test_block_vcycle_matches_column_by_column(hier128):
 
 
 @pytest.mark.parametrize("cells, per_cycle", [
-    (128, {127: 4}),
+    (128, {127: 3}),
     (1024, {1023: 4, 511: 3}),
 ])
 def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
@@ -482,7 +526,8 @@ def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
     # machine-independent cost of one mg_solve iteration: fine level 1 in
     # mg_solve's residual + 1 cycle residual + m2 = 2 post-smoothing (the
     # zero-start pre-smoothing step needs no product); each uncollapsed
-    # level between the fine level and K costs 3; nothing at or below K
+    # level between the fine level and b costs 3; nothing at or below b.
+    # On a dense fine level K replaces the cycle residual, leaving 1 + m2
     hier = hier128 if cells == 128 else hier1024
     sizes = []
     matvec = toeplitz.SymToeplitz.matvec
@@ -568,15 +613,15 @@ def test_contraction_improves_with_smoothing(hier128):
 @pytest.mark.parametrize("cells", [128, 1024])
 def test_contraction_factor_other_smoothing_reuses_levels(
         hier128, hier1024, monkeypatch, cells):
-    # other smoothing counts rebuild only the bottom matrix: no quadrature,
-    # the stored one is never read, and the factor is that of a hierarchy
-    # built with those counts
+    # other smoothing counts rebuild only the bottom matrix and K: no
+    # quadrature, the stored ones are never read, and the factor is that of
+    # a hierarchy built with those counts
     hier = hier128 if cells == 128 else hier1024
     m1, m2 = 3, 1
     built = multigrid.build_hierarchy(hier.problem, hier.fine.mesh, hier.tau,
                                       MgConfig(m1=m1, m2=m2))
     ref = multigrid.contraction_factor(built, m1, m2)
-    bottom = hier._bottom
+    bottom, top = hier._bottom, hier._top
     calls = []
     pair_symbol = assembly.frac_pair_symbol
 
@@ -587,10 +632,11 @@ def test_contraction_factor_other_smoothing_reuses_levels(
     monkeypatch.setattr(assembly, "frac_pair_symbol", counting)
     assert multigrid.contraction_factor(hier, m1, m2) == ref
     poisoned = dataclasses.replace(
-        hier, _bottom=(bottom[0], np.full_like(bottom[1], np.nan)))
+        hier, _bottom=(bottom[0], np.full_like(bottom[1], np.nan)),
+        _top=None if top is None else np.full_like(top, np.nan))
     assert multigrid.contraction_factor(poisoned, m1, m2) == ref
     assert calls == []
-    assert hier._bottom is bottom
+    assert hier._bottom is bottom and hier._top is top
 
 
 def test_contraction_factor_validation(hier128):
