@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
                        level_from_symbols, mass_symbol)
@@ -131,7 +130,7 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 
 
 def _with_bottom(hier: Hierarchy) -> Hierarchy:
-    """Store hier's bottom matrix, and K on a dense fine level, and return hier.
+    """Store hier's bottom matrix, and K on a dense fine level; return hier.
 
     C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
     A_0 raises ``LinAlgError``.  Then every level k strictly between the
@@ -142,22 +141,35 @@ def _with_bottom(hier: Hierarchy) -> Hierarchy:
     residual are s(I + E + ... + E^{m1-1}) and E^{m1}, E = I - s A, so the
     cycle costs m1 - 1 + m2 block products with A and one with C_{k-1} at a
     quarter of the size: about 2.25 n^3 multiply-adds at the default (1, 2).
-    When the fine level is dense too, it gets K = S + P C_b R E^{m1}, the
-    same cycle up to its first post-smoothing step (``_top_matrix``).
+    When the fine level is dense too, the same loop gives it
+    K = S + P C_b R E^{m1}: its cycle stopped before the post-smoothing,
+    which ``v_cycle`` applies (m1 - 1 block products).
     """
     config = hier.config
     levels = hier.levels
     chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system.dense()))
     c = chol_inv.T @ chol_inv
-    b = 0
-    for k in range(1, len(levels) - 1):
+    b, top = 0, None
+    for k in range(1, len(levels)):
         level = levels[k]
         n = level.mesh.n_interior
         if n > _DENSE_MAX_N:
             break
+        s_pre = config.eta_pre / level.diag
         s_post = config.eta_post / level.diag
-        z, residual = _presmoothed_identity(level, config)
+        # multiples of I go onto the diagonal, .flat[::n + 1], which spares
+        # the n x n temporaries of an identity
+        z = np.zeros((n, n))
+        z.flat[::n + 1] = s_pre
+        residual = np.multiply(level.system._dense, -s_pre)   # stored dense
+        residual.flat[::n + 1] += 1.0
+        for _ in range(config.m1 - 1):
+            z += s_pre * residual
+            residual -= s_pre * level.apply(residual)
         z += prolongate(c @ restrict(residual))
+        if k == len(levels) - 1:   # K: v_cycle post-smooths on this level
+            top = z
+            break
         for _ in range(config.m2):
             step = level.apply(z)   # z += s_post (I - A z)
             step *= -s_post
@@ -168,66 +180,13 @@ def _with_bottom(hier: Hierarchy) -> Hierarchy:
         raise FloatingPointError(f"non-finite bottom matrix on level {b}")
     c.flags.writeable = False
     hier._bottom = (b, c)
-    hier._top = None
-    if hier.fine.mesh.n_interior <= _DENSE_MAX_N:
-        top = _top_matrix(hier.fine, c, config)
+    if top is not None:
         if not np.isfinite(top).all():
             raise FloatingPointError(
                 f"non-finite top matrix on level {len(levels) - 1}")
         top.flags.writeable = False
-        hier._top = top
+    hier._top = top
     return hier
-
-
-def _presmoothed_identity(level: LevelOperator, config: MgConfig) -> tuple:
-    """(S, E^{m1}): m1 zero-start pre-smoothing steps on the identity and
-    their residual, S = s(I + E + ... + E^{m1-1}), E = I - s A.
-
-    Costs m1 - 1 block products with A.  Multiples of I go onto the
-    diagonal, .flat[::n + 1], which spares the n x n temporaries of an
-    identity.
-    """
-    n = level.mesh.n_interior
-    s = config.eta_pre / level.diag
-    z = np.zeros((n, n))
-    z.flat[::n + 1] = s
-    residual = level.system.dense()
-    residual *= -s
-    residual.flat[::n + 1] += 1.0
-    for _ in range(config.m1 - 1):
-        z += s * residual
-        residual -= s * level.apply(residual)
-    return z, residual
-
-
-def _top_matrix(level: LevelOperator, c: np.ndarray,
-                config: MgConfig) -> np.ndarray:
-    """K = S + P c R E^{m1}: the zero-start cycle on level up to its first
-    post-smoothing step, with coarse correction c.
-
-    At m1 > 1 this is ``_presmoothed_identity`` and one restriction.  At the
-    default m1 = 1, S = s I and R E costs no product: E = I - s A is
-    symmetric Toeplitz with symbol e, so row j of R E, the rows 2j, 2j + 1
-    and 2j + 2 of E weighted (1, 2, 1)/4, is row 2j + 1 of the Toeplitz
-    matrix with symbol f_d = (e_{d-1} + 2 e_d + e_{d+1})/4.  K is then the
-    only n x n array built.
-    """
-    if config.m1 > 1:
-        top, residual = _presmoothed_identity(level, config)
-        top += prolongate(c @ restrict(residual))
-        return top
-    n = level.mesh.n_interior
-    s = config.eta_pre / level.diag
-    e = -s * level.system.first_col
-    e[0] += 1.0
-    mirrored = np.concatenate((e[:0:-1], e))   # e_{-(n-1)}, ..., e_{n-1}
-    filtered = (0.25 * (mirrored[:-2] + mirrored[2:])
-                + 0.5 * mirrored[1:-1])       # f_d at index d + n - 2
-    # (R E)[j, i] = f_{i - 2j - 1}: window n - 3 - 2j of the filtered symbol
-    rows = sliding_window_view(filtered, n)[n - 3::-2].copy()
-    top = prolongate(c @ rows)
-    top.flat[::n + 1] += s
-    return top
 
 
 def prolongate(coarse: np.ndarray) -> np.ndarray:
