@@ -40,7 +40,6 @@ from .timestep import (
     SolutionRecord,
     cn_step,
     rate_from_errors,
-    rate_three_mesh,
     run_simulation,
     shared_node_distance,
 )

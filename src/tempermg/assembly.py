@@ -91,9 +91,22 @@ class ProblemSpec:
     exact: Optional[Callable] = None
     kappa: float = field(init=False)
 
+    @property
+    def stiffness_severity(self) -> str:
+        """What a failed stiffness structure check means for this problem.
+
+        "hard" in the untempered reaction-free case, where the sign and
+        dominance structure is provable; "warn" otherwise, where it is only
+        expected empirically.
+        """
+        return "hard" if self.lam == 0.0 and self.sigma == 0.0 else "warn"
+
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (1, 2)")
+        if not np.all(np.isfinite((self.lam, self.sigma, self.a, self.b,
+                                   self.T))):
+            raise ValueError("lam, sigma, a, b and T must be finite")
         if self.lam < 0 or self.sigma < 0:
             raise ValueError("lam and sigma must be >= 0")
         if not (self.b > self.a and self.T > 0):
@@ -279,20 +292,17 @@ def level_from_symbols(problem: ProblemSpec, mesh: Mesh, tau: float,
     """Level operator from mass and stiffness symbols of one mesh.
 
     The system symbol is (tau^{-1} M + B/2)/h; the mass symbol must be
-    tridiagonal.  The stiffness structure check (nonpositive off-diagonals
-    plus weak diagonal dominance) is a hard invariant in the untempered
-    pure-diffusion case; with tempering or reaction it is expected
-    empirically, so a violation only warns.
+    tridiagonal.  A stiffness that fails the structure check (nonpositive
+    off-diagonals plus weak diagonal dominance) raises where the problem's
+    ``stiffness_severity`` is "hard" and only warns otherwise.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if np.any(msym[2:]):
         raise ValueError("mass symbol must be tridiagonal")
     asym = (msym / tau + 0.5 * bsym) / mesh.h
-    rep = structure_report(bsym)
-    ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
-    if not ok:
-        if problem.lam == 0.0 and problem.sigma == 0.0:
+    if not structure_report(bsym)["ok"]:
+        if problem.stiffness_severity == "hard":
             raise RuntimeError(
                 "stiffness symbol lost its sign/dominance structure in the "
                 f"untempered case (M={mesh.cells}); assembly is inconsistent")

@@ -57,27 +57,41 @@ def _parse_sizes(text: str) -> List[int]:
     return sizes
 
 
+def _value(kind: type, bound: str, ok: Callable = lambda value: True):
+    """An argparse type for a finite ``kind`` value that satisfies ``ok``.
+
+    argparse refuses anything else naming the flag, exit 2, before any work.
+    """
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} {text!r}")
+        if not (np.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{text}: must be {bound}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    prob = shared.add_argument_group("problem")
-    prob.add_argument("--alpha", action="append", type=float, metavar="A",
+    """One subparser per command, holding exactly the flags it reads."""
+    def group(title: str):
+        parent = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+        return parent, parent.add_argument_group(title)
+
+    problem, prob = group("problem")
+    prob.add_argument("--alpha", action="append",
+                      type=_value(float, "in (1, 2)", lambda a: 1.0 < a < 2.0),
+                      metavar="A",
                       help="fractional order in (1,2); repeat for several")
-    prob.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                      metavar="L", help="tempering strength (default 0.5)")
-    prob.add_argument("--sigma", type=float, default=None, metavar="S",
-                      help="reaction coefficient (mgbench only; benchmarks "
-                           "derive their own)")
-    prob.add_argument("--a", type=float, default=None, metavar="A0",
-                      help="left endpoint (mgbench only)")
-    prob.add_argument("--b", type=float, default=None, metavar="B0",
-                      help="right endpoint")
-    prob.add_argument("--T", type=float, default=None,
-                      help="final time (example1 only; default 1)")
-    prob.add_argument("--M", type=_parse_sizes, action="extend", default=None,
-                      metavar="LIST",
+    prob.add_argument("--lambda", dest="lam", default=0.5, metavar="L",
+                      type=_value(float, "finite and >= 0", lambda v: v >= 0),
+                      help="tempering strength (default 0.5)")
+    meshes, mesh = group("mesh")
+    mesh.add_argument("--M", type=_parse_sizes, action="extend", metavar="LIST",
                       help='mesh sizes as a comma list ("2^7,2^8,512") '
                            "and/or repeated flags")
-    mg = shared.add_argument_group("multigrid")
+    multigrid_flags, mg = group("multigrid")
     mg.add_argument("--m1", type=int, default=1, help="pre-smoothing steps")
     mg.add_argument("--m2", type=int, default=2, help="post-smoothing steps")
     mg.add_argument("--eta-pre", type=float, default=0.5, metavar="R",
@@ -85,37 +99,61 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--eta-post", type=float, default=0.5, metavar="R",
                     help="post-smoother damping in (0, 1/2]")
     mg.add_argument("--tol", type=float, default=1e-10,
-                    help="relative residual target")
+                    help="relative residual target in (0, 1)")
     mg.add_argument("--max-iter", type=int, default=100,
                     help="V-cycle iteration cap")
     mg.add_argument("--coarse-max", type=int, default=7, metavar="I",
                     help="direct solve at or below this interior size")
-    misc = shared.add_argument_group("run")
-    misc.add_argument("--seed", type=int, default=0,
-                      help="seed for randomized checks")
-    misc.add_argument("--threads", type=int, default=1,
-                      help="worker threads for independent cases")
-    misc.add_argument("--format", choices=("csv", "markdown"), default="csv",
-                      help="table format")
-    misc.add_argument("--out", default=None, metavar="PATH",
-                      help="write output here instead of stdout")
+    threads, run = group("run")
+    run.add_argument("--threads", type=_value(int, ">= 1", lambda k: k >= 1),
+                     default=1, help="worker threads for independent cases")
+    seed, run = group("run")
+    run.add_argument("--seed", type=_value(int, ">= 0", lambda s: s >= 0),
+                     default=0, help="seed for randomized checks")
+    output, out = group("output")
+    out.add_argument("--format", choices=("csv", "markdown"), default="csv",
+                     help="table format")
+    out.add_argument("--out", default=None, metavar="PATH",
+                     help="write output here instead of stdout")
 
     parser = argparse.ArgumentParser(
-        prog="solver",
+        prog="solver", allow_abbrev=False,
         description="Tempered fractional diffusion benchmarks and checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "example1", parents=[shared],
-        help="manufactured-solution convergence table (error/rate/iter/cpu)")
-    sub.add_parser(
-        "example2", parents=[shared],
-        help="homogeneous decay benchmark; rates from three nested meshes")
-    sub.add_parser(
-        "mgbench", parents=[shared],
-        help="V-cycle contraction factors across an (M, tau) grid")
-    verify = sub.add_parser(
-        "verify", parents=[shared],
-        help="run the property suites and print a pass/fail manifest")
+
+    def command(name: str, summary: str, *parents):
+        return sub.add_parser(name, parents=parents, help=summary,
+                              allow_abbrev=False)
+
+    example1 = command(
+        "example1",
+        "manufactured-solution convergence table (error/rate/iter/cpu)",
+        problem, meshes, multigrid_flags, threads, output)
+    domain = example1.add_argument_group("domain and horizon")
+    domain.add_argument("--b", type=_value(float, "finite and > 0",
+                                           lambda b: b > 0),
+                        default=32.0, help="right endpoint (default 32)")
+    domain.add_argument("--T", type=_value(float, "finite and > 0",
+                                           lambda t: t > 0),
+                        default=1.0, help="final time (default 1)")
+    command("example2",
+            "homogeneous decay benchmark; rates from three nested meshes",
+            problem, meshes, multigrid_flags, threads, output)
+    mgbench = command(
+        "mgbench", "V-cycle contraction factors across an (M, tau) grid",
+        problem, meshes, multigrid_flags, seed, threads, output)
+    domain = mgbench.add_argument_group("reaction and domain")
+    domain.add_argument("--sigma", default=0.0, metavar="S",
+                        type=_value(float, "finite and >= 0",
+                                    lambda s: s >= 0),
+                        help="reaction coefficient (default 0)")
+    domain.add_argument("--a", type=_value(float, "finite"), default=0.0,
+                        metavar="A0", help="left endpoint (default 0)")
+    domain.add_argument("--b", type=_value(float, "finite"), default=1.0,
+                        metavar="B0", help="right endpoint (default 1)")
+    verify = command(
+        "verify", "run the property suites and print a pass/fail manifest",
+        problem, multigrid_flags, seed, output)
     verify.add_argument("--inject-fault", action="store_true",
                         help=argparse.SUPPRESS)
     return parser
@@ -143,41 +181,6 @@ def _mg_config(args: argparse.Namespace,
             f"--M {smallest} leaves {smallest - 1} interior nodes, at or "
             f"below --coarse-max {args.coarse_max}: a single multigrid level")
     return multigrid.MgConfig(**values)
-
-
-def _check_ranges(args: argparse.Namespace) -> None:
-    """Run and problem values out of range are usage errors naming the flag."""
-    for flag, value, ok, bound in (
-            *(("--alpha", a, 1.0 < a < 2.0, "in (1, 2)") for a in args.alpha or ()),
-            ("--lambda", args.lam, args.lam >= 0.0, ">= 0"),
-            ("--sigma", args.sigma, (args.sigma or 0.0) >= 0.0, ">= 0"),
-            ("--T", args.T, args.T is None or args.T > 0.0, "> 0"),
-            ("--seed", args.seed, args.seed >= 0, ">= 0"),
-            ("--threads", args.threads, args.threads >= 1, ">= 1")):
-        if not ok:
-            raise UsageError(f"{flag} {value}: must be {bound}")
-
-
-def _domain(args: argparse.Namespace, a: float,
-            b: float) -> Tuple[float, float]:
-    """The interval from --a and --b over the subcommand's defaults a, b.
-
-    Anything but finite a < b is a usage error naming the flags given.
-    """
-    lo = a if args.a is None else args.a
-    hi = b if args.b is None else args.b
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        given = " ".join(f"--{name} {value:g}" for name, value in
-                         (("a", args.a), ("b", args.b)) if value is not None)
-        raise UsageError(f"{given}: need finite a < b, got the interval "
-                         f"[{lo:g}, {hi:g}]")
-    return lo, hi
-
-
-def _require_default(args, name: str):
-    if getattr(args, name) is not None:
-        flag = name.replace("_", "-")
-        raise UsageError(f"--{flag} cannot be set for {args.command}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +228,8 @@ def _fmt_rate(rate: Optional[float]) -> str:
 def cmd_example1(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.8]
     sizes = args.M or [128, 256, 512, 1024]
-    for name in ("a", "sigma"):
-        _require_default(args, name)
-    b_end = _domain(args, 0.0, 32.0)[1]
-    horizon = 1.0 if args.T is None else args.T
     config = _mg_config(args, sizes)
-    problems = {alpha: assembly.make_example1(alpha, args.lam, b_end, horizon)
+    problems = {alpha: assembly.make_example1(alpha, args.lam, args.b, args.T)
                 for alpha in alphas}
 
     def run(case):
@@ -263,28 +262,20 @@ def cmd_example1(args: argparse.Namespace) -> int:
 def cmd_example2(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.5, 1.9]
     sizes = args.M or [128, 256, 512, 1024]
-    for name in ("a", "b", "T", "sigma"):
-        _require_default(args, name)
     config = _mg_config(args, sizes)
 
     def run(alpha):
+        # the error at n is the distance to the run on 2n; a rate compares
+        # two of them and is defined only along a doubling chain
         problem = assembly.make_example2(alpha, args.lam)
-        cache: dict = {}
-        rates = {}
-        for prev, n in zip(sizes, sizes[1:]):
-            if n == 2 * prev:  # rate defined only along a doubling chain
-                rates[n] = timestep.rate_three_mesh(problem, n, n,
-                                                    config=config, cache=cache)
-        rows = []
-        for n in sizes:
-            for size in (n, 2 * n):
-                if (size, size) not in cache:
-                    cache[(size, size)] = timestep.run_simulation(
-                        problem, size, size, config=config)
-            dist = timestep.shared_node_distance(cache[(n, n)],
-                                                 cache[(2 * n, 2 * n)])
-            rows.append((str(n), f"{dist:.4e}", _fmt_rate(rates.get(n))))
-        return rows
+        runs = {m: timestep.run_simulation(problem, m, m, config=config)
+                for m in {size for n in sizes for size in (n, 2 * n)}}
+        dist = {n: timestep.shared_node_distance(runs[n], runs[2 * n])
+                for n in sizes}
+        rates = {n: timestep.rate_from_errors(dist[prev], dist[n])
+                 for prev, n in zip(sizes, sizes[1:]) if n == 2 * prev}
+        return [(str(n), f"{dist[n]:.4e}", _fmt_rate(rates.get(n)))
+                for n in sizes]
 
     results = _map_cases(run, alphas, args.threads)
     lines: List[str] = []
@@ -299,14 +290,13 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.5]
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
-    _require_default(args, "T")
-    lo, hi = _domain(args, 0.0, 1.0)
-    sigma = 0.0 if args.sigma is None else args.sigma
+    if not args.a < args.b:
+        raise UsageError(f"--a {args.a:g} --b {args.b:g}: need a < b")
     config = _mg_config(args, sizes)
 
     def hierarchy(problem, m, tau):
-        return multigrid.build_hierarchy(problem, assembly.Mesh(lo, hi, m),
-                                         tau, config)
+        return multigrid.build_hierarchy(
+            problem, assembly.Mesh(args.a, args.b, m), tau, config)
 
     def run_cell(case):
         problem, m, tau = case
@@ -321,7 +311,8 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     lines: List[str] = []
     failures: List[str] = []
     for alpha in alphas:
-        problem = assembly.ProblemSpec(alpha, args.lam, sigma, lo, hi, 1.0)
+        problem = assembly.ProblemSpec(alpha, args.lam, args.sigma, args.a,
+                                       args.b, 1.0)
         cells = [(problem, m, tau) for m in sizes for tau in taus]
         measured = dict(zip([(m, tau) for _, m, tau in cells],
                             _map_cases(run_cell, cells, args.threads)))
@@ -518,8 +509,6 @@ def _check_spectral_scaling(args) -> Tuple[str, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for name in ("M", "a", "b", "T", "sigma"):
-        _require_default(args, name)
     _mg_config(args, (32,))  # the smallest mesh a check runs these flags on
     checks = (
         ("fft_vs_dense", _check_fft_vs_dense),
@@ -554,7 +543,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"example1": cmd_example1, "example2": cmd_example2,
                 "mgbench": cmd_mgbench, "verify": cmd_verify}
     try:
-        _check_ranges(args)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -117,24 +117,19 @@ def structure_sweep(hier: Hierarchy) -> List[dict]:
     """Structure reports for stiffness and system operators on all levels.
 
     The levels are those of ``hier``, listed from fine to coarse; ``M`` in
-    every row is the fine level's cell count.  Severity policy: the
-    stiffness check is "hard" only in the untempered reaction-free case,
-    where the sign/dominance structure is provable; otherwise it is a
-    "warn"-level empirical expectation.  The system operator's report is
+    every row is the fine level's cell count.  The stiffness rows carry the
+    problem's ``stiffness_severity``.  The system operator's report is
     informational: its off-diagonal sign genuinely flips with the mass
     contribution at small tau.
     """
     rows: List[dict] = []
-    hard = hier.problem.lam == 0.0 and hier.problem.sigma == 0.0
     for level in reversed(hier.levels):
         for name, col, severity in (
-                ("stiffness", level.stiff_col, "hard" if hard else "warn"),
+                ("stiffness", level.stiff_col, hier.problem.stiffness_severity),
                 ("system", level.system.first_col, "info")):
-            rep = structure_report(col)
-            ok = rep["is_m_matrix_sign_pattern"] and rep["is_weakly_diag_dominant"]
             rows.append({
                 "M": hier.fine.mesh.cells, "n": level.mesh.n_interior,
-                "matrix": name, "severity": severity, "ok": bool(ok), **rep,
+                "matrix": name, "severity": severity, **structure_report(col),
             })
     return rows
 

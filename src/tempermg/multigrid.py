@@ -46,7 +46,7 @@ class MgConfig:
     m2: int = 2              # post-smoothing steps
     eta_pre: float = 0.5     # damping, in (0, 1/2]
     eta_post: float = 0.5
-    tol: float = 1e-10       # relative residual target
+    tol: float = 1e-10       # relative residual target, in (0, 1)
     max_iter: int = 100
     coarse_max: int = 7      # coarsest level: at or below this interior size
 
@@ -55,8 +55,10 @@ class MgConfig:
             raise ValueError("need m1 >= 1 and m2 >= 0")
         if not (0.0 < self.eta_pre <= 0.5 and 0.0 < self.eta_post <= 0.5):
             raise ValueError("damping factors must lie in (0, 1/2]")
-        if self.tol <= 0 or self.max_iter < 1 or self.coarse_max < 1:
-            raise ValueError("invalid tol/max_iter/coarse_max")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError("tol must lie in (0, 1)")
+        if self.max_iter < 1 or self.coarse_max < 1:
+            raise ValueError("need max_iter >= 1 and coarse_max >= 1")
 
 
 @dataclass

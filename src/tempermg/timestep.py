@@ -117,33 +117,3 @@ def shared_node_distance(coarse: SolutionRecord, fine: SolutionRecord) -> float:
     diff = coarse.final - fine.final[1::2]
     return float(np.sqrt(h_coarse * np.sum(diff**2)))
 
-
-def rate_three_mesh(problem: ProblemSpec, M: int, N: int,
-                    config: Optional[MgConfig] = None,
-                    cache: Optional[dict] = None) -> float:
-    """Observed order without an exact solution, from three nested runs.
-
-    Runs (M/2, N/2), (M, N), (2M, 2N); differences of adjacent solutions are
-    taken at shared (coarser) nodes in the h-weighted discrete L2 norm, and
-    the rate is log2 of their ratio.  ``cache`` (keyed by (M, N)) lets table
-    drivers reuse runs across rows.
-    """
-    if M % 2 or N % 2:
-        raise ValueError("M and N must be even to nest three meshes")
-    if cache is None:
-        cache = {}
-
-    def run(m, n):
-        key = (m, n)
-        if key not in cache:
-            cache[key] = run_simulation(problem, m, n, config)
-        return cache[key]
-
-    rec_coarse = run(M // 2, N // 2)
-    rec_mid = run(M, N)
-    rec_fine = run(2 * M, 2 * N)
-    d_coarse = shared_node_distance(rec_coarse, rec_mid)
-    d_fine = shared_node_distance(rec_mid, rec_fine)
-    if d_fine == 0.0 or d_coarse == 0.0:
-        raise ZeroDivisionError("adjacent-mesh solutions coincide; rate undefined")
-    return rate_from_errors(d_coarse, d_fine)

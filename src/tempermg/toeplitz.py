@@ -154,15 +154,18 @@ def structure_report(first_col) -> dict:
     M-matrix sign pattern: positive diagonal, off-diagonals <= 1e-14 * t_0
     (tolerance absorbs quadrature noise on entries that vanish analytically).
     Weak diagonal dominance is checked on the full-length row sum, which
-    bounds every row of any finite section.
+    bounds every row of any finite section.  ``ok`` is the verdict: both.
     """
     col = np.asarray(first_col, dtype=float)
     t0 = float(col[0])
     off = col[1:]
     off_sum = 2.0 * float(np.sum(np.abs(off)))
+    sign = bool(t0 > 0.0 and np.all(off <= 1e-14 * t0))
+    dominant = bool(t0 >= off_sum - 1e-12 * abs(t0))
     return {
-        "is_m_matrix_sign_pattern": bool(t0 > 0.0 and np.all(off <= 1e-14 * t0)),
-        "is_weakly_diag_dominant": bool(t0 >= off_sum - 1e-12 * abs(t0)),
+        "ok": sign and dominant,
+        "is_m_matrix_sign_pattern": sign,
+        "is_weakly_diag_dominant": dominant,
         "gershgorin_low": t0 - off_sum,
         "gershgorin_high": t0 + off_sum,
     }

@@ -72,13 +72,20 @@ def example1_sweep():
 
 @pytest.fixture(scope="session")
 def example2_sweep():
-    """Three-mesh rates per alpha at the table sizes, plus wall-clock time."""
+    """Three-mesh rates per alpha at the table sizes, plus wall-clock time.
+
+    As ``solver example2`` does: each size runs once, the distance at n is
+    to the run on 2n, and the rate at n compares the distances at n/2 and n.
+    """
     rates = {}
     start = time.perf_counter()
     for alpha in sorted(EX2_REFERENCE):
         problem = make_example2(alpha)
-        cache = {}
-        rates[alpha] = [timestep.rate_three_mesh(problem, n, n, cache=cache)
+        runs = {m: timestep.run_simulation(problem, m, m)
+                for m in (128, 256, 512, 1024, 2048)}
+        dist = {n: timestep.shared_node_distance(runs[n], runs[2 * n])
+                for n in (128, 256, 512, 1024)}
+        rates[alpha] = [timestep.rate_from_errors(dist[n // 2], dist[n])
                         for n in (256, 512, 1024)]
     return rates, time.perf_counter() - start
 

@@ -50,6 +50,17 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0,
                     u0=lambda x: x, exact=lambda x, t: 2.0 * x)
+    finite = dict(alpha=1.5, lam=0.5, sigma=0.5, a=0.0, b=1.0, T=1.0)
+    for field in ("lam", "sigma", "a", "b", "T"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ProblemSpec(**{**finite, field: value})
+
+
+def test_stiffness_severity_is_hard_only_untempered_reaction_free():
+    assert ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0).stiffness_severity == "hard"
+    assert ProblemSpec(1.5, 0.5, 0.0, 0.0, 1.0, 1.0).stiffness_severity == "warn"
+    assert ProblemSpec(1.5, 0.0, 0.1, 0.0, 1.0, 1.0).stiffness_severity == "warn"
 
 
 def test_problem_kappa_is_derived():
@@ -214,6 +225,7 @@ def test_stiffness_untempered_structure():
         assembly.assemble_level(prob, mesh, 1.0).stiff_col)
     assert rep["is_m_matrix_sign_pattern"]
     assert rep["is_weakly_diag_dominant"]
+    assert rep["ok"]
 
 
 @pytest.mark.parametrize("alpha,lam,sigma", [(1.5, 0.5, 0.3), (1.1, 0.0, 0.0)])

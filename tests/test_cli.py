@@ -1,5 +1,6 @@
 """End-to-end command-line checks through real subprocess invocations."""
 
+import argparse
 import subprocess
 import sys
 
@@ -228,6 +229,15 @@ def test_quad_order_is_unknown_flag(command):
     (("mgbench", "--M", "2^5", "--a", "2"), "--a"),
     (("example1", "--M", "2^5", "--b", "-1"), "--b"),
     (("example1", "--M", "2^5", "--b", "nan"), "--b"),
+    (("example1", "--seed", "3"), "--seed"),
+    (("example2", "--seed", "3"), "--seed"),
+    (("verify", "--threads", "2"), "--threads"),
+    (("mgbench", "--alp", "1.5"), "--alp"),
+    (("example1", "--T", "inf"), "--T"),
+    (("example1", "--lambda", "inf"), "--lambda"),
+    (("mgbench", "--sigma", "inf"), "--sigma"),
+    (("example1", "--tol", "inf"), "--tol"),
+    (("example1", "--tol", "nan"), "--tol"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
     # a flag the subcommand does not read, a size no mesh accepts, a
@@ -254,6 +264,26 @@ def test_single_level_size_is_usage_error(args):
     assert proc.returncode == 2
     assert "--coarse-max" in proc.stderr and "usage error" in proc.stderr
     assert proc.stdout == ""
+
+
+# the problem, multigrid and output flags every subcommand reads
+SHARED_FLAGS = {"-h", "--help", "--alpha", "--lambda", "--m1", "--m2",
+                "--eta-pre", "--eta-post", "--tol", "--max-iter",
+                "--coarse-max", "--format", "--out"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("example1", {"--b", "--T", "--M", "--threads"}),
+    ("example2", {"--M", "--threads"}),
+    ("mgbench", {"--sigma", "--a", "--b", "--M", "--seed", "--threads"}),
+    ("verify", {"--seed", "--inject-fault"}),
+])
+def test_each_subcommand_accepts_exactly_the_flags_it_reads(command, flags):
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    accepted = {option for action in sub.choices[command]._actions
+                for option in action.option_strings}
+    assert accepted == SHARED_FLAGS | flags
 
 
 def test_missing_subcommand_is_usage_error():

@@ -65,6 +65,9 @@ def test_config_validation():
         MgConfig(eta_post=0.0)
     with pytest.raises(ValueError):
         MgConfig(tol=0.0)
+    for tol in (1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            MgConfig(tol=tol)
     with pytest.raises(ValueError):
         MgConfig(max_iter=0)
     with pytest.raises(ValueError):

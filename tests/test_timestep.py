@@ -241,26 +241,11 @@ def test_shared_node_distance_by_hand():
 
 
 def test_three_mesh_rate_on_manufactured_control():
+    # the order from distances between nested runs, with no exact solution
+    # consulted, recovers the second order of the manufactured problem
     prob = assembly.make_example1(1.5, 0.0)
-    cache = {}
-    rate = timestep.rate_three_mesh(prob, 32, 32, cache=cache)
+    runs = [timestep.run_simulation(prob, m, m) for m in (16, 32, 64)]
+    d_coarse = timestep.shared_node_distance(runs[0], runs[1])
+    d_fine = timestep.shared_node_distance(runs[1], runs[2])
+    rate = timestep.rate_from_errors(d_coarse, d_fine)
     assert rate == pytest.approx(2.0, abs=0.25)
-    assert set(cache) == {(16, 16), (32, 32), (64, 64)}
-
-
-def test_three_mesh_rate_reuses_cache():
-    prob = assembly.make_example1(1.5, 0.0)
-    cache = {}
-    timestep.rate_three_mesh(prob, 32, 32, cache=cache)
-    marker = cache[(32, 32)]
-    timestep.rate_three_mesh(prob, 64, 64, cache=cache)
-    assert cache[(32, 32)] is marker
-    assert (128, 128) in cache
-
-
-def test_three_mesh_rate_validation():
-    prob = assembly.make_example2(1.5)
-    with pytest.raises(ValueError):
-        timestep.rate_three_mesh(prob, 31, 32)
-    with pytest.raises(ValueError):
-        timestep.rate_three_mesh(prob, 32, 7)

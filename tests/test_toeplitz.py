@@ -217,6 +217,7 @@ def test_structure_report_laplacian():
     rep = toeplitz.structure_report([2.0, -1.0, 0.0])
     assert rep["is_m_matrix_sign_pattern"]
     assert rep["is_weakly_diag_dominant"]
+    assert rep["ok"]
     assert rep["gershgorin_low"] == pytest.approx(0.0, abs=1e-15)
     assert rep["gershgorin_high"] == pytest.approx(4.0)
 
@@ -224,6 +225,7 @@ def test_structure_report_laplacian():
 def test_structure_report_positive_offdiagonal():
     rep = toeplitz.structure_report([1.0, 1.0])
     assert not rep["is_m_matrix_sign_pattern"]
+    assert not rep["ok"]
 
 
 def test_structure_report_mass_symbol_distinguishes():
@@ -232,4 +234,5 @@ def test_structure_report_mass_symbol_distinguishes():
     rep = toeplitz.structure_report([2 * h / 3, h / 6, 0.0, 0.0])
     assert rep["is_weakly_diag_dominant"]
     assert not rep["is_m_matrix_sign_pattern"]
+    assert not rep["ok"]
     assert rep["gershgorin_low"] > 0.0
