@@ -165,7 +165,8 @@ def _mg_config(args: argparse.Namespace,
 
     A value ``MgConfig`` rejects is a usage error naming its flag, and so is
     a mesh whose interior size is at or below ``--coarse-max``: it would be
-    a single level, which the V-cycle cannot run.
+    a single level, which the V-cycle cannot run.  The mesh is named by its
+    ``--M`` value, or as the check mesh for a command that takes no sizes.
     """
     values = {name: getattr(args, name) for name in
               ("m1", "m2", "eta_pre", "eta_post", "tol", "max_iter",
@@ -177,9 +178,11 @@ def _mg_config(args: argparse.Namespace,
             raise UsageError(f"--{name.replace('_', '-')} {value}: {exc}")
     smallest = min(sizes)
     if smallest - 1 <= args.coarse_max:
+        mesh = (f"--M {smallest}" if hasattr(args, "M")
+                else f"the {smallest}-cell check mesh")
         raise UsageError(
-            f"--M {smallest} leaves {smallest - 1} interior nodes, at or "
-            f"below --coarse-max {args.coarse_max}: a single multigrid level")
+            f"{mesh} leaves {smallest - 1} interior nodes, at or below "
+            f"--coarse-max {args.coarse_max}: a single multigrid level")
     return multigrid.MgConfig(**values)
 
 
@@ -290,8 +293,10 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.5]
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
-    if not args.a < args.b:
-        raise UsageError(f"--a {args.a:g} --b {args.b:g}: need a < b")
+    try:
+        assembly.Mesh(args.a, args.b, min(sizes))
+    except ValueError as exc:
+        raise UsageError(f"--a {args.a:g} --b {args.b:g}: {exc}")
     config = _mg_config(args, sizes)
 
     def hierarchy(problem, m, tau):

@@ -1,8 +1,11 @@
 """FEM assembly: Toeplitz symbols vs dense adaptive-quadrature references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.special import gamma as gamma_fn
 
 from tempermg import assembly, fracquad
 from tempermg.assembly import Mesh, ProblemSpec
@@ -36,6 +39,8 @@ def test_mesh_rejects_bad_cell_counts(cells):
 def test_mesh_rejects_degenerate_interval():
     with pytest.raises(ValueError):
         Mesh(1.0, 1.0, 8)
+    with pytest.raises(ValueError):  # b - a overflows
+        Mesh(-1e308, 1e308, 8)
 
 
 def test_problem_validation():
@@ -47,6 +52,8 @@ def test_problem_validation():
         ProblemSpec(1.5, 0.0, -1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, -2.0)
+    with pytest.raises(ValueError):
+        ProblemSpec(1.5, 0.0, 0.0, -1e308, 1e308, 1.0)
     with pytest.raises(ValueError):
         ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0,
                     u0=lambda x: x, exact=lambda x, t: 2.0 * x)
@@ -148,6 +155,61 @@ def test_far_pairing_matches_levy_kernel_integral_under_strong_tempering(
     normal = np.abs(ref) >= np.finfo(float).tiny
     assert normal[0]
     np.testing.assert_allclose(sym[lags][normal], ref[normal], rtol=1e-12)
+
+
+def far_gauss_column(mesh, alpha, lam):
+    """Entries 3.. of the pairing column, every lag by the far-field Gauss sum.
+
+    The same weighted nodes and tempering split as ``frac_pair_symbol``, with
+    no expansion in t/m: the reference its large lags must reproduce.
+    """
+    n, h = mesh.n_interior, mesh.h
+    mu = lam * h
+    t, w = assembly._pieces(assembly._far_edges(mu))
+    w *= assembly._b3(t) * np.exp(-mu * (t + 2.0))
+    scale = 0.5 * h ** (1.0 - alpha) / gamma_fn(-alpha)
+    return np.array([scale * np.exp(-mu * (m - 2.0))
+                     * ((m + t) ** (-1.0 - alpha) @ w)
+                     for m in np.arange(3.0, n)])
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("mu", [0.0, 0.5 / 1024, 8.0, 64.0])
+def test_far_pairing_expansion_matches_across_its_seam(alpha, mu):
+    # lags from 64 on come from an expansion in t/m: the lags either side
+    # of the switch and the last lag against the adaptive Levy-kernel
+    # integral (and the closed form at lam = 0), and the whole far column
+    # against the Gauss sum the expansion replaces
+    mesh = Mesh(0.0, 1.0, 1024)
+    lam = mu / mesh.h
+    n = mesh.n_interior
+    sym = assembly.frac_pair_symbol(mesh, alpha, lam)
+    lags = list(range(61, 68)) + [n - 1]
+    ref = np.array([oracles.far_pair_ref(mesh.h, alpha, lam, m) for m in lags])
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    np.testing.assert_allclose(sym[lags][normal], ref[normal], rtol=1e-12)
+    assert np.all(np.abs(sym[lags][~normal]) < np.finfo(float).tiny)
+    if mu == 0.0:
+        closed = [oracles.untempered_pair_closed_form(mesh.h, alpha, m)
+                  for m in lags]
+        np.testing.assert_allclose(sym[lags], closed, rtol=1e-12)
+    gauss = far_gauss_column(mesh, alpha, lam)
+    normal = np.abs(gauss) >= np.finfo(float).tiny
+    np.testing.assert_allclose(sym[3:][normal], gauss[normal], rtol=2e-15,
+                               atol=0.0)
+
+
+def test_pairing_symbol_memory_is_linear():
+    # a (lags x nodes) table would peak near 200 MB at 2^18 cells; a few
+    # n-vectors stay far below the bound
+    mesh = Mesh(0.0, 1.0, 2**18)
+    tracemalloc.start()
+    try:
+        assembly.frac_pair_symbol(mesh, 1.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])

@@ -266,6 +266,26 @@ def test_single_level_size_is_usage_error(args):
     assert proc.stdout == ""
 
 
+def test_verify_single_level_names_its_check_mesh():
+    # verify takes no --M, so the message names the mesh its checks run on
+    proc = run_cli("verify", "--coarse-max", "31")
+    assert proc.returncode == 2
+    assert ("usage error: the 32-cell check mesh leaves 31 interior nodes, "
+            "at or below --coarse-max 31") in proc.stderr
+    assert "--M" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_overflowing_domain_width_is_usage_error():
+    # a < b, both finite, but b - a overflows: refused naming both flags
+    # instead of failing inside the stiffness assembly
+    proc = run_cli("mgbench", "--M", "32", "--a=-1e308", "--b", "1e308")
+    assert proc.returncode == 2
+    assert "usage error: --a -1e+308 --b 1e+308" in proc.stderr
+    assert "finite width" in proc.stderr
+    assert proc.stdout == ""
+
+
 # the problem, multigrid and output flags every subcommand reads
 SHARED_FLAGS = {"-h", "--help", "--alpha", "--lambda", "--m1", "--m2",
                 "--eta-pre", "--eta-post", "--tol", "--max-iter",
