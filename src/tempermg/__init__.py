@@ -7,7 +7,6 @@ from .assembly import (
     assemble_level,
     fe_l2_error,
     frac_pair_symbol,
-    load_vector,
     make_example1,
     make_example2,
     mass_symbol,

@@ -32,7 +32,7 @@ n = 4095).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,9 +79,11 @@ class Mesh:
 class ProblemSpec:
     """Physical problem: exponents, domain, horizon, data.
 
-    ``f`` is a callable f(x, t) (or None for a homogeneous problem); ``u0``
-    maps x to the initial state; ``exact``, when present, is the reference
-    solution (x, t) used for error measurement.
+    ``f`` is the source as a ``SeparableForcing`` (space profile times time
+    factor), or None for a homogeneous problem; ``u0`` maps x to the initial
+    state; ``exact``, when present, is the reference solution (x, t) used
+    for error measurement.  A lam whose lam^alpha or (lam (b - a))^alpha
+    overflows is refused.
     """
 
     alpha: float
@@ -90,7 +92,7 @@ class ProblemSpec:
     a: float
     b: float
     T: float
-    f: Optional[Callable] = None
+    f: Optional[fracquad.SeparableForcing] = None
     u0: Optional[Callable] = None
     exact: Optional[Callable] = None
     kappa: float = field(init=False)
@@ -116,6 +118,13 @@ class ProblemSpec:
         if not (self.b > self.a and np.isfinite(self.b - self.a)
                 and self.T > 0):
             raise ValueError("need b > a, a finite width b - a and T > 0")
+        with np.errstate(over="ignore"):   # inf, where ** on floats raises
+            powers = np.power([self.lam, self.lam * (self.b - self.a)],
+                              self.alpha)
+        if not np.all(np.isfinite(powers)):
+            raise ValueError("lam^alpha and (lam (b - a))^alpha must be finite")
+        if not isinstance(self.f, (fracquad.SeparableForcing, type(None))):
+            raise TypeError("f must be a SeparableForcing or None")
         self.kappa = fracquad.riesz_kappa(self.alpha)
         if self.exact is not None and self.u0 is not None:
             x = np.linspace(self.a, self.b, 11)[1:-1]
@@ -320,18 +329,17 @@ class LevelOperator:
 
 
 def level_from_symbols(problem: ProblemSpec, mesh: Mesh, tau: float,
-                       msym: np.ndarray, bsym: np.ndarray) -> LevelOperator:
-    """Level operator from mass and stiffness symbols of one mesh.
+                       bsym: np.ndarray) -> LevelOperator:
+    """Level operator from the stiffness symbol and the mass of one mesh.
 
-    The system symbol is (tau^{-1} M + B/2)/h; the mass symbol must be
-    tridiagonal.  A stiffness that fails the structure check (nonpositive
-    off-diagonals plus weak diagonal dominance) raises where the problem's
-    ``stiffness_severity`` is "hard" and only warns otherwise.
+    The system symbol is (tau^{-1} M + B/2)/h.  A stiffness that fails the
+    structure check (nonpositive off-diagonals plus weak diagonal
+    dominance) raises where the problem's ``stiffness_severity`` is "hard"
+    and only warns otherwise.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if np.any(msym[2:]):
-        raise ValueError("mass symbol must be tridiagonal")
+    msym = mass_symbol(mesh)
     asym = (msym / tau + 0.5 * bsym) / mesh.h
     if not structure_report(bsym)["ok"]:
         if problem.stiffness_severity == "hard":
@@ -351,7 +359,7 @@ def level_from_symbols(problem: ProblemSpec, mesh: Mesh, tau: float,
 
 def assemble_level(problem: ProblemSpec, mesh: Mesh, tau: float) -> LevelOperator:
     """Discretize the problem on one mesh: closed-form mass, quadrature stiffness."""
-    return level_from_symbols(problem, mesh, tau, mass_symbol(mesh),
+    return level_from_symbols(problem, mesh, tau,
                               stiffness_symbol(problem, mesh))
 
 
@@ -368,15 +376,8 @@ def profile_load(mesh: Mesh, profile: Callable) -> np.ndarray:
     shape_l = 0.5 * (1.0 - gl.nodes)
     load_r = 0.5 * h * (vals * shape_r[None, :]) @ gl.weights
     load_l = 0.5 * h * (vals * shape_l[None, :]) @ gl.weights
-    out = np.zeros(mesh.n_interior)
-    out += load_r[:-1]   # element e contributes to node e+1
-    out += load_l[1:]    # element e contributes to node e
-    return out
-
-
-def load_vector(mesh: Mesh, g: Callable, t: float) -> np.ndarray:
-    """Entries (g(., t), phi_i); the caller applies any mesh-product scaling."""
-    return profile_load(mesh, lambda x: g(x, t))
+    # element e feeds node e + 1 through load_r and node e through load_l
+    return load_r[:-1] + load_l[1:]
 
 
 def fe_l2_error(mesh: Mesh, nodal: np.ndarray, exact: Callable,
@@ -404,22 +405,16 @@ def make_example1(alpha: float, lam: float, b_end: float = 32.0,
     """
     if b_end <= 0:
         raise ValueError("b_end must be positive")
-    kap = fracquad.riesz_kappa(alpha)
-    sigma = 3.0 * lam**alpha * kap
     w = fracquad.polynomial_bump(b_end)
-    return ProblemSpec(
-        alpha=alpha, lam=lam, sigma=sigma, a=0.0, b=b_end, T=T,
-        f=fracquad.example1_forcing(alpha, lam, b_end),
-        u0=w.value,
-        exact=lambda x, t: np.exp(-t) * w.value(x),
-    )
+    problem = ProblemSpec(alpha=alpha, lam=lam, sigma=0.0, a=0.0, b=b_end, T=T,
+                          u0=w.value,
+                          exact=lambda x, t: np.exp(-t) * w.value(x))
+    # sigma and f take lam^alpha, which ProblemSpec has just checked
+    return replace(problem, sigma=3.0 * lam**alpha * problem.kappa,
+                   f=fracquad.example1_forcing(alpha, lam, b_end))
 
 
 def make_example2(alpha: float, lam: float = 0.5) -> ProblemSpec:
     """Homogeneous decay benchmark on (0,1): u0 = x(1-x), f = 0, no exact."""
-    zero = fracquad.SeparableForcing(
-        space=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        time_factor=lambda t: 1.0,
-    )
     return ProblemSpec(alpha=alpha, lam=lam, sigma=0.0, a=0.0, b=1.0, T=1.0,
-                       f=zero, u0=lambda x: x * (1.0 - x), exact=None)
+                       f=None, u0=lambda x: x * (1.0 - x), exact=None)

@@ -186,6 +186,18 @@ def _mg_config(args: argparse.Namespace,
     return multigrid.MgConfig(**values)
 
 
+def _problems(args: argparse.Namespace, alphas: Sequence[float],
+              build: Callable) -> dict:
+    """build(alpha) for each alpha; a problem ``ProblemSpec`` refuses is a
+    usage error naming the domain and tempering flags the command reads."""
+    try:
+        return {alpha: build(alpha) for alpha in alphas}
+    except ValueError as exc:
+        flags = [f"--{end} {getattr(args, end):g}" for end in ("a", "b")
+                 if hasattr(args, end)] + [f"--lambda {args.lam:g}"]
+        raise UsageError(f"{' '.join(flags)}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -232,8 +244,8 @@ def cmd_example1(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.8]
     sizes = args.M or [128, 256, 512, 1024]
     config = _mg_config(args, sizes)
-    problems = {alpha: assembly.make_example1(alpha, args.lam, args.b, args.T)
-                for alpha in alphas}
+    problems = _problems(args, alphas, lambda alpha: assembly.make_example1(
+        alpha, args.lam, args.b, args.T))
 
     def run(case):
         alpha, m = case
@@ -266,11 +278,13 @@ def cmd_example2(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.5, 1.9]
     sizes = args.M or [128, 256, 512, 1024]
     config = _mg_config(args, sizes)
+    problems = _problems(args, alphas,
+                         lambda alpha: assembly.make_example2(alpha, args.lam))
 
     def run(alpha):
         # the error at n is the distance to the run on 2n; a rate compares
         # two of them and is defined only along a doubling chain
-        problem = assembly.make_example2(alpha, args.lam)
+        problem = problems[alpha]
         runs = {m: timestep.run_simulation(problem, m, m, config=config)
                 for m in {size for n in sizes for size in (n, 2 * n)}}
         dist = {n: timestep.shared_node_distance(runs[n], runs[2 * n])
@@ -293,10 +307,8 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.5]
     sizes = args.M or [64, 128, 256, 512, 1024]
     taus = (1.0, 1e-3, 1e-6)
-    try:
-        assembly.Mesh(args.a, args.b, min(sizes))
-    except ValueError as exc:
-        raise UsageError(f"--a {args.a:g} --b {args.b:g}: {exc}")
+    problems = _problems(args, alphas, lambda alpha: assembly.ProblemSpec(
+        alpha, args.lam, args.sigma, args.a, args.b, 1.0))
     config = _mg_config(args, sizes)
 
     def hierarchy(problem, m, tau):
@@ -315,9 +327,7 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
 
     lines: List[str] = []
     failures: List[str] = []
-    for alpha in alphas:
-        problem = assembly.ProblemSpec(alpha, args.lam, args.sigma, args.a,
-                                       args.b, 1.0)
+    for alpha, problem in problems.items():
         cells = [(problem, m, tau) for m in sizes for tau in taus]
         measured = dict(zip([(m, tau) for _, m, tau in cells],
                             _map_cases(run_cell, cells, args.threads)))
@@ -412,8 +422,7 @@ def _check_galerkin(args) -> Tuple[str, str]:
 
     product_gap = rebuilt_gap = 0.0
     for coarse, fine in zip(hier.levels, hier.levels[1:]):
-        basis = np.eye(coarse.mesh.n_interior)
-        prolong = np.column_stack([multigrid.prolongate(col) for col in basis])
+        prolong = multigrid.prolongate(np.eye(coarse.mesh.n_interior))
         product = 0.5 * prolong.T @ fine.system.dense() @ prolong
         rebuilt = assembly.assemble_level(problem, coarse.mesh, hier.tau)
         got = coarse.system.dense()
@@ -491,8 +500,8 @@ def _check_cn_stability(args) -> Tuple[str, str]:
                                          _mg_config(args, (mesh.cells,)))
         u = problem.u0(mesh.interior_nodes())
         norm_prev = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
-        for step in range(steps):
-            u, _ = timestep.cn_step(hier, u, step * hier.tau)
+        for step in range(steps):  # homogeneous: a zero load
+            u, _ = timestep.cn_step(hier, u, step * hier.tau, np.zeros_like(u))
             norm_now = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
             worst = max(worst, (norm_now - norm_prev) / norm_prev)
             norm_prev = norm_now
@@ -515,6 +524,8 @@ def _check_spectral_scaling(args) -> Tuple[str, str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _mg_config(args, (32,))  # the smallest mesh a check runs these flags on
+    # --lambda enters example 1 on (0, 32) and example 2 on (0, 1)
+    _problems(args, (1.5,), lambda alpha: assembly.make_example1(alpha, args.lam))
     checks = (
         ("fft_vs_dense", _check_fft_vs_dense),
         ("transfer_adjointness", _check_adjointness),

@@ -10,8 +10,8 @@ relation.
 No solve path evaluates a pointwise fractional derivative.  The tempered
 left/right derivatives of order alpha in (1, 2) (second-derivative,
 Caputo-equivalent form by Lobatto-Jacobi quadrature; lam = 0 gives the plain
-Riemann-Liouville ones), ``jacobi_gl``, ``SmoothFn`` and ``_left/_right_caputo2``
-stay for two outside readers: ``perfbench/child.py`` wraps
+Riemann-Liouville ones, one routine for both sides), ``jacobi_gl`` and
+``SmoothFn`` stay for two outside readers: ``perfbench/child.py`` wraps
 ``tempered_*_deriv``, ``jacobi_gl`` and ``gauss_jacobi`` by name, and the
 test oracle ``riesz_apply``, the quadrature reference for the forcing,
 calls ``tempered_*_deriv``.
@@ -39,8 +39,6 @@ class QuadRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    a_exp: float
-    b_exp: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def gauss_jacobi(a_exp: float, b_exp: float, count: int) -> QuadRule:
     if count < 1:
         raise ValueError("count must be >= 1")
     x, w = roots_jacobi(count, a_exp, b_exp)
-    return QuadRule(_freeze(x), _freeze(w), float(a_exp), float(b_exp))
+    return QuadRule(_freeze(x), _freeze(w))
 
 
 def jacobi_gl(a_exp: float, b_exp: float, order: int) -> QuadRule:
@@ -97,7 +95,7 @@ def jacobi_gl(a_exp: float, b_exp: float, order: int) -> QuadRule:
         wr = 0.5 * (m0 + m1) - np.sum(lam / (2.0 * (1.0 - xi)))
         nodes = np.concatenate(([-1.0], xi, [1.0]))
         weights = np.concatenate(([wl], wi, [wr]))
-    return QuadRule(_freeze(nodes), _freeze(weights), float(a_exp), float(b_exp))
+    return QuadRule(_freeze(nodes), _freeze(weights))
 
 
 def _check_alpha(alpha):
@@ -112,68 +110,43 @@ def _as_points(x):
     return xs, scalar
 
 
-def _left_caputo2(d2v, alpha, a, x, order):
-    """(1/Gamma(2-alpha)) int_a^x (x-xi)^(1-alpha) v''(xi) dxi, mapped rule."""
-    rule = jacobi_gl(1.0 - alpha, 0.0, order)
-    xs, scalar = _as_points(x)
-    if np.any(xs <= a):
-        raise ValueError("evaluation points must satisfy x > a")
-    half = 0.5 * (xs - a)
-    xi = half[:, None] * rule.nodes[None, :] + (0.5 * (xs + a))[:, None]
-    acc = d2v(xi) @ rule.weights
-    out = half ** (2.0 - alpha) / gamma_fn(2.0 - alpha) * acc
-    return float(out[0]) if scalar else out
+def _tempered_deriv(u, alpha, lam, end, x, order, side):
+    """One-sided tempered derivative anchored at end: left for side = 1,
+    right for side = -1.
 
-
-def _right_caputo2(d2v, alpha, b, x, order):
-    """(1/Gamma(2-alpha)) int_x^b (xi-x)^(1-alpha) v''(xi) dxi, mapped rule."""
-    rule = jacobi_gl(0.0, 1.0 - alpha, order)
+    e^{-side lam x} (1/Gamma(2-alpha)) int |x-xi|^(1-alpha) v''(xi) dxi over
+    the interval between end and x, v = e^{side lam s} u, by the
+    Lobatto-Jacobi rule mapped onto it.
+    """
+    _check_alpha(alpha)
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
     xs, scalar = _as_points(x)
-    if np.any(xs >= b):
-        raise ValueError("evaluation points must satisfy x < b")
-    half = 0.5 * (b - xs)
-    xi = half[:, None] * rule.nodes[None, :] + (0.5 * (b + xs))[:, None]
-    acc = d2v(xi) @ rule.weights
-    out = half ** (2.0 - alpha) / gamma_fn(2.0 - alpha) * acc
+    if np.any(side * (xs - end) <= 0):
+        raise ValueError("evaluation points must satisfy x > a" if side > 0
+                         else "evaluation points must satisfy x < b")
+    rule = (jacobi_gl(1.0 - alpha, 0.0, order) if side > 0
+            else jacobi_gl(0.0, 1.0 - alpha, order))
+    half = 0.5 * side * (xs - end)
+    xi = half[:, None] * rule.nodes[None, :] + (0.5 * (xs + end))[:, None]
+    d2v = np.exp(side * lam * xi) * (u.second_derivative(xi)
+                                     + 2.0 * side * lam * u.first_derivative(xi)
+                                     + lam * lam * u.value(xi))
+    core = half ** (2.0 - alpha) / gamma_fn(2.0 - alpha) * (d2v @ rule.weights)
+    out = np.exp(-side * lam * xs) * core
     return float(out[0]) if scalar else out
 
 
 def tempered_left_deriv(u: SmoothFn, alpha: float, lam: float, a: float, x,
                         order: int = 100):
     """Tempered left derivative: e^{-lam x} (left deriv of e^{lam s} u)."""
-    _check_alpha(alpha)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-
-    def d2v(s):
-        return np.exp(lam * s) * (
-            u.second_derivative(s)
-            + 2.0 * lam * u.first_derivative(s)
-            + lam * lam * u.value(s)
-        )
-
-    core = _left_caputo2(d2v, alpha, a, x, order)
-    return np.exp(-lam * np.asarray(x, dtype=float)) * core if np.ndim(x) \
-        else float(np.exp(-lam * x) * core)
+    return _tempered_deriv(u, alpha, lam, a, x, order, 1.0)
 
 
 def tempered_right_deriv(u: SmoothFn, alpha: float, lam: float, b: float, x,
                          order: int = 100):
     """Tempered right derivative: e^{lam x} (right deriv of e^{-lam s} u)."""
-    _check_alpha(alpha)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-
-    def d2v(s):
-        return np.exp(-lam * s) * (
-            u.second_derivative(s)
-            - 2.0 * lam * u.first_derivative(s)
-            + lam * lam * u.value(s)
-        )
-
-    core = _right_caputo2(d2v, alpha, b, x, order)
-    return np.exp(lam * np.asarray(x, dtype=float)) * core if np.ndim(x) \
-        else float(np.exp(lam * x) * core)
+    return _tempered_deriv(u, alpha, lam, b, x, order, -1.0)
 
 
 def riesz_kappa(alpha: float) -> float:
@@ -182,6 +155,7 @@ def riesz_kappa(alpha: float) -> float:
     return -1.0 / (2.0 * np.cos(alpha * np.pi / 2.0))
 
 
+@dataclass(frozen=True)
 class SeparableForcing:
     """Forcing f(x, t) = time_factor(t) * space(x).
 
@@ -190,12 +164,8 @@ class SeparableForcing:
     an expensive source at every step.
     """
 
-    def __init__(self, space: Callable, time_factor: Callable):
-        self.space = space
-        self.time_factor = time_factor
-
-    def __call__(self, x, t):
-        return self.time_factor(t) * self.space(x)
+    space: Callable
+    time_factor: Callable
 
 
 def polynomial_bump(b_end: float) -> SmoothFn:

@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
-                       level_from_symbols, mass_symbol)
+                       level_from_symbols)
 from .toeplitz import _DENSE_MAX_N
 
 
@@ -121,9 +121,8 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
     t0 = time.perf_counter()
     levels = [assemble_level(problem, fine_mesh, tau)]
     for mesh in meshes[1:]:
-        bsym = coarsen_symbol(levels[-1].stiff_col)
         levels.append(level_from_symbols(problem, mesh, tau,
-                                         mass_symbol(mesh), bsym))
+                                         coarsen_symbol(levels[-1].stiff_col)))
     levels.reverse()
     hier = Hierarchy(problem=problem, tau=tau, config=config, levels=levels)
     _with_bottom(hier)
@@ -137,57 +136,35 @@ def _with_bottom(hier: Hierarchy) -> Hierarchy:
     C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
     A_0 raises ``LinAlgError``.  Then every level k strictly between the
     coarsest and the fine one that is stored dense (n <= 255; these are the
-    lowest ones) gets, in turn, C_k = V_k(I): one zero-start cycle of level
-    k on the identity whose coarse correction is C_{k-1}.  The largest such
-    level is the bottom.  On the identity the pre-smoothed iterate and its
-    residual are s(I + E + ... + E^{m1-1}) and E^{m1}, E = I - s A, so the
-    cycle costs m1 - 1 + m2 block products with A and one with C_{k-1} at a
-    quarter of the size: about 2.25 n^3 multiply-adds at the default (1, 2).
-    When the fine level is dense too, the same loop gives it
-    K = S + P C_b R E^{m1}: its cycle stopped before the post-smoothing,
-    which ``v_cycle`` applies (m1 - 1 block products).
+    lowest ones) gets, in turn, C_k = V_k(I): the zero-start cycle of level
+    k on the identity, with A I the level's stored dense matrix and coarse
+    correction C_{k-1}, so it makes m1 - 1 + m2 block products.  The
+    largest such level is the bottom.  When the fine level is dense too, the
+    same loop gives it K, its cycle stopped before the post-smoothing.
     """
     config = hier.config
     levels = hier.levels
     chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system.dense()))
-    c = chol_inv.T @ chol_inv
-    b, top = 0, None
+    hier._bottom, hier._top = (0, chol_inv.T @ chol_inv), None
     for k in range(1, len(levels)):
         level = levels[k]
         n = level.mesh.n_interior
         if n > _DENSE_MAX_N:
             break
-        s_pre = config.eta_pre / level.diag
-        s_post = config.eta_post / level.diag
-        # multiples of I go onto the diagonal, .flat[::n + 1], which spares
-        # the n x n temporaries of an identity
-        z = np.zeros((n, n))
-        z.flat[::n + 1] = s_pre
-        residual = np.multiply(level.system._dense, -s_pre)   # stored dense
-        residual.flat[::n + 1] += 1.0
-        for _ in range(config.m1 - 1):
-            z += s_pre * residual
-            residual -= s_pre * level.apply(residual)
-        z += prolongate(c @ restrict(residual))
+        eye = np.eye(n)
+        z = _presmooth_and_correct(hier, k, eye, level.system._dense)
         if k == len(levels) - 1:   # K: v_cycle post-smooths on this level
-            top = z
+            hier._top = z
             break
-        for _ in range(config.m2):
-            step = level.apply(z)   # z += s_post (I - A z)
-            step *= -s_post
-            step.flat[::n + 1] += s_post
-            z += step
-        c, b = z, k
-    if not np.isfinite(c).all():
-        raise FloatingPointError(f"non-finite bottom matrix on level {b}")
-    c.flags.writeable = False
-    hier._bottom = (b, c)
-    if top is not None:
-        if not np.isfinite(top).all():
-            raise FloatingPointError(
-                f"non-finite top matrix on level {len(levels) - 1}")
-        top.flags.writeable = False
-    hier._top = top
+        hier._bottom = (k, jacobi_smooth(level, z, eye, config.eta_post,
+                                         config.m2))
+    for name, k, matrix in (("bottom", *hier._bottom),
+                            ("top", len(levels) - 1, hier._top)):
+        if matrix is None:
+            continue
+        if not np.isfinite(matrix).all():
+            raise FloatingPointError(f"non-finite {name} matrix on level {k}")
+        matrix.flags.writeable = False
     return hier
 
 
@@ -239,6 +216,31 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     return z
 
 
+def _presmooth_and_correct(hier: Hierarchy, k: int, g: np.ndarray,
+                           ag: np.ndarray) -> np.ndarray:
+    """Level k's zero-start pre-smoothing of g plus the coarse correction of
+    its residual, given ag = A g.
+
+    The first smoothing step gives s g with residual g - s A g, so the m1 - 1
+    further steps make one product each: z <- z + s r, r <- r - s A r.
+    """
+    config = hier.config
+    level = hier.levels[k]
+    s = config.eta_pre / level.diag
+    z = s * g
+    residual = np.multiply(ag, -s)
+    residual += g
+    for _ in range(config.m1 - 1):
+        z += s * residual
+        residual -= s * level.apply(residual)
+    residual = restrict(residual)
+    if k - 1 == hier._bottom[0]:
+        z += prolongate(hier.coarse_solve(residual))
+    else:
+        z += prolongate(v_cycle(hier, k - 1, residual))
+    return z
+
+
 def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
     """One zero-start V-cycle on level index k > b with ``hier.config``.
 
@@ -257,15 +259,7 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
     if hier._top is not None and k == len(hier.levels) - 1:
         z = hier._top @ g
     else:
-        z = (config.eta_pre / level.diag) * g
-        z = jacobi_smooth(level, z, g, config.eta_pre, config.m1 - 1)
-        residual = level.apply(z)
-        residual = restrict(np.subtract(g, residual, out=residual))
-        if k - 1 == bottom:
-            correction = hier.coarse_solve(residual)
-        else:
-            correction = v_cycle(hier, k - 1, residual)
-        z += prolongate(correction)
+        z = _presmooth_and_correct(hier, k, g, level.apply(g))
     z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
     if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
@@ -311,22 +305,20 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     return MgResult(z, config.max_iter, history, False)
 
 
-def contraction_factor(hier: Hierarchy, m1: int, m2: int, trials: int = 3,
-                       cycles: int = 20, seed: int = 0) -> float:
-    """Asymptotic per-cycle energy-norm error reduction, max over trials.
+def contraction_factor(hier: Hierarchy, m1: int, m2: int,
+                       seed: int = 0) -> float:
+    """Asymptotic per-cycle energy-norm error reduction, max over 3 trials.
 
     Smoothing counts other than the hierarchy's get their own bottom matrix
     and K on the same levels.  For random z* with g = A z*, iterate
-    z <- z + V(g - A z) from zero and measure the error in the energy norm
-    sqrt(h d'A d).  The factor is the geometric mean of the last few (<= 5)
-    consecutive ratios.  Each trial stops once the error falls eight orders
-    below its first measurement: past that point the iterate approaches the
-    double-precision stagnation floor (roughly cond(A) * eps relative) and
-    ratios turn into roundoff noise, which for fast-contracting cycles used
-    to inflate the estimate past 1.
+    z <- z + V(g - A z) from zero, at most 20 cycles, and measure the error
+    in the energy norm sqrt(h d'A d).  The factor is the geometric mean of
+    the last few (<= 5) consecutive ratios.  Each trial stops once the error
+    falls eight orders below its first measurement: past that point the
+    iterate approaches the double-precision stagnation floor (roughly
+    cond(A) * eps relative) and ratios turn into roundoff noise, which for
+    fast-contracting cycles used to inflate the estimate past 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if (m1, m2) != (hier.config.m1, hier.config.m2):
         hier = _with_bottom(replace(hier, config=replace(hier.config,
                                                          m1=m1, m2=m2)))
@@ -335,13 +327,13 @@ def contraction_factor(hier: Hierarchy, m1: int, m2: int, trials: int = 3,
     top = len(hier.levels) - 1
     h = level.mesh.h
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(3):
         z_star = rng.standard_normal(level.mesh.n_interior)
         g = level.apply(z_star)
         z = np.zeros_like(g)
         errs = []
         e0 = None
-        for _ in range(cycles):
+        for _ in range(20):
             z = z + v_cycle(hier, top, g - level.apply(z))
             d = z_star - z
             e = float(np.sqrt(h * (d @ level.apply(d))))

@@ -1,9 +1,9 @@
 """Crank-Nicolson time marching with a multigrid solve per step.
 
 One hierarchy serves all N steps of a simulation (mesh and tau are fixed), so
-assembly is amortized.  A separable forcing (space profile times scalar time
-factor) enables the fast path: the space profile is integrated against the
-basis once and rescaled at each midpoint time.
+assembly is amortized.  The source is separable (space profile times scalar
+time factor), so its space profile is integrated against the basis once and
+rescaled at each midpoint time.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .assembly import Mesh, ProblemSpec, fe_l2_error, load_vector, profile_load
-from .fracquad import SeparableForcing
+from .assembly import Mesh, ProblemSpec, fe_l2_error, profile_load
 from .multigrid import Hierarchy, MgConfig, build_hierarchy, mg_solve
 
 
@@ -31,36 +30,27 @@ class SolutionRecord:
     l2_error: Optional[float]      # at t = T, when an exact solution exists
 
     @property
-    def tau(self) -> float:
-        return self.problem.T / self.N
-
-    @property
     def mean_iterations(self) -> float:
         return float(np.mean(self.iterations)) if self.iterations else 0.0
 
 
 def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
-            midpoint_load: Optional[np.ndarray] = None):
+            load: np.ndarray):
     """One Crank-Nicolson step of hier.problem; returns (u_next, iters).
 
-    The right-hand side (M u / tau - B u / 2 + f) / h, with the source f
-    integrated at the midpoint time, is formed as (2 M u / tau + f) / h - A u
+    ``load`` is the source f integrated against the fine basis at the
+    midpoint time t_prev + tau / 2.  The right-hand side
+    (M u / tau - B u / 2 + f) / h is formed as (2 M u / tau + f) / h - A u
     with the fine system A = (M / tau + B / 2) / h: the mass is applied as
     its 3-point stencil, so the step makes one fine product outside the
     solve.  A solver stall is escalated with step context (the solver
     itself only flags it).
     """
-    problem = hier.problem
     level = hier.fine
     tau, h = hier.tau, level.mesh.h
-    if midpoint_load is None:
-        if problem.f is None:
-            midpoint_load = np.zeros(level.mesh.n_interior)
-        else:
-            midpoint_load = load_vector(level.mesh, problem.f, t_prev + 0.5 * tau)
     g = level.apply_mass(u_prev)
     g *= 2.0 / tau
-    g += midpoint_load
+    g += load
     g /= h
     g -= level.apply(u_prev)
     result = mg_solve(hier, g)
@@ -74,7 +64,11 @@ def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
 
 def run_simulation(problem: ProblemSpec, M: int, N: int,
                    config: Optional[MgConfig] = None) -> SolutionRecord:
-    """March the problem to t = T on an M-cell mesh with N steps."""
+    """March the problem to t = T on an M-cell mesh with N steps.
+
+    The space profile of the source is integrated once, before the first
+    step, and each step gets it scaled by the time factor at its midpoint.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if problem.u0 is None:
@@ -84,16 +78,17 @@ def run_simulation(problem: ProblemSpec, M: int, N: int,
     tau = problem.T / N
     hier = build_hierarchy(problem, mesh, tau, config)
     u = np.asarray(problem.u0(mesh.interior_nodes()), dtype=float)
-    separable = isinstance(problem.f, SeparableForcing)
-    base_load = profile_load(mesh, problem.f.space) if separable else None
+    if problem.f is None:
+        space_load, time_factor = np.zeros(mesh.n_interior), lambda t: 1.0
+    else:
+        space_load = profile_load(mesh, problem.f.space)
+        time_factor = problem.f.time_factor
     iterations: List[int] = []
     t0 = time.perf_counter()
     for step in range(N):
         t_prev = step * tau
-        mid = None
-        if separable:
-            mid = problem.f.time_factor(t_prev + 0.5 * tau) * base_load
-        u, iters = cn_step(hier, u, t_prev, midpoint_load=mid)
+        load = time_factor(t_prev + 0.5 * tau) * space_load
+        u, iters = cn_step(hier, u, t_prev, load)
         iterations.append(iters)
     loop_seconds = time.perf_counter() - t0
     err = None

@@ -14,7 +14,7 @@ Below a measured crossover size the FFT path's fixed per-call cost dominates,
 so small operators also store their dense matrix and apply that instead.
 The module also carries the dense materialization, a power-iteration
 spectral-radius estimator, and a structural report (sign pattern, diagonal
-dominance, Gershgorin bounds) used by the solver's admissibility checks.
+dominance) used by the solver's admissibility checks.
 """
 
 from __future__ import annotations
@@ -80,18 +80,14 @@ class SymToeplitz:
         # emb is symmetric, so the imaginary part is rounding only
         return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1]
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != self.n:
-            raise ValueError(f"expected shape ({self.n},) or ({self.n}, k), "
-                             f"got {x.shape}")
-        return x
-
     def matvec(self, x):
         """y_i = sum_j first_col[|i-j|] x_j: stored dense product at small n,
         O(n log n) circulant embedding above.  An (n, k) block is applied
         column by column."""
-        x = self._check(x)
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(f"expected shape ({self.n},) or ({self.n}, k), "
+                             f"got {x.shape}")
         if self._dense is not None:
             return self._dense @ x
         return self._fft_matvec(x)
@@ -166,6 +162,4 @@ def structure_report(first_col) -> dict:
         "ok": sign and dominant,
         "is_m_matrix_sign_pattern": sign,
         "is_weakly_diag_dominant": dominant,
-        "gershgorin_low": t0 - off_sum,
-        "gershgorin_high": t0 + off_sum,
     }

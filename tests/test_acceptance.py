@@ -13,13 +13,14 @@ and must not be regenerated from the code under test.
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from tempermg import multigrid, timestep, toeplitz
+from tempermg import assembly, multigrid, timestep, toeplitz
 from tempermg.assembly import Mesh, make_example1, make_example2
 from tempermg.multigrid import MgConfig
 
@@ -261,6 +262,38 @@ def test_per_step_solve_cost_stays_near_linear(example1_sweep):
         per_step = [rec.loop_seconds / rec.N for rec in recs]
         ratios = [b / a for a, b in zip(per_step, per_step[1:])]
         assert all(ratio <= 2.6 for ratio in ratios), (alpha, ratios)
+
+
+@pytest.mark.parametrize("M", (512, 1024, 2048))
+@pytest.mark.parametrize("alpha", sorted(EX1_REFERENCE))
+def test_per_step_products_per_level_are_fixed_per_cycle(monkeypatch, alpha, M):
+    # machine-independent companion of the timing test above: at the
+    # default V(1,2) every cycle makes 4 products on the fine level (the
+    # solver's residual, the cycle's residual, 2 post-smoothing steps) and 3
+    # on each level between it and the bottom level (n = 255), at every M;
+    # the step adds its one fine product outside the solve
+    problem = make_example1(alpha, 0.5)
+    mesh = Mesh(problem.a, problem.b, M)
+    tau = problem.T / M
+    hier = multigrid.build_hierarchy(problem, mesh, tau)
+    u = problem.u0(mesh.interior_nodes())
+    load = problem.f.time_factor(0.5 * tau) * assembly.profile_load(
+        mesh, problem.f.space)
+    sizes = []
+    matvec = toeplitz.SymToeplitz.matvec
+
+    def counting(self, x):
+        sizes.append(self.n)
+        return matvec(self, x)
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
+    _, iters = timestep.cn_step(hier, u, 0.0, load)
+    bottom, fine = hier._bottom[0], len(hier.levels) - 1
+    assert hier.levels[bottom].mesh.n_interior == 255 and iters > 0
+    expected = {hier.levels[k].mesh.n_interior: 3 * iters
+                for k in range(bottom + 1, fine)}
+    expected[M - 1] = 1 + 4 * iters
+    assert Counter(sizes) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,33 @@ def test_problem_validation():
                 ProblemSpec(**{**finite, field: value})
 
 
+@pytest.mark.parametrize("alpha, lam, a, b", [
+    (1.8, 1e200, 0.0, 32.0),      # lam^alpha overflows
+    (1.5, 1e300, 0.0, 1.0),
+    (1.5, 0.5, -1e307, 1e307),    # (lam (b - a))^alpha overflows
+    (1.5, 1e200, 0.0, 1e300),
+])
+def test_problem_refuses_overflowing_tempering(alpha, lam, a, b):
+    # refused as a ValueError naming the powers, not a float OverflowError,
+    # and make_example1 computes nothing from lam^alpha before the check
+    with pytest.raises(ValueError, match=r"lam\^alpha"):
+        ProblemSpec(alpha, lam, 0.0, a, b, 1.0)
+    if a == 0.0:
+        with pytest.raises(ValueError, match=r"lam\^alpha"):
+            assembly.make_example1(alpha, lam, b_end=b)
+    # a lam whose powers are large but finite is accepted
+    ProblemSpec(alpha, 1e100 / (b - a), 0.0, a, b, 1.0)
+
+
+def test_problem_source_is_separable_or_none():
+    # the time loop integrates f.space once and scales it per step, so a
+    # plain f(x, t) is refused where the problem is built
+    with pytest.raises(TypeError, match="SeparableForcing"):
+        ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0, f=lambda x, t: x * t)
+    forcing = fracquad.SeparableForcing(np.sin, np.exp)
+    assert ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0, f=forcing).f is forcing
+
+
 def test_stiffness_severity_is_hard_only_untempered_reaction_free():
     assert ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0).stiffness_severity == "hard"
     assert ProblemSpec(1.5, 0.5, 0.0, 0.0, 1.0, 1.0).stiffness_severity == "warn"
@@ -354,8 +381,7 @@ def test_untempered_structure_violation_raises():
     bsym = assembly.stiffness_symbol(prob, mesh)
     bsym[1] = -bsym[1]
     with pytest.raises(RuntimeError):
-        assembly.level_from_symbols(prob, mesh, 0.5,
-                                    assembly.mass_symbol(mesh), bsym)
+        assembly.level_from_symbols(prob, mesh, 0.5, bsym)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +412,9 @@ def test_load_of_hat_reproduces_mass_column():
 
 def test_load_sine_closed_form():
     mesh = Mesh(0.0, 1.0, 64)
-    got = assembly.load_vector(mesh, lambda x, t: np.sin(np.pi * x), 0.0)
+    got = assembly.profile_load(mesh, lambda x: np.sin(np.pi * x))
     np.testing.assert_allclose(
         got, oracles.sin_load_ref(mesh.interior_nodes(), mesh.h), rtol=1e-9)
-
-
-def test_load_uses_time_argument():
-    mesh = Mesh(0.0, 1.0, 8)
-    g = lambda x, t: (1.0 + t) * np.ones_like(x)
-    np.testing.assert_allclose(assembly.load_vector(mesh, g, 3.0),
-                               4.0 * assembly.load_vector(mesh, g, 0.0),
-                               rtol=1e-14)
 
 
 def test_fe_l2_error_of_own_interpolant_vanishes():
@@ -453,8 +471,7 @@ def test_example2_construction():
     assert prob.exact is None
     assert prob.u0(0.5) == pytest.approx(0.25)
     assert prob.u0(0.0) == 0.0 and prob.u0(1.0) == 0.0
-    x = np.array([0.25, 0.75])
-    np.testing.assert_array_equal(prob.f(x, 0.3), np.zeros(2))
+    assert prob.f is None
 
 
 def test_stiffness_power_law_tail():

@@ -238,11 +238,17 @@ def test_quad_order_is_unknown_flag(command):
     (("mgbench", "--sigma", "inf"), "--sigma"),
     (("example1", "--tol", "inf"), "--tol"),
     (("example1", "--tol", "nan"), "--tol"),
+    (("example1", "--lambda", "1e200"), "--lambda"),
+    (("mgbench", "--lambda", "1e300"), "--lambda"),
+    (("mgbench", "--a=-1e307", "--b", "1e307"), "--a -1e+307 --b 1e+307"),
+    (("example2", "--lambda", "1e200"), "--lambda"),
+    (("verify", "--lambda", "1e300"), "--lambda"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
     # a flag the subcommand does not read, a size no mesh accepts, a
     # multigrid value MgConfig rejects, a run or problem value out of
-    # range, or an empty interval is refused before any work rather than
+    # range, an empty interval, or a tempering whose lam^alpha or
+    # (lam (b - a))^alpha overflows is refused before any work rather than
     # silently ignored or failing as a run error
     proc = run_cli(*args)
     assert proc.returncode == 2

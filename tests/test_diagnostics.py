@@ -119,12 +119,6 @@ def test_discrete_coercivity_psd_fallback():
     assert diagnostics.check_discrete_coercivity(lvl, prob) > 0.0
 
 
-def test_discrete_coercivity_validation(level):
-    prob = ProblemSpec(1.5, 0.5, 0.3, 0.0, 1.6, 1.0)
-    with pytest.raises(ValueError):
-        diagnostics.check_discrete_coercivity(level, prob, trials=0)
-
-
 # ---------------------------------------------------------------------------
 # assembled pairing against its Fourier symbol
 
@@ -185,13 +179,16 @@ def test_spectral_radius_mass_dominated_limit():
 
 def test_structure_sweep_untempered_all_hard_and_clean():
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
-    rows = [row for M in (32, 64)
-            for row in diagnostics.structure_sweep(
-                multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, M), 1.0))]
+    hiers = [multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, M), 1.0)
+             for M in (32, 64)]
+    rows = [row for hier in hiers for row in diagnostics.structure_sweep(hier)]
     stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
     assert stiff_rows and all(r["severity"] == "hard" for r in stiff_rows)
     assert all(r["ok"] for r in stiff_rows)
-    assert all(r["gershgorin_low"] >= -1e-12 for r in stiff_rows)
+    # the Gershgorin lower bound t_0 - 2 sum |t_m| of every level's stiffness
+    for level in (level for hier in hiers for level in hier.levels):
+        col = level.stiff_col
+        assert col[0] - 2.0 * np.sum(np.abs(col[1:])) >= -1e-12
     assert diagnostics.structure_hard_failures(rows) == []
 
 
@@ -202,18 +199,28 @@ def test_structure_sweep_covers_all_levels():
     assert [r["n"] for r in rows if r["matrix"] == "stiffness"] == [63, 31, 15, 7]
 
 
-def test_structure_sweep_reports_solver_levels():
+def test_structure_sweep_reports_solver_levels(monkeypatch):
     # the sweep checks the Galerkin levels the solver runs on, not a
-    # re-discretization of each mesh
+    # re-discretization of each mesh: each stiffness row reports on the
+    # level's own column
     prob = assembly.make_example2(1.5)
     hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.5)
+    checked = []
+
+    def recording(col):
+        checked.append(col)
+        return structure_report(col)
+
+    monkeypatch.setattr(diagnostics, "structure_report", recording)
     rows = diagnostics.structure_sweep(hier)
-    stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
-    assert len(stiff_rows) == len(hier.levels)
-    for level, row in zip(reversed(hier.levels), stiff_rows):
+    stiff = [(r, col) for r, col in zip(rows, checked)
+             if r["matrix"] == "stiffness"]
+    assert len(stiff) == len(hier.levels)
+    for level, (row, col) in zip(reversed(hier.levels), stiff):
         assert row["n"] == level.mesh.n_interior
+        assert col is level.stiff_col
         rep = structure_report(level.stiff_col)
-        assert row["gershgorin_low"] == rep["gershgorin_low"]
+        assert {key: row[key] for key in rep} == rep
 
 
 def test_structure_sweep_tempered_is_warn_severity():

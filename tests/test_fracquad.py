@@ -254,8 +254,10 @@ def test_riesz_respects_even_symmetry():
 def test_forcing_time_factorization():
     f = fracquad.example1_forcing(1.5, 0.5, 32.0)
     x = np.array([3.0, 17.0])
-    np.testing.assert_allclose(f(x, 0.7), np.exp(-0.7) * f.space(x), rtol=1e-14)
-    np.testing.assert_allclose(f(x, 0.0), f.space(x), rtol=1e-14)
+    np.testing.assert_allclose(f.time_factor(0.7) * f.space(x),
+                               np.exp(-0.7) * f.space(x), rtol=1e-14)
+    np.testing.assert_allclose(f.time_factor(0.0) * f.space(x), f.space(x),
+                               rtol=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.8])
@@ -272,7 +274,8 @@ def test_forcing_satisfies_evolution_residual(alpha):
                       + oracles.tempered_right_deriv_ref(w, alpha, lam, b, x)
                       - 2.0 * lam**alpha * w.value(x))
         residual = np.exp(-t) * (-w.value(x) - op_u + sigma * w.value(x))
-        assert f(x, t) == pytest.approx(residual, rel=1e-10)
+        assert f.time_factor(t) * f.space(x) == pytest.approx(residual,
+                                                             rel=1e-10)
 
 
 def _forcing_points(b):

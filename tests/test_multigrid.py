@@ -475,7 +475,7 @@ def test_bottom_build_makes_m1_minus_1_plus_m2_block_products(
 def test_contraction_rebuild_makes_m1_minus_1_plus_m2_block_products(
         hier128, monkeypatch, m1, m2):
     products = record_block_products(monkeypatch)
-    multigrid.contraction_factor(hier128, m1, m2, trials=1, cycles=3)
+    multigrid.contraction_factor(hier128, m1, m2)
     rebuilt = dataclasses.replace(
         hier128, config=dataclasses.replace(hier128.config, m1=m1, m2=m2))
     assert_bottom_build_products(rebuilt, products)
@@ -641,9 +641,3 @@ def test_contraction_factor_other_smoothing_reuses_levels(
     assert calls == []
     assert hier._bottom is bottom and hier._top is top
 
-
-def test_contraction_factor_validation(hier128):
-    with pytest.raises(ValueError):
-        multigrid.contraction_factor(hier128, 1, 1, trials=0)
-    with pytest.raises(RuntimeError):
-        multigrid.contraction_factor(hier128, 1, 1, cycles=1)

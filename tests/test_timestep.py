@@ -13,6 +13,11 @@ def zero_field(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def midpoint_load(prob, mesh, t_mid):
+    """The source of a separable problem integrated at time t_mid."""
+    return prob.f.time_factor(t_mid) * assembly.profile_load(mesh, prob.f.space)
+
+
 # ---------------------------------------------------------------------------
 # single step
 
@@ -27,7 +32,7 @@ def test_cn_step_mass_norm_never_grows(steps):
     norm = lambda v: np.sqrt(v @ hier.fine.mass.matvec(v))
     prev = norm(u)
     for step in range(min(steps, 8)):
-        u, _ = timestep.cn_step(hier, u, step * tau)
+        u, _ = timestep.cn_step(hier, u, step * tau, np.zeros_like(u))
         cur = norm(u)
         assert cur <= prev * (1.0 + 1e-12)
         prev = cur
@@ -42,7 +47,7 @@ def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
     tau = prob.T / 64
     hier = multigrid.build_hierarchy(prob, mesh, tau)
     u = prob.u0(mesh.interior_nodes())
-    load = assembly.load_vector(mesh, prob.f, 0.5 * tau)
+    load = midpoint_load(prob, mesh, 0.5 * tau)
     fine = hier.fine
     expected = (fine.mass.matvec(u) / tau - 0.5 * fine.stiff.matvec(u)
                 + load) / mesh.h
@@ -65,7 +70,7 @@ def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
 
     monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", recording_matvec)
     monkeypatch.setattr(timestep, "mg_solve", recording_solve)
-    _, iters = timestep.cn_step(hier, u, 0.0, midpoint_load=load)
+    _, iters = timestep.cn_step(hier, u, 0.0, load)
     assert iters > 0
     assert len(outside) == 1 and outside[0] is fine.system
     np.testing.assert_allclose(rhs[0], expected, rtol=1e-12,
@@ -75,7 +80,7 @@ def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
 def test_cn_step_preserves_zero_state():
     prob = assembly.make_example2(1.8)
     hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.125)
-    u, iters = timestep.cn_step(hier, np.zeros(31), 0.0)
+    u, iters = timestep.cn_step(hier, np.zeros(31), 0.0, np.zeros(31))
     assert iters == 0
     assert np.all(u == 0.0)
 
@@ -86,11 +91,11 @@ def test_cn_step_matches_dense_direct_solve():
     tau = prob.T / 8.0
     hier = multigrid.build_hierarchy(prob, mesh, tau)
     u0 = prob.u0(mesh.interior_nodes())
-    got, _ = timestep.cn_step(hier, u0, 0.0)
+    load = midpoint_load(prob, mesh, 0.5 * tau)
+    got, _ = timestep.cn_step(hier, u0, 0.0, load)
 
     mass = sla.toeplitz(assembly.mass_symbol(mesh))
     stiff = sla.toeplitz(assembly.stiffness_symbol(prob, mesh))
-    load = assembly.load_vector(mesh, prob.f, 0.5 * tau)
     rhs = (mass @ u0 / tau - 0.5 * stiff @ u0 + load) / mesh.h
     system = (mass / tau + 0.5 * stiff) / mesh.h
     ref = np.linalg.solve(system, rhs)
@@ -103,7 +108,7 @@ def test_cn_step_escalates_solver_stall():
     hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 64), 0.01, config)
     u0 = prob.u0(hier.fine.mesh.interior_nodes())
     with pytest.raises(RuntimeError, match="stalled"):
-        timestep.cn_step(hier, u0, 0.0)
+        timestep.cn_step(hier, u0, 0.0, np.zeros_like(u0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,6 @@ def test_record_metadata():
     prob = assembly.make_example2(1.3)
     rec = timestep.run_simulation(prob, 32, 16)
     assert (rec.M, rec.N) == (32, 16)
-    assert rec.tau == pytest.approx(1.0 / 16.0)
     assert len(rec.iterations) == 16
     assert rec.mean_iterations == pytest.approx(np.mean(rec.iterations))
     assert rec.loop_seconds > 0.0 and rec.assembly_seconds > 0.0
@@ -169,16 +173,41 @@ def test_manufactured_run_uses_no_pointwise_quadrature(monkeypatch):
     assert np.isfinite(rec.l2_error) and rec.l2_error < 1.0
 
 
-def test_separable_fast_path_matches_generic_loads():
-    # the cached space profile rescaled by the midpoint factor must equal
-    # a fresh space-time quadrature of the same separable source
+def test_simulation_integrates_the_source_once(monkeypatch):
+    # the space profile is integrated once, before the first step, and each
+    # step gets it scaled by the time factor at its midpoint; both names are
+    # looked up on the module at call time, where the benchmark harness
+    # wraps them
     prob = assembly.make_example1(1.5, 0.5)
-    mesh = Mesh(0.0, 32.0, 64)
-    base = assembly.profile_load(mesh, prob.f.space)
-    t_mid = 0.3125
-    direct = assembly.load_vector(mesh, prob.f, t_mid)
-    np.testing.assert_allclose(prob.f.time_factor(t_mid) * base, direct,
-                               rtol=1e-12)
+    calls = []
+    profile_load, cn_step = timestep.profile_load, timestep.cn_step
+
+    def recording_load(mesh, profile):
+        calls.append(("profile_load", profile))
+        return profile_load(mesh, profile)
+
+    def recording_step(hier, u, t_prev, load):
+        calls.append(("cn_step", t_prev, load))
+        return cn_step(hier, u, t_prev, load)
+
+    monkeypatch.setattr(timestep, "profile_load", recording_load)
+    monkeypatch.setattr(timestep, "cn_step", recording_step)
+    timestep.run_simulation(prob, 64, 4)
+    assert [call[0] for call in calls] == ["profile_load"] + ["cn_step"] * 4
+    assert calls[0][1] is prob.f.space
+    base = profile_load(Mesh(0.0, 32.0, 64), prob.f.space)
+    for step, (_, t_prev, load) in enumerate(calls[1:]):
+        assert t_prev == step * 0.25
+        np.testing.assert_array_equal(load, np.exp(-(t_prev + 0.125)) * base)
+
+
+def test_homogeneous_simulation_integrates_no_source(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a load integrated for a problem with f = None")
+
+    monkeypatch.setattr(timestep, "profile_load", forbidden)
+    rec = timestep.run_simulation(assembly.make_example2(1.5), 32, 4)
+    assert np.all(np.isfinite(rec.final)) and len(rec.iterations) == 4
 
 
 def test_reaction_absorbed_by_exponential_rescaling():

