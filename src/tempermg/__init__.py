@@ -42,6 +42,6 @@ from .timestep import (
     run_simulation,
     shared_node_distance,
 )
-from .toeplitz import SymToeplitz, power_iteration, structure_report
+from .toeplitz import SymToeplitz, structure_report
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Numerical verification sweeps.
 
 Everything here measures consequences of the analysis the solver relies on:
-the closed-form coercivity constant and its discrete margin, the assembled
-fractional pairing against its Fourier symbol (the tempered Riesz symbol
-against the hat's transform), spectral-radius scaling of the system
+the closed-form coercivity constant and its exact discrete margin, the
+assembled fractional pairing against its Fourier symbol (the tempered Riesz
+symbol against the hat's transform), spectral-radius scaling of the system
 operator, and the structural (sign/dominance) sweeps that back the
-smoother's admissibility.
+smoother's admissibility.  Margin and spectral radius are exact eigenvalues
+of the dense matrices of the small meshes they run on.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import assembly, fracquad
 from .assembly import LevelOperator, Mesh, ProblemSpec, assemble_level
 from .multigrid import Hierarchy
-from .toeplitz import power_iteration, structure_report
+from .toeplitz import structure_report
 
 
 def coercivity_constant(alpha: float, lam: float, sigma: float) -> Optional[float]:
@@ -37,24 +39,19 @@ def coercivity_constant(alpha: float, lam: float, sigma: float) -> Optional[floa
     return float(min(1.0, lam**alpha) * min(term1, term2))
 
 
-def check_discrete_coercivity(level: LevelOperator, problem: ProblemSpec,
-                              seed: int = 0) -> float:
-    """min over 100 random v of (v'Bv)/(v'Mv) - C0; nonnegative when the
-    bound holds.
+def check_discrete_coercivity(level: LevelOperator,
+                              problem: ProblemSpec) -> float:
+    """min over v of (v'Bv)/(v'Mv) - C0; nonnegative when the bound holds.
 
-    With the closed form inapplicable (lam or sigma zero) the margin is taken
-    against C0 = 0, i.e. plain positive-semidefiniteness of the stiffness.
+    The minimum is the smallest generalized eigenvalue of the dense
+    stiffness B and mass M.  With the closed form inapplicable (lam or sigma
+    zero) the margin is taken against C0 = 0, i.e. plain
+    positive-semidefiniteness of the stiffness.
     """
     c0 = coercivity_constant(problem.alpha, problem.lam, problem.sigma) or 0.0
-    rng = np.random.default_rng(seed)
-    n = level.mesh.n_interior
-    stiff = level.stiff
-    margin = np.inf
-    for _ in range(100):
-        v = rng.standard_normal(n)
-        ratio = float(v @ stiff.matvec(v)) / float(v @ level.apply_mass(v))
-        margin = min(margin, ratio - c0)
-    return float(margin)
+    eigs = scipy.linalg.eigh(level.stiff.dense(), level.mass.dense(),
+                             eigvals_only=True)
+    return float(eigs[0] - c0)
 
 
 # stiffness_symbol_gap compares at these frequencies and sums the symbol's
@@ -90,11 +87,9 @@ def stiffness_symbol_gap(mesh: Mesh, alpha: float, lam: float) -> float:
 
 def spectral_radius_sweep(problem: ProblemSpec, Ms: List[int],
                           tau: float) -> List[dict]:
-    """Rows {M, rho, bound_ratio, converged} for the finest-level operator.
+    """Rows {M, rho, bound_ratio} for the finest-level operator.
 
-    rho is a power-iteration estimate to 1e-8 relative, in at most 30000
-    iterations.
-
+    rho is the largest eigenvalue of the dense system matrix.
     bound_ratio = rho h^alpha / (1 + h^alpha / tau) should stay bounded by a
     constant across M; in the stiffness-dominated regime rho(h/2)/rho(h)
     approaches 2^alpha.
@@ -103,14 +98,12 @@ def spectral_radius_sweep(problem: ProblemSpec, Ms: List[int],
     for M in Ms:
         mesh = Mesh(problem.a, problem.b, M)
         level = assemble_level(problem, mesh, tau)
-        rho, converged = power_iteration(level.apply, mesh.n_interior,
-                                         tol=1e-8, max_iter=30000)
+        rho = float(np.linalg.eigvalsh(level.system.dense())[-1])
         h = mesh.h
         rows.append({
             "M": M,
             "rho": rho,
             "bound_ratio": rho * h**problem.alpha / (1.0 + h**problem.alpha / tau),
-            "converged": converged,
         })
     return rows
 
@@ -135,6 +128,3 @@ def structure_sweep(hier: Hierarchy) -> List[dict]:
             })
     return rows
 
-
-def structure_hard_failures(rows: List[dict]) -> List[dict]:
-    return [r for r in rows if r["severity"] == "hard" and not r["ok"]]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -130,8 +130,8 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
     return hier
 
 
-def _with_bottom(hier: Hierarchy) -> Hierarchy:
-    """Store hier's bottom matrix, and K on a dense fine level; return hier.
+def _with_bottom(hier: Hierarchy) -> None:
+    """Store hier's bottom matrix, and K on a dense fine level.
 
     C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
     A_0 raises ``LinAlgError``.  Then every level k strictly between the
@@ -165,7 +165,6 @@ def _with_bottom(hier: Hierarchy) -> Hierarchy:
         if not np.isfinite(matrix).all():
             raise FloatingPointError(f"non-finite {name} matrix on level {k}")
         matrix.flags.writeable = False
-    return hier
 
 
 def prolongate(coarse: np.ndarray) -> np.ndarray:
@@ -305,23 +304,21 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     return MgResult(z, config.max_iter, history, False)
 
 
-def contraction_factor(hier: Hierarchy, m1: int, m2: int,
-                       seed: int = 0) -> float:
+def contraction_factor(hier: Hierarchy, seed: int = 0) -> float:
     """Asymptotic per-cycle energy-norm error reduction, max over 3 trials.
 
-    Smoothing counts other than the hierarchy's get their own bottom matrix
-    and K on the same levels.  For random z* with g = A z*, iterate
+    The cycle is the hierarchy's own, with the smoothing counts of
+    ``hier.config``.  For random z* with g = A z*, iterate
     z <- z + V(g - A z) from zero, at most 20 cycles, and measure the error
-    in the energy norm sqrt(h d'A d).  The factor is the geometric mean of
-    the last few (<= 5) consecutive ratios.  Each trial stops once the error
-    falls eight orders below its first measurement: past that point the
-    iterate approaches the double-precision stagnation floor (roughly
-    cond(A) * eps relative) and ratios turn into roundoff noise, which for
-    fast-contracting cycles used to inflate the estimate past 1.
+    in the energy norm sqrt(h d'A d), which starts at e_init = sqrt(h z*'g).
+    The factor is the geometric mean of the last few (<= 5) consecutive
+    ratios.  Each trial stops once the error falls eight orders below its
+    first measurement or twelve below e_init: past that point the iterate
+    approaches the double-precision stagnation floor (roughly cond(A) * eps
+    relative) and ratios turn into roundoff noise that reads near 1.  A
+    trial that keeps fewer than two errors, because its first cycle or two
+    already reach that floor, reads (e_last / e_init)^(1 / cycles) instead.
     """
-    if (m1, m2) != (hier.config.m1, hier.config.m2):
-        hier = _with_bottom(replace(hier, config=replace(hier.config,
-                                                         m1=m1, m2=m2)))
     rng = np.random.default_rng(seed)
     level = hier.fine
     top = len(hier.levels) - 1
@@ -330,22 +327,21 @@ def contraction_factor(hier: Hierarchy, m1: int, m2: int,
     for _ in range(3):
         z_star = rng.standard_normal(level.mesh.n_interior)
         g = level.apply(z_star)
+        e_init = math.sqrt(h * (z_star @ g))
         z = np.zeros_like(g)
         errs = []
-        e0 = None
-        for _ in range(20):
+        for cycles in range(1, 21):
             z = z + v_cycle(hier, top, g - level.apply(z))
             d = z_star - z
             e = float(np.sqrt(h * (d @ level.apply(d))))
-            if e0 is None:
-                e0 = e
-            elif e < 1e-8 * e0:
+            if e < 1e-12 * e_init or (errs and e < 1e-8 * errs[0]):
                 break
             errs.append(e)
         k = len(errs)
-        lo = max(0, k - 6)
-        if k - 1 - lo < 1:
-            raise RuntimeError("too few cycles to estimate a contraction factor")
-        factor = (errs[k - 1] / errs[lo]) ** (1.0 / (k - 1 - lo))
+        if k < 2:
+            factor = (e / e_init) ** (1.0 / cycles)
+        else:
+            lo = max(0, k - 6)
+            factor = (errs[k - 1] / errs[lo]) ** (1.0 / (k - 1 - lo))
         worst = max(worst, factor)
     return worst

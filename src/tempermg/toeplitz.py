@@ -12,9 +12,9 @@ interface, but it is the public one with a packed real-to-real FFT
 warning on SciPy 1.17.
 Below a measured crossover size the FFT path's fixed per-call cost dominates,
 so small operators also store their dense matrix and apply that instead.
-The module also carries the dense materialization, a power-iteration
-spectral-radius estimator, and a structural report (sign pattern, diagonal
-dominance) used by the solver's admissibility checks.
+The module also carries the dense materialization and a structural report
+(sign pattern, diagonal dominance) used by the solver's admissibility
+checks.
 """
 
 from __future__ import annotations
@@ -113,34 +113,6 @@ class SymToeplitz:
         # t_{|r - (n-1) + j|}, so row i is window n - 1 - i
         mirrored = np.concatenate((self.first_col[:0:-1], self.first_col))
         return sliding_window_view(mirrored, self.n)[::-1].copy()
-
-
-def power_iteration(apply, n, tol=1e-10, max_iter=10000):
-    """Spectral-radius estimate of a symmetric PSD operator.
-
-    Deterministic start (normalized all-ones); Rayleigh-quotient estimates,
-    stopping when successive estimates differ relatively by less than ``tol``.
-    Returns ``(estimate, converged)``.  With a clustered top spectrum, the
-    successive-difference rule stops with a small low bias; callers needing
-    percent-level accuracy should keep tol <= 1e-8.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    v = np.full(n, 1.0 / np.sqrt(n))
-    rho_prev = np.inf
-    rho = 0.0
-    for _ in range(max_iter):
-        w = apply(v)
-        rho = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector is annihilated; spectral radius on its orbit is 0
-            return 0.0, True
-        v = w / nw
-        if abs(rho - rho_prev) <= tol * max(abs(rho), np.finfo(float).tiny):
-            return rho, True
-        rho_prev = rho
-    return rho, False
 
 
 def structure_report(first_col) -> dict:

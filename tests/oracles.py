@@ -341,7 +341,3 @@ def sin_load_ref(nodes, h):
     return (2.0 * (1.0 - np.cos(np.pi * h)) / (np.pi**2 * h)
             * np.sin(np.pi * np.asarray(nodes)))
 
-
-def tridiag_eigs_max(n):
-    """Largest eigenvalue of the n-by-n [-1, 2, -1] Toeplitz matrix."""
-    return 2.0 - 2.0 * np.cos(n * np.pi / (n + 1))

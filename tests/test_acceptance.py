@@ -101,7 +101,7 @@ def contraction_grid():
             for tau in GRID_TAUS:
                 hier = multigrid.build_hierarchy(problem, Mesh(0.0, 1.0, M),
                                                  tau, MgConfig())
-                factor = multigrid.contraction_factor(hier, 1, 2, seed=0)
+                factor = multigrid.contraction_factor(hier, seed=0)
                 rng = np.random.default_rng(0)
                 target = rng.standard_normal(hier.fine.mesh.n_interior)
                 result = multigrid.mg_solve(hier, hier.fine.apply(target))
@@ -182,9 +182,10 @@ def test_vcycle_iterations_bounded_on_grid(contraction_grid, alpha):
 @pytest.mark.parametrize("alpha", GRID_ALPHAS)
 def test_vcycle_factor_drops_as_smoothing_doubles(alpha):
     problem = make_example2(alpha)
-    hier = multigrid.build_hierarchy(problem, Mesh(0.0, 1.0, max(GRID_SIZES)),
-                                     1.0, MgConfig())
-    factors = [multigrid.contraction_factor(hier, m, m, seed=0)
+    mesh = Mesh(0.0, 1.0, max(GRID_SIZES))
+    factors = [multigrid.contraction_factor(
+                   multigrid.build_hierarchy(problem, mesh, 1.0,
+                                             MgConfig(m1=m, m2=m)), seed=0)
                for m in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(factors, factors[1:])), factors
 

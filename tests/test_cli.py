@@ -1,15 +1,18 @@
 """End-to-end command-line checks through real subprocess invocations."""
 
 import argparse
+import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tempermg import assembly, cli
+from tempermg import assembly, cli, diagnostics
 
 BASE = [sys.executable, "-m", "tempermg.cli"]
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, timeout=600):
@@ -158,6 +161,55 @@ def _local_term_dropped(pair):
         col[:3] -= lam**alpha * mesh.h * np.array([2.0 / 3.0, 1.0 / 6.0, 0.0])
         return col
     return faulty
+
+
+def test_coercivity_row_fails_below_the_exact_minimum(monkeypatch):
+    # at alpha = 1.5, lam = 1 the smallest ratio v'Bv / v'Mv is 2.126, so a
+    # claimed constant of 3 must fail
+    args = cli.build_parser().parse_args(["verify", "--alpha", "1.5"])
+    monkeypatch.setattr(diagnostics, "coercivity_constant", lambda *_: 3.0)
+    status, detail = cli._check_coercivity(args)
+    assert (status, detail) == ("FAIL", "min margin -8.736e-01")
+
+
+def _readme_examples():
+    """(command, shown lines) for each ``$ solver ...`` block of README.md."""
+    blocks = re.findall(r"```\n\$ solver ([^\n]*)\n(.*?)```",
+                        README.read_text(), re.DOTALL)
+    return [(command, shown.splitlines()) for command, shown in blocks]
+
+
+def _mask_timings(lines):
+    # blank the cpu_s and assembly_s columns under each header naming them
+    timed, masked = set(), []
+    for line in lines:
+        fields = line.split(",")
+        if "cpu_s" in fields:
+            timed = {i for i, name in enumerate(fields)
+                     if name in ("cpu_s", "assembly_s")}
+        elif line.startswith("#") or not line:
+            timed = set()
+        else:
+            line = ",".join("*" if i in timed else field
+                            for i, field in enumerate(fields))
+        masked.append(line)
+    return masked
+
+
+def test_readme_examples_reproduce_their_output(verify_run):
+    # every shown line, in order and adjacent unless a "..." line between
+    # them stands for any run of lines; timing columns are masked
+    examples = _readme_examples()
+    assert [command.split()[0] for command, _ in examples] == [
+        "example1", "example2", "mgbench", "verify"]
+    for command, shown in examples:
+        proc = verify_run if command == "verify" else run_cli(*command.split())
+        pattern = "".join(r"(?:.*\n)*" if line == "..."
+                          else re.escape(line) + "\n"
+                          for line in _mask_timings(shown))
+        got = "".join(line + "\n"
+                      for line in _mask_timings(proc.stdout.splitlines()))
+        assert re.fullmatch(pattern, got), (command, got)
 
 
 @pytest.mark.parametrize("fault", [None, _lag1_sign_flip, _alpha_nudged,

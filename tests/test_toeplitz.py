@@ -10,8 +10,6 @@ import scipy.linalg as sla
 
 from tempermg import toeplitz
 
-import oracles
-
 
 def test_identity_matvec():
     op = toeplitz.SymToeplitz([1.0])
@@ -168,45 +166,6 @@ def test_first_col_immutable():
     op = toeplitz.SymToeplitz([2.0, -1.0])
     with pytest.raises(ValueError):
         op.first_col[0] = 99.0
-
-
-# ---------------------------------------------------------------------------
-# power iteration
-
-
-def test_power_iteration_identity():
-    op = toeplitz.SymToeplitz([1.0, 0.0, 0.0])
-    rho, converged = toeplitz.power_iteration(op.matvec, 3, tol=1e-12)
-    assert converged
-    assert rho == pytest.approx(1.0, rel=1e-10)
-
-
-def test_power_iteration_diagonal():
-    op = toeplitz.SymToeplitz([3.0, 0.0, 0.0, 0.0])
-    rho, converged = toeplitz.power_iteration(op.matvec, 4, tol=1e-12)
-    assert converged
-    assert rho == pytest.approx(3.0, rel=1e-10)
-
-
-def test_power_iteration_laplacian_31():
-    n = 31
-    col = np.zeros(n)
-    col[0], col[1] = 2.0, -1.0
-    op = toeplitz.SymToeplitz(col)
-    rho, converged = toeplitz.power_iteration(op.matvec, n, tol=1e-12,
-                                              max_iter=100000)
-    assert converged
-    assert rho == pytest.approx(oracles.tridiag_eigs_max(n), rel=1e-8)
-
-
-def test_power_iteration_nonconvergence_flag():
-    col = np.zeros(31)
-    col[0], col[1] = 2.0, -1.0
-    op = toeplitz.SymToeplitz(col)
-    rho, converged = toeplitz.power_iteration(op.matvec, 31, tol=1e-15,
-                                              max_iter=3)
-    assert not converged
-    assert 0.0 < rho < 4.0  # best estimate still reported
 
 
 # ---------------------------------------------------------------------------
