@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +31,8 @@ class UsageError(ValueError):
 def _parse_sizes(text: str) -> List[int]:
     """Comma list of mesh sizes; accepts plain ints and the 2^k shorthand.
 
-    Each size must be a cell count ``assembly.Mesh`` accepts.
+    Each size must be a cell count ``assembly.Mesh`` accepts and forms a
+    float width for; a 2^k exponent is bounded before the power is taken.
     """
     sizes = []
     for token in text.split(","):
@@ -41,15 +41,18 @@ def _parse_sizes(text: str) -> List[int]:
             continue
         try:
             if "^" in token:
-                base, exp = token.split("^", 1)
-                size = int(base) ** int(exp)
+                base, exp = (int(part) for part in token.split("^", 1))
+                if not 0 <= exp <= 1023:  # past 2^1023, h is no float
+                    raise argparse.ArgumentTypeError(
+                        f"mesh size {token!r}: exponent must be in [0, 1023]")
+                size = base ** exp
             else:
                 size = int(token)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad mesh size {token!r}")
         try:
-            assembly.Mesh(0.0, 1.0, size)
-        except ValueError as exc:
+            assembly.Mesh(0.0, 1.0, size).h
+        except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"mesh size {token!r}: {exc}")
         sizes.append(size)
     if not sizes:
@@ -104,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="V-cycle iteration cap")
     mg.add_argument("--coarse-max", type=int, default=7, metavar="I",
                     help="direct solve at or below this interior size")
-    threads, run = group("run")
-    run.add_argument("--threads", type=_value(int, ">= 1", lambda k: k >= 1),
-                     default=1, help="worker threads for independent cases")
     seed, run = group("run")
     run.add_argument("--seed", type=_value(int, ">= 0", lambda s: s >= 0),
                      default=0, help="seed for randomized checks")
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     example1 = command(
         "example1",
         "manufactured-solution convergence table (error/rate/iter/cpu)",
-        problem, meshes, multigrid_flags, threads, output)
+        problem, meshes, multigrid_flags, output)
     domain = example1.add_argument_group("domain and horizon")
     domain.add_argument("--b", type=_value(float, "finite and > 0",
                                            lambda b: b > 0),
@@ -138,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=1.0, help="final time (default 1)")
     command("example2",
             "homogeneous decay benchmark; rates from three nested meshes",
-            problem, meshes, multigrid_flags, threads, output)
+            problem, meshes, multigrid_flags, output)
     mgbench = command(
         "mgbench", "V-cycle contraction factors across an (M, tau) grid",
-        problem, meshes, multigrid_flags, seed, threads, output)
+        problem, meshes, multigrid_flags, seed, output)
     domain = mgbench.add_argument_group("reaction and domain")
     domain.add_argument("--sigma", default=0.0, metavar="S",
                         type=_value(float, "finite and >= 0",
@@ -225,15 +225,12 @@ def _emit(lines: List[str], out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _map_cases(fn: Callable, cases: Sequence, threads: int) -> list:
-    if threads <= 1:
-        return [fn(case) for case in cases]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cases))
-
-
-def _fmt_rate(rate: Optional[float]) -> str:
-    return "" if rate is None else f"{rate:.4f}"
+def _rate_column(sizes: Sequence[int], errors: dict) -> List[str]:
+    """log2(error ratio) at each size twice the one before it, else blank:
+    an observed order is defined only along a doubling chain."""
+    rates = {n: timestep.rate_from_errors(errors[prev], errors[n])
+             for prev, n in zip(sizes, sizes[1:]) if n == 2 * prev}
+    return [f"{rates[n]:.4f}" if n in rates else "" for n in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -247,26 +244,16 @@ def cmd_example1(args: argparse.Namespace) -> int:
     problems = _problems(args, alphas, lambda alpha: assembly.make_example1(
         alpha, args.lam, args.b, args.T))
 
-    def run(case):
-        alpha, m = case
-        return timestep.run_simulation(problems[alpha], m, m, config=config)
-
-    cases = [(alpha, m) for alpha in alphas for m in sizes]
-    records = dict(zip(cases, _map_cases(run, cases, args.threads)))
-
     lines: List[str] = []
     for alpha in alphas:
-        rows = []
-        prev_err = None
-        for m in sizes:
-            rec = records[(alpha, m)]
-            rate = (None if prev_err is None
-                    else timestep.rate_from_errors(prev_err, rec.l2_error))
-            prev_err = rec.l2_error
-            rows.append((str(m), f"{rec.l2_error:.4e}", _fmt_rate(rate),
-                         str(round(rec.mean_iterations)),
-                         f"{rec.loop_seconds:.3f}",
-                         f"{rec.assembly_seconds:.3f}"))
+        runs = {m: timestep.run_simulation(problems[alpha], m, m,
+                                           config=config) for m in sizes}
+        errors = {m: run.l2_error for m, run in runs.items()}
+        rows = [(str(m), f"{errors[m]:.4e}", rate,
+                 str(round(runs[m].mean_iterations)),
+                 f"{runs[m].loop_seconds:.3f}",
+                 f"{runs[m].assembly_seconds:.3f}")
+                for m, rate in zip(sizes, _rate_column(sizes, errors))]
         lines += _render_block(f"alpha={alpha:g}",
                                ("N", "error", "rate", "iter", "cpu_s",
                                 "assembly_s"), rows, args.format)
@@ -281,22 +268,16 @@ def cmd_example2(args: argparse.Namespace) -> int:
     problems = _problems(args, alphas,
                          lambda alpha: assembly.make_example2(alpha, args.lam))
 
-    def run(alpha):
-        # the error at n is the distance to the run on 2n; a rate compares
-        # two of them and is defined only along a doubling chain
-        problem = problems[alpha]
-        runs = {m: timestep.run_simulation(problem, m, m, config=config)
+    lines: List[str] = []
+    for alpha in alphas:
+        # the error at n is the distance to the run on 2n
+        runs = {m: timestep.run_simulation(problems[alpha], m, m,
+                                           config=config)
                 for m in {size for n in sizes for size in (n, 2 * n)}}
         dist = {n: timestep.shared_node_distance(runs[n], runs[2 * n])
                 for n in sizes}
-        rates = {n: timestep.rate_from_errors(dist[prev], dist[n])
-                 for prev, n in zip(sizes, sizes[1:]) if n == 2 * prev}
-        return [(str(n), f"{dist[n]:.4e}", _fmt_rate(rates.get(n)))
-                for n in sizes]
-
-    results = _map_cases(run, alphas, args.threads)
-    lines: List[str] = []
-    for alpha, rows in zip(alphas, results):
+        rows = [(str(n), f"{dist[n]:.4e}", rate)
+                for n, rate in zip(sizes, _rate_column(sizes, dist))]
         lines += _render_block(f"alpha={alpha:g}", ("N", "error", "rate"),
                                rows, args.format)
     _emit(lines, args.out)
@@ -315,24 +296,22 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
         return multigrid.build_hierarchy(
             problem, assembly.Mesh(args.a, args.b, m), tau, config)
 
-    def run_cell(case):
-        problem, m, tau = case
-        hier = hierarchy(problem, m, tau)
-        factor = multigrid.contraction_factor(hier, seed=args.seed)
-        rng = np.random.default_rng(args.seed)
-        target = rng.standard_normal(hier.fine.mesh.n_interior)
-        result = multigrid.mg_solve(hier, hier.fine.apply(target))
-        return factor, result.iters, result.converged
-
     lines: List[str] = []
     failures: List[str] = []
     for alpha, problem in problems.items():
-        cells = [(problem, m, tau) for m in sizes for tau in taus]
-        measured = dict(zip([(m, tau) for _, m, tau in cells],
-                            _map_cases(run_cell, cells, args.threads)))
-        rows = [(str(m), f"{tau:.0e}", f"{measured[(m, tau)][0]:.4f}",
-                 str(measured[(m, tau)][1]))
-                for m in sizes for tau in taus]
+        rows, factors, iters, solved = [], [], [], True
+        for m in sizes:
+            for tau in taus:
+                hier = hierarchy(problem, m, tau)
+                factors.append(
+                    multigrid.contraction_factor(hier, seed=args.seed))
+                rng = np.random.default_rng(args.seed)
+                target = rng.standard_normal(hier.fine.mesh.n_interior)
+                result = multigrid.mg_solve(hier, hier.fine.apply(target))
+                iters.append(result.iters)
+                solved = solved and result.converged
+                rows.append((str(m), f"{tau:.0e}", f"{factors[-1]:.4f}",
+                             str(result.iters)))
         lines += _render_block(f"alpha={alpha:g}",
                                ("M", "tau", "factor", "iters"),
                                rows, args.format)
@@ -347,9 +326,6 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
             ("m", "factor"), [(str(m), f"{f:.4f}") for m, f in sweep],
             args.format)
 
-        factors = [measured[key][0] for key in measured]
-        iters = [measured[key][1] for key in measured]
-        solved = all(measured[key][2] for key in measured)
         spread = max(factors) - min(factors)
         checks = (
             ("factor_below_0.9", max(factors) < 0.9,

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through real subprocess invocations."""
 
 import argparse
+import os
 import pathlib
 import re
 import subprocess
@@ -12,12 +13,17 @@ import pytest
 from tempermg import assembly, cli, diagnostics
 
 BASE = [sys.executable, "-m", "tempermg.cli"]
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(*args, timeout=600):
+    # the checkout's package, whether or not PYTHONPATH already names it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run(BASE + list(args), capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, env=dict(os.environ,
+                                                    PYTHONPATH=path))
 
 
 def csv_row(output, prefix):
@@ -69,14 +75,25 @@ def test_example2_caret_size_syntax_and_rate_chain():
     assert 0.5 < float(second[2]) < 2.5
 
 
-def test_example2_deterministic_and_thread_invariant():
+def test_example2_is_deterministic():
     args = ("example2", "--alpha", "1.5", "--M", "2^5")
-    one = run_cli(*args, "--threads", "1")
-    two = run_cli(*args, "--threads", "1")
-    par = run_cli(*args, "--threads", "4")
-    assert one.returncode == two.returncode == par.returncode == 0
+    one, two = run_cli(*args), run_cli(*args)
+    assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
-    assert one.stdout == par.stdout
+
+
+@pytest.mark.parametrize("command", ["example1", "example2"])
+@pytest.mark.parametrize("sizes, shown", [("2^5,2^7", ["32", "128"]),
+                                          ("2^6,2^5", ["64", "32"])])
+def test_rate_is_blank_off_a_doubling_chain(command, sizes, shown):
+    # a rate is the order of one mesh halving: two halvings, or a coarsening,
+    # have none to report
+    proc = run_cli(command, "--alpha", "1.8", "--M", sizes)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()
+            if line[:1].isdigit()]
+    assert [row[0] for row in rows] == shown
+    assert [row[2] for row in rows] == ["", ""]
 
 
 def test_output_file_matches_stdout(tmp_path):
@@ -295,13 +312,16 @@ def test_quad_order_is_unknown_flag(command):
     (("mgbench", "--a=-1e307", "--b", "1e307"), "--a -1e+307 --b 1e+307"),
     (("example2", "--lambda", "1e200"), "--lambda"),
     (("verify", "--lambda", "1e300"), "--lambda"),
+    (("example1", "--M", "2^5", "--threads", "2"), "--threads"),
+    (("example1", "--M", "2^99999"), "--M"),
+    (("example2", "--M", "10^100000000"), "--M"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
-    # a flag the subcommand does not read, a size no mesh accepts, a
-    # multigrid value MgConfig rejects, a run or problem value out of
-    # range, an empty interval, or a tempering whose lam^alpha or
-    # (lam (b - a))^alpha overflows is refused before any work rather than
-    # silently ignored or failing as a run error
+    # a flag the subcommand does not read, a size no mesh accepts or forms
+    # a float width for, a multigrid value MgConfig rejects, a run or
+    # problem value out of range, an empty interval, or a tempering whose
+    # lam^alpha or (lam (b - a))^alpha overflows is refused before any work
+    # rather than silently ignored or failing as a run error
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert flag in proc.stderr
@@ -351,9 +371,9 @@ SHARED_FLAGS = {"-h", "--help", "--alpha", "--lambda", "--m1", "--m2",
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("example1", {"--b", "--T", "--M", "--threads"}),
-    ("example2", {"--M", "--threads"}),
-    ("mgbench", {"--sigma", "--a", "--b", "--M", "--seed", "--threads"}),
+    ("example1", {"--b", "--T", "--M"}),
+    ("example2", {"--M"}),
+    ("mgbench", {"--sigma", "--a", "--b", "--M", "--seed"}),
     ("verify", {"--seed", "--inject-fault"}),
 ])
 def test_each_subcommand_accepts_exactly_the_flags_it_reads(command, flags):
