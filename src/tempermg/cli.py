@@ -28,13 +28,19 @@ class UsageError(ValueError):
 # argument parsing
 
 
+# The largest mesh size numpy can index: its cells + 1 float64 nodes fit in
+# np.intp bytes (2^59 is the largest power of two below it on 64-bit builds).
+_MAX_CELLS = np.iinfo(np.intp).max // 8 - 1
+
+
 def _parse_sizes(text: str) -> List[int]:
     """Comma list of mesh sizes; accepts plain ints and the 2^k shorthand.
 
-    Each size must be a cell count ``assembly.Mesh`` accepts and forms a
-    float width for; a 2^k exponent is bounded before the power is taken.
+    Each size must be a cell count ``assembly.Mesh`` accepts, at most
+    ``_MAX_CELLS``; a 2^k exponent is bounded before the power is taken.
     """
     sizes = []
+    max_exp = _MAX_CELLS.bit_length() - 1
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -42,17 +48,22 @@ def _parse_sizes(text: str) -> List[int]:
         try:
             if "^" in token:
                 base, exp = (int(part) for part in token.split("^", 1))
-                if not 0 <= exp <= 1023:  # past 2^1023, h is no float
+                if not 0 <= exp <= max_exp:
                     raise argparse.ArgumentTypeError(
-                        f"mesh size {token!r}: exponent must be in [0, 1023]")
+                        f"mesh size {token!r}: exponent must be in "
+                        f"[0, {max_exp}]")
                 size = base ** exp
             else:
                 size = int(token)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad mesh size {token!r}")
+        if size > _MAX_CELLS:
+            raise argparse.ArgumentTypeError(
+                f"mesh size {token!r}: above {_MAX_CELLS}, the largest "
+                "numpy can index")
         try:
-            assembly.Mesh(0.0, 1.0, size).h
-        except (ValueError, OverflowError) as exc:
+            assembly.Mesh(0.0, 1.0, size)
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(f"mesh size {token!r}: {exc}")
         sizes.append(size)
     if not sizes:

@@ -4,8 +4,8 @@ Everything here measures consequences of the analysis the solver relies on:
 the closed-form coercivity constant and its exact discrete margin, the
 assembled fractional pairing against its Fourier symbol (the tempered Riesz
 symbol against the hat's transform), spectral-radius scaling of the system
-operator, and the structural (sign/dominance) sweeps that back the
-smoother's admissibility.  Margin and spectral radius are exact eigenvalues
+operator, and the structural (sign/dominance) sweep of the stiffness that
+backs the smoother's admissibility.  Margin and spectral radius are exact eigenvalues
 of the dense matrices of the small meshes they run on.
 """
 
@@ -109,22 +109,12 @@ def spectral_radius_sweep(problem: ProblemSpec, Ms: List[int],
 
 
 def structure_sweep(hier: Hierarchy) -> List[dict]:
-    """Structure reports for stiffness and system operators on all levels.
+    """Structure reports of the stiffness on every level of ``hier``.
 
-    The levels are those of ``hier``, listed from fine to coarse; ``M`` in
-    every row is the fine level's cell count.  The stiffness rows carry the
-    problem's ``stiffness_severity``.  The system operator's report is
-    informational: its off-diagonal sign genuinely flips with the mass
-    contribution at small tau.
+    Rows run from fine to coarse; each carries the level's interior size
+    ``n`` and the problem's ``stiffness_severity``.
     """
-    rows: List[dict] = []
-    for level in reversed(hier.levels):
-        for name, col, severity in (
-                ("stiffness", level.stiff_col, hier.problem.stiffness_severity),
-                ("system", level.system.first_col, "info")):
-            rows.append({
-                "M": hier.fine.mesh.cells, "n": level.mesh.n_interior,
-                "matrix": name, "severity": severity, **structure_report(col),
-            })
-    return rows
-
+    severity = hier.problem.stiffness_severity
+    return [{"n": level.mesh.n_interior, "severity": severity,
+             **structure_report(level.stiff_col)}
+            for level in reversed(hier.levels)]

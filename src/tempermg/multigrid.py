@@ -37,7 +37,6 @@ import numpy as np
 
 from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
                        level_from_symbols)
-from .toeplitz import _DENSE_MAX_N
 
 
 @dataclass(frozen=True)
@@ -135,9 +134,9 @@ def _with_bottom(hier: Hierarchy) -> None:
 
     C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
     A_0 raises ``LinAlgError``.  Then every level k strictly between the
-    coarsest and the fine one that is stored dense (n <= 255; these are the
-    lowest ones) gets, in turn, C_k = V_k(I): the zero-start cycle of level
-    k on the identity, with A I the level's stored dense matrix and coarse
+    coarsest and the fine one whose system stores its dense matrix (these
+    are the lowest ones) gets, in turn, C_k = V_k(I): the zero-start cycle
+    of level k on the identity, with A I that stored matrix and coarse
     correction C_{k-1}, so it makes m1 - 1 + m2 block products.  The
     largest such level is the bottom.  When the fine level is dense too, the
     same loop gives it K, its cycle stopped before the post-smoothing.
@@ -148,10 +147,9 @@ def _with_bottom(hier: Hierarchy) -> None:
     hier._bottom, hier._top = (0, chol_inv.T @ chol_inv), None
     for k in range(1, len(levels)):
         level = levels[k]
-        n = level.mesh.n_interior
-        if n > _DENSE_MAX_N:
+        if level.system._dense is None:
             break
-        eye = np.eye(n)
+        eye = np.eye(level.mesh.n_interior)
         z = _presmooth_and_correct(hier, k, eye, level.system._dense)
         if k == len(levels) - 1:   # K: v_cycle post-smooths on this level
             hier._top = z
@@ -309,11 +307,13 @@ def contraction_factor(hier: Hierarchy, seed: int = 0) -> float:
 
     The cycle is the hierarchy's own, with the smoothing counts of
     ``hier.config``.  For random z* with g = A z*, iterate
-    z <- z + V(g - A z) from zero, at most 20 cycles, and measure the error
-    in the energy norm sqrt(h d'A d), which starts at e_init = sqrt(h z*'g).
-    The factor is the geometric mean of the last few (<= 5) consecutive
-    ratios.  Each trial stops once the error falls eight orders below its
-    first measurement or twelve below e_init: past that point the iterate
+    z <- z + V(r), r = g - A z, from zero, at most 20 cycles.  The error
+    d = z* - z has energy norm sqrt(h d'A d) = sqrt(h d'r), so the residual
+    that is the next cycle's right-hand side also gives the error; it
+    starts at e_init = sqrt(h z*'g).  The factor is the geometric mean of
+    the last few (<= 5) consecutive ratios.  Each trial stops once the
+    error falls eight orders below its first measurement or twelve below
+    e_init, or h d'r is not positive: past that point the iterate
     approaches the double-precision stagnation floor (roughly cond(A) * eps
     relative) and ratios turn into roundoff noise that reads near 1.  A
     trial that keeps fewer than two errors, because its first cycle or two
@@ -329,11 +329,12 @@ def contraction_factor(hier: Hierarchy, seed: int = 0) -> float:
         g = level.apply(z_star)
         e_init = math.sqrt(h * (z_star @ g))
         z = np.zeros_like(g)
+        r = g
         errs = []
         for cycles in range(1, 21):
-            z = z + v_cycle(hier, top, g - level.apply(z))
-            d = z_star - z
-            e = float(np.sqrt(h * (d @ level.apply(d))))
+            z += v_cycle(hier, top, r)
+            r = g - level.apply(z)
+            e = math.sqrt(max(h * ((z_star - z) @ r), 0.0))
             if e < 1e-12 * e_init or (errs and e < 1e-8 * errs[0]):
                 break
             errs.append(e)

@@ -257,12 +257,37 @@ def test_matvec_is_two_real_transforms_of_length_about_2n():
         assert op._spec.dtype == float and op._spec.shape == (op._fft_len,)
 
 
-def test_per_step_solve_cost_stays_near_linear(example1_sweep):
-    records, _ = example1_sweep
-    for alpha, recs in records.items():
-        per_step = [rec.loop_seconds / rec.N for rec in recs]
-        ratios = [b / a for a, b in zip(per_step, per_step[1:])]
-        assert all(ratio <= 2.6 for ratio in ratios), (alpha, ratios)
+def _cn_step_doubling_ratios(alpha, repeats=9, batch=5):
+    """Best-of-`repeats` seconds of the first Crank-Nicolson step of the
+    manufactured benchmark (V(1,1), N = M) at each M in MESH_SIZES, sampled
+    interleaved like ``_matvec_doubling_ratios``."""
+    problem = make_example1(alpha, 0.5)
+    cases = {}
+    for M in MESH_SIZES:
+        mesh = Mesh(problem.a, problem.b, M)
+        tau = problem.T / M
+        hier = multigrid.build_hierarchy(problem, mesh, tau,
+                                         MgConfig(m1=1, m2=1))
+        u = problem.u0(mesh.interior_nodes())
+        load = problem.f.time_factor(0.5 * tau) * assembly.profile_load(
+            mesh, problem.f.space)
+        timestep.cn_step(hier, u, 0.0, load)  # warm the FFT plans
+        cases[M] = (hier, u, load)
+    best = {M: float("inf") for M in MESH_SIZES}
+    for _ in range(repeats):
+        for M, (hier, u, load) in cases.items():
+            start = time.perf_counter()
+            for _ in range(batch):
+                timestep.cn_step(hier, u, 0.0, load)
+            best[M] = min(best[M], (time.perf_counter() - start) / batch)
+    return best, [best[b] / best[a]
+                  for a, b in zip(MESH_SIZES, MESH_SIZES[1:])]
+
+
+def test_per_step_solve_cost_stays_near_linear():
+    for alpha in sorted(EX1_REFERENCE):
+        times, ratios = _cn_step_doubling_ratios(alpha)
+        assert all(ratio <= 2.6 for ratio in ratios), (alpha, times, ratios)
 
 
 @pytest.mark.parametrize("M", (512, 1024, 2048))

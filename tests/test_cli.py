@@ -315,13 +315,14 @@ def test_quad_order_is_unknown_flag(command):
     (("example1", "--M", "2^5", "--threads", "2"), "--threads"),
     (("example1", "--M", "2^99999"), "--M"),
     (("example2", "--M", "10^100000000"), "--M"),
+    (("example1", "--M", "2^1023"), "--M"),
 ])
 def test_unread_or_invalid_flag_is_usage_error(args, flag):
-    # a flag the subcommand does not read, a size no mesh accepts or forms
-    # a float width for, a multigrid value MgConfig rejects, a run or
-    # problem value out of range, an empty interval, or a tempering whose
-    # lam^alpha or (lam (b - a))^alpha overflows is refused before any work
-    # rather than silently ignored or failing as a run error
+    # a flag the subcommand does not read, a size no mesh accepts or whose
+    # node vector numpy cannot index, a multigrid value MgConfig rejects, a
+    # run or problem value out of range, an empty interval, or a tempering
+    # whose lam^alpha or (lam (b - a))^alpha overflows is refused before any
+    # work rather than silently ignored or failing as a run error
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert flag in proc.stderr

@@ -197,9 +197,8 @@ def test_structure_sweep_untempered_all_hard_and_clean():
     hiers = [multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, M), 1.0)
              for M in (32, 64)]
     rows = [row for hier in hiers for row in diagnostics.structure_sweep(hier)]
-    stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
-    assert stiff_rows and all(r["severity"] == "hard" for r in stiff_rows)
-    assert all(r["ok"] for r in stiff_rows)
+    assert rows and all(r["severity"] == "hard" for r in rows)
+    assert all(r["ok"] for r in rows)
     # the Gershgorin lower bound t_0 - 2 sum |t_m| of every level's stiffness
     for level in (level for hier in hiers for level in hier.levels):
         col = level.stiff_col
@@ -211,7 +210,7 @@ def test_structure_sweep_covers_all_levels():
     prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
     rows = diagnostics.structure_sweep(
         multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 64), 1.0))
-    assert [r["n"] for r in rows if r["matrix"] == "stiffness"] == [63, 31, 15, 7]
+    assert [r["n"] for r in rows] == [63, 31, 15, 7]
 
 
 def test_structure_sweep_reports_solver_levels(monkeypatch):
@@ -228,10 +227,8 @@ def test_structure_sweep_reports_solver_levels(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "structure_report", recording)
     rows = diagnostics.structure_sweep(hier)
-    stiff = [(r, col) for r, col in zip(rows, checked)
-             if r["matrix"] == "stiffness"]
-    assert len(stiff) == len(hier.levels)
-    for level, (row, col) in zip(reversed(hier.levels), stiff):
+    assert len(rows) == len(checked) == len(hier.levels)
+    for level, row, col in zip(reversed(hier.levels), rows, checked):
         assert row["n"] == level.mesh.n_interior
         assert col is level.stiff_col
         rep = structure_report(level.stiff_col)
@@ -242,18 +239,5 @@ def test_structure_sweep_tempered_is_warn_severity():
     prob = assembly.make_example2(1.5)
     rows = diagnostics.structure_sweep(
         multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.5))
-    stiff_rows = [r for r in rows if r["matrix"] == "stiffness"]
-    assert all(r["severity"] == "warn" for r in stiff_rows)
-    assert not [r for r in rows if r["severity"] == "hard" and not r["ok"]]
-
-
-def test_structure_sweep_system_rows_are_informational():
-    # tiny tau: the mass term flips the system's off-diagonal sign, which is
-    # recorded but never escalated
-    prob = ProblemSpec(1.5, 0.0, 0.0, 0.0, 1.0, 1.0)
-    rows = diagnostics.structure_sweep(
-        multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 1e-6))
-    system_rows = [r for r in rows if r["matrix"] == "system"]
-    assert all(r["severity"] == "info" for r in system_rows)
-    assert any(not r["ok"] for r in system_rows)
+    assert rows and all(r["severity"] == "warn" for r in rows)
     assert not [r for r in rows if r["severity"] == "hard" and not r["ok"]]

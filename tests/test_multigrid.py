@@ -618,6 +618,39 @@ def test_contraction_improves_with_smoothing():
     assert eager < lazy
 
 
+@pytest.mark.parametrize("cells", (128, 1024))
+@pytest.mark.parametrize("alpha", (1.1, 1.9))
+def test_contraction_factor_makes_one_fine_product_per_cycle(
+        monkeypatch, alpha, cells):
+    # outside its cycles the estimator makes one fine product per trial,
+    # g = A z*, and one per cycle: the residual r = g - A z that is the next
+    # cycle's right-hand side also gives the energy error, as A d = r
+    hier = multigrid.build_hierarchy(model_problem(alpha),
+                                     Mesh(0.0, 1.0, cells), tau=1.0 / cells)
+    top = len(hier.levels) - 1
+    fine_products, cycle_products = [], []
+    matvec, v_cycle = toeplitz.SymToeplitz.matvec, multigrid.v_cycle
+
+    def counting(self, x):
+        if self is hier.fine.system:
+            fine_products.append(1)
+        return matvec(self, x)
+
+    def cycle(hier_, k, g):
+        before = len(fine_products)
+        z = v_cycle(hier_, k, g)
+        if k == top:
+            cycle_products.append(len(fine_products) - before)
+        return z
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
+    monkeypatch.setattr(multigrid, "v_cycle", cycle)
+    multigrid.contraction_factor(hier)
+    outside = len(fine_products) - sum(cycle_products)
+    assert len(cycle_products) > 3
+    assert outside == len(cycle_products) + 3
+
+
 @pytest.mark.parametrize("cells, tau, m", [
     (16, 1e-9, 40), (128, 1.0 / 128.0, 80), (128, 1e-3, 80), (128, 1e-6, 80),
     (1024, 1e-3, 80),
