@@ -19,9 +19,11 @@ between the coarsest and the fine one, C_b = V_b(I) for the largest such
 level, built level by level from C_0 as C_k = V_k(I) with coarse
 correction C_{k-1}.  When the fine level is dense too, b is the level below
 it, and set-up also stores K = S + P C_b R E^{m1}, the fine cycle up to its
-first post-smoothing step (the pre-smoothed iterate S g plus the coarse
-correction of its residual E^{m1} g): there a cycle is K g and m2
-post-smoothing steps.
+post-smoothing (the pre-smoothed iterate S g plus the coarse correction of
+its residual E^{m1} g).  When m2 >= 1 the stored matrix is
+K' = E_post K + s_post I instead, the cycle through its first
+post-smoothing step: there a cycle is K' g and m2 - 1 more post-smoothing
+steps (K g and none when m2 = 0).
 ``mg_solve`` and ``contraction_factor`` iterate in correction form,
 z <- z + V(g - A z).
 """
@@ -72,8 +74,9 @@ class Hierarchy:
     # (b, C_b): bottom level index and the read-only matrix that replaces
     # the cycle at and below it
     _bottom: tuple = field(default=None, repr=False)
-    # K: the read-only zero-start top cycle up to its post-smoothing, stored
-    # when the fine level is dense; None otherwise
+    # K, or K' when m2 >= 1: the read-only zero-start top cycle through its
+    # first post-smoothing step, if any, stored when the fine level is
+    # dense; None otherwise
     _top: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -139,7 +142,8 @@ def _with_bottom(hier: Hierarchy) -> None:
     of level k on the identity, with A I that stored matrix and coarse
     correction C_{k-1}, so it makes m1 - 1 + m2 block products.  The
     largest such level is the bottom.  When the fine level is dense too, the
-    same loop gives it K, its cycle stopped before the post-smoothing.
+    same loop gives it K, its cycle stopped after min(1, m2) post-smoothing
+    steps: m1 - 1 + min(1, m2) block products.
     """
     config = hier.config
     levels = hier.levels
@@ -151,8 +155,9 @@ def _with_bottom(hier: Hierarchy) -> None:
             break
         eye = np.eye(level.mesh.n_interior)
         z = _presmooth_and_correct(hier, k, eye, level.system._dense)
-        if k == len(levels) - 1:   # K: v_cycle post-smooths on this level
-            hier._top = z
+        if k == len(levels) - 1:   # K: v_cycle post-smooths the rest here
+            hier._top = jacobi_smooth(level, z, eye, config.eta_post,
+                                      min(1, config.m2))
             break
         hier._bottom = (k, jacobi_smooth(level, z, eye, config.eta_post,
                                          config.m2))
@@ -243,7 +248,8 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
 
     g may be an (n, k) block, cycled column by column.  The correction from
     the bottom level b is ``hier.coarse_solve(residual)``.  On the fine
-    level, when K is stored, pre-smoothing and coarse correction are K @ g.
+    level, when K is stored, the cycle through its first post-smoothing step
+    is K @ g.
     """
     config = hier.config
     level = hier.levels[k]
@@ -253,11 +259,13 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"level {k} expects vectors of size {n}")
     if k <= bottom:
         raise ValueError(f"level {k} is at or below the bottom level {bottom}")
+    steps = config.m2
     if hier._top is not None and k == len(hier.levels) - 1:
         z = hier._top @ g
+        steps -= min(1, steps)
     else:
         z = _presmooth_and_correct(hier, k, g, level.apply(g))
-    z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
+    z = jacobi_smooth(level, z, g, config.eta_post, steps)
     if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
     return z

@@ -4,14 +4,16 @@ A symmetric Toeplitz matrix is fully determined by its first column.  We embed
 it into a 2n x 2n circulant, diagonalize that once with an FFT, and apply the
 operator as pad -> transform -> multiply -> inverse transform -> truncate.
 The embedding is symmetric (``emb[k] == emb[L - k]``), so the circulant's
-spectrum is real and the whole product stays in real arithmetic: one
-real-to-real packed transform pair from ``scipy.fftpack`` and an in-place
-multiply by the real eigenvalues.  ``scipy.fftpack`` is SciPy's legacy
-interface, but it is the public one with a packed real-to-real FFT
-(``scipy.fft.rfft`` returns complex bins), and it raises no deprecation
-warning on SciPy 1.17.
-Below a measured crossover size the FFT path's fixed per-call cost dominates,
-so small operators also store their dense matrix and apply that instead.
+spectrum is real and the whole product stays in real arithmetic.  One call
+to ``scipy.fftpack.convolve.convolve`` does it: the compiled packed
+real-to-real transform pair of ``scipy.fftpack`` with the multiply by the
+stored eigenvalues (pre-divided by the length, which the unnormalized
+inverse leaves out) in between, in place on the padded buffer.
+``scipy.fftpack`` is SciPy's legacy interface, but it is the public one with
+a packed real-to-real FFT (``scipy.fft.rfft`` returns complex bins), and it
+raises no deprecation warning on SciPy 1.17.
+Small operators also store their dense matrix and apply that instead (see
+``_DENSE_MAX_N`` for why the crossover sits where it does).
 The module also carries the dense materialization and a structural report
 (sign pattern, diagonal dominance) used by the solver's admissibility
 checks.
@@ -21,15 +23,18 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.fftpack as fftpack
+from scipy.fftpack.convolve import convolve
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest n whose matvec is a stored dense product rather than the FFT path.
 # Measured per call on a 2-core x86 host (numpy 2.4, scipy 1.17, OpenBLAS,
-# one thread), dense vs packed real FFT, best of 40 interleaved batches:
-# 3.9 vs 10.3 us at n = 127, 11.2 vs 12.6 us at n = 255, 60 vs 18 us at
-# n = 511.  Multigrid levels have n = 2^k - 1, so 255 is the last size
-# where dense wins, now by a narrow margin.
+# one thread), dense vs one ``convolve`` call, best of 40 interleaved
+# batches of 500: 3.1 vs 7.1 us at n = 127, 9.3 vs 8.6 us at n = 255,
+# 50 vs 11.4 us at n = 511.  Multigrid levels have n = 2^k - 1; at 255 the
+# FFT product is now the faster one per call.  The crossover stays at 255
+# because the stored dense matrix is what lets the multigrid set-up build
+# C_255 as the bottom matrix (and K on a 255-unknown fine level); moving it
+# would change the hierarchy and its frozen product counts.
 _DENSE_MAX_N = 255
 
 
@@ -38,8 +43,8 @@ class SymToeplitz:
 
     For n <= 255 the read-only dense matrix is stored and ``matvec`` is one
     dense product; above that only the circulant spectrum is cached, at
-    construction, as a real vector, and ``matvec`` costs two real FFTs of
-    length ~2n.
+    construction, as a real vector, and ``matvec`` is one compiled call
+    doing two real FFTs of length ~2n.
     Instances are safe to share across threads (matvec allocates per-call
     scratch).
     """
@@ -69,16 +74,17 @@ class SymToeplitz:
             self._spec = self._spectrum()
 
     def _spectrum(self):
-        """Eigenvalues of the circulant that embeds the operator, in
-        ``scipy.fftpack``'s packed order ``[l0, l1, l1, l2, l2, ...]`` (for
-        even length the last eigenvalue ``l_{L/2}`` is unpaired)."""
+        """Eigenvalues of the circulant that embeds the operator, divided by
+        its length L, in ``scipy.fftpack``'s packed order
+        ``[l0, l1, l1, l2, l2, ...] / L`` (for even L the last eigenvalue
+        ``l_{L/2}`` is unpaired).  At a power-of-two L the division is exact."""
         L = self._fft_len
         emb = np.zeros(L)
         emb[: self.n] = self.first_col
         if self.n > 1:
             emb[L - self.n + 1:] = self.first_col[1:][::-1]
         # emb is symmetric, so the imaginary part is rounding only
-        return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1]
+        return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1] / L
 
     def matvec(self, x):
         """y_i = sum_j first_col[|i-j|] x_j: stored dense product at small n,
@@ -99,13 +105,15 @@ class SymToeplitz:
         ``verify`` take this path there), so it is computed per call.
         """
         spec = self._spec if self._spec is not None else self._spectrum()
-        if x.ndim == 2:
-            spec = spec[:, None]
-        buf = np.zeros((self._fft_len,) + x.shape[1:])
-        buf[: self.n] = x
-        y = fftpack.rfft(buf, axis=0, overwrite_x=True)
-        y *= spec
-        return fftpack.irfft(y, axis=0, overwrite_x=True)[: self.n]
+        # one zero-padded row per column, which convolve transforms,
+        # multiplies by spec and transforms back in place
+        buf = np.zeros(x.shape[1:] + (self._fft_len,))
+        buf[..., : self.n] = x.T
+        if x.ndim == 1:
+            return convolve(buf, spec, overwrite_x=True)[: self.n]
+        for row in buf:
+            convolve(row, spec, overwrite_x=True)
+        return buf[:, : self.n].T
 
     def dense(self):
         """Materialize the full matrix (small n: the dense matvec, diagnostics)."""

@@ -322,8 +322,8 @@ def test_vcycle_shape_validation(hier128):
 def test_vcycle_error_operator_selfadjoint_in_energy():
     # with symmetric smoothing (m1 = m2, same damping) the cycle's error
     # operator I - V A is self-adjoint in the operator inner product; at
-    # M = 32 the fine level's cycle is the stored K, whose coarse correction
-    # is the stored C_b of the middle level, and one post-smoothing step
+    # M = 32 the fine level's whole cycle is the stored K, which holds its
+    # one post-smoothing step and the stored C_b of the middle level
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 32),
                                      tau=0.25, config=MgConfig(m1=1, m2=1))
     assert hier._bottom[0] == 1 and len(hier.levels) == 3
@@ -408,8 +408,9 @@ def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
 @pytest.mark.parametrize("cells", [16, 128, 256])
 @pytest.mark.parametrize("m1, m2", [(1, 2), (3, 1), (2, 0)])
 def test_top_matrix_matches_recursive_zero_start_cycle(cells, m1, m2):
-    # K g followed by m2 post-smoothing steps is the whole zero-start cycle
-    # on the dense fine level, checked on every unit vector
+    # K g followed by the m2 - min(1, m2) post-smoothing steps K does not
+    # hold is the whole zero-start cycle on the dense fine level, checked on
+    # every unit vector
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
                                      tau=1.0 / cells,
                                      config=MgConfig(m1=m1, m2=m2))
@@ -418,7 +419,7 @@ def test_top_matrix_matches_recursive_zero_start_cycle(cells, m1, m2):
     top = len(hier.levels) - 1
     for col in np.eye(level.mesh.n_interior):
         got = multigrid.jacobi_smooth(level, hier._top @ col, col,
-                                      hier.config.eta_post, m2)
+                                      hier.config.eta_post, m2 - min(1, m2))
         ref = multigrid.v_cycle(ref_hier, top, col)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -449,8 +450,9 @@ def record_block_products(monkeypatch):
 
 def assert_bottom_build_products(hier, products):
     # levels 1..b each get m1 - 1 pre- and m2 post-smoothing products with
-    # their own system, and a dense fine level m1 - 1 pre-smoothing products
-    # for its K; none is on s * I, and the other levels get none
+    # their own system, and a dense fine level m1 - 1 pre- and min(1, m2)
+    # post-smoothing products for its K; none is on s * I, and the other
+    # levels get none
     config = hier.config
     k_bottom = hier._bottom[0]
     assert k_bottom > 0
@@ -462,7 +464,7 @@ def assert_bottom_build_products(hier, products):
     expected = Counter({k: config.m1 - 1 + config.m2
                         for k in range(1, k_bottom + 1)})
     if hier._top is not None:
-        expected[len(hier.levels) - 1] = config.m1 - 1
+        expected[len(hier.levels) - 1] = config.m1 - 1 + min(1, config.m2)
     assert per_level == expected
 
 
@@ -473,7 +475,8 @@ def test_bottom_build_makes_m1_minus_1_plus_m2_block_products(
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
                                      tau=1.0 / cells)
     assert hier._bottom[0] == k_bottom
-    assert len(products) == 2 * k_bottom
+    # V(1,2): 2 per bottom-matrix level, and 1 for K on the dense fine level
+    assert len(products) == {128: 2 * 3 + 1, 4096: 2 * 5}[cells]
     assert_bottom_build_products(hier, products)
 
 
@@ -526,7 +529,7 @@ def test_block_vcycle_matches_column_by_column(hier128):
 
 
 @pytest.mark.parametrize("cells, per_cycle", [
-    (128, {127: 3}),
+    (128, {127: 2}),
     (1024, {1023: 4, 511: 3}),
 ])
 def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
@@ -535,7 +538,8 @@ def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
     # mg_solve's residual + 1 cycle residual + m2 = 2 post-smoothing (the
     # zero-start pre-smoothing step needs no product); each uncollapsed
     # level between the fine level and b costs 3; nothing at or below b.
-    # On a dense fine level K replaces the cycle residual, leaving 1 + m2
+    # On a dense fine level K replaces the cycle residual and the first
+    # post-smoothing step, leaving 1 + (m2 - 1)
     hier = hier128 if cells == 128 else hier1024
     sizes = []
     matvec = toeplitz.SymToeplitz.matvec
