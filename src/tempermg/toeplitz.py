@@ -4,14 +4,16 @@ A symmetric Toeplitz matrix is fully determined by its first column.  We embed
 it into a 2n x 2n circulant, diagonalize that once with an FFT, and apply the
 operator as pad -> transform -> multiply -> inverse transform -> truncate.
 The embedding is symmetric (``emb[k] == emb[L - k]``), so the circulant's
-spectrum is real and the whole product stays in real arithmetic.  One call
-to ``scipy.fftpack.convolve.convolve`` does it: the compiled packed
-real-to-real transform pair of ``scipy.fftpack`` with the multiply by the
-stored eigenvalues (pre-divided by the length, which the unnormalized
-inverse leaves out) in between, in place on the padded buffer.
-``scipy.fftpack`` is SciPy's legacy interface, but it is the public one with
-a packed real-to-real FFT (``scipy.fft.rfft`` returns complex bins), and it
-raises no deprecation warning on SciPy 1.17.
+spectrum is real and the whole product stays in real arithmetic: one
+packed real-to-real transform pair with an in-place multiply by the real
+eigenvalues in between.  Both transforms call ``r2r_fftpack``, the pocketfft
+binding that ``scipy.fftpack.rfft`` and ``irfft`` end in, directly, so
+products are bitwise-equal to that public pair at any length.  The binding
+sits in a private SciPy module (``scipy.fft._pocketfft``), but it is what
+keeps the fixed cost per product low: best of 40 batches per call at
+n = 511 and 1023, 9.9 and 18.3 us this way, 12.5 and 20.5 us through
+``scipy.fftpack.convolve.convolve`` (one compiled call for the whole
+product), 14.5 and 22.7 us through the ``scipy.fftpack`` wrappers.
 Small operators also store their dense matrix and apply that instead (see
 ``_DENSE_MAX_N`` for why the crossover sits where it does).
 The module also carries the dense materialization and a structural report
@@ -23,18 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.fftpack.convolve import convolve
+from scipy.fft._pocketfft.pypocketfft import r2r_fftpack
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest n whose matvec is a stored dense product rather than the FFT path.
 # Measured per call on a 2-core x86 host (numpy 2.4, scipy 1.17, OpenBLAS,
-# one thread), dense vs one ``convolve`` call, best of 40 interleaved
-# batches of 500: 3.1 vs 7.1 us at n = 127, 9.3 vs 8.6 us at n = 255,
-# 50 vs 11.4 us at n = 511.  Multigrid levels have n = 2^k - 1; at 255 the
-# FFT product is now the faster one per call.  The crossover stays at 255
-# because the stored dense matrix is what lets the multigrid set-up build
-# C_255 as the bottom matrix (and K on a 255-unknown fine level); moving it
-# would change the hierarchy and its frozen product counts.
+# one thread), dense vs FFT product, best of 40 interleaved batches of 500:
+# 3.1 vs 4.3 us at n = 127, 8.8 vs 5.9 us at n = 255, 51 vs 9.9 us at
+# n = 511.  Multigrid levels have n = 2^k - 1; at 255 the FFT product is
+# the faster one per call.  The crossover stays at 255 because the stored
+# dense matrix is what lets the multigrid set-up build C_255 as the bottom
+# matrix (and K on a 255-unknown fine level); moving it would change the
+# hierarchy and its frozen product counts.
 _DENSE_MAX_N = 255
 
 
@@ -43,8 +45,8 @@ class SymToeplitz:
 
     For n <= 255 the read-only dense matrix is stored and ``matvec`` is one
     dense product; above that only the circulant spectrum is cached, at
-    construction, as a real vector, and ``matvec`` is one compiled call
-    doing two real FFTs of length ~2n.
+    construction, as a real vector, and ``matvec`` costs two real FFTs of
+    length ~2n.
     Instances are safe to share across threads (matvec allocates per-call
     scratch).
     """
@@ -74,17 +76,16 @@ class SymToeplitz:
             self._spec = self._spectrum()
 
     def _spectrum(self):
-        """Eigenvalues of the circulant that embeds the operator, divided by
-        its length L, in ``scipy.fftpack``'s packed order
-        ``[l0, l1, l1, l2, l2, ...] / L`` (for even L the last eigenvalue
-        ``l_{L/2}`` is unpaired).  At a power-of-two L the division is exact."""
+        """Eigenvalues of the circulant that embeds the operator, in
+        ``scipy.fftpack``'s packed order ``[l0, l1, l1, l2, l2, ...]`` (for
+        even length the last eigenvalue ``l_{L/2}`` is unpaired)."""
         L = self._fft_len
         emb = np.zeros(L)
         emb[: self.n] = self.first_col
         if self.n > 1:
             emb[L - self.n + 1:] = self.first_col[1:][::-1]
         # emb is symmetric, so the imaginary part is rounding only
-        return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1] / L
+        return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1]
 
     def matvec(self, x):
         """y_i = sum_j first_col[|i-j|] x_j: stored dense product at small n,
@@ -105,15 +106,15 @@ class SymToeplitz:
         ``verify`` take this path there), so it is computed per call.
         """
         spec = self._spec if self._spec is not None else self._spectrum()
-        # one zero-padded row per column, which convolve transforms,
-        # multiplies by spec and transforms back in place
-        buf = np.zeros(x.shape[1:] + (self._fft_len,))
-        buf[..., : self.n] = x.T
-        if x.ndim == 1:
-            return convolve(buf, spec, overwrite_x=True)[: self.n]
-        for row in buf:
-            convolve(row, spec, overwrite_x=True)
-        return buf[:, : self.n].T
+        if x.ndim == 2:
+            spec = spec[:, None]
+        buf = np.zeros((self._fft_len,) + x.shape[1:])
+        buf[: self.n] = x
+        # forward transform, multiply, inverse normalized by 1/L (inorm=2)
+        # as in scipy.fftpack.irfft; all in place
+        r2r_fftpack(buf, (0,), True, True, 0, buf, 1)
+        buf *= spec
+        return r2r_fftpack(buf, (0,), False, False, 2, buf, 1)[: self.n]
 
     def dense(self):
         """Materialize the full matrix (small n: the dense matvec, diagnostics)."""

@@ -105,12 +105,9 @@ def test_packed_spectrum_is_the_real_circulant_spectrum(n):
     # the embedding is symmetric, so the dropped imaginary part is rounding
     assert np.max(np.abs(lam.imag)) <= 1e-13 * np.max(np.abs(lam))
     # scipy.fftpack's packed order: l0, then (Re, Im) slots of each bin
-    # 1..L/2, the last bin unpaired when L is even; stored divided by L,
-    # which is exact (and so is undoing it) at these power-of-two lengths
-    assert L & (L - 1) == 0
+    # 1..L/2, the last bin unpaired when L is even
     spec = op._spec
     assert spec.dtype == float and spec.shape == (L,)
-    spec = spec * L
     assert spec[0] == lam[0].real
     np.testing.assert_array_equal(spec[1::2], lam.real[1: 1 + (L // 2)])
     np.testing.assert_array_equal(spec[2::2], lam.real[1: 1 + (L - 1) // 2])
@@ -118,10 +115,9 @@ def test_packed_spectrum_is_the_real_circulant_spectrum(n):
 
 @pytest.mark.parametrize("n", [301, 511, 1023])
 def test_fft_matvec_is_the_rfft_multiply_irfft_product(n):
-    # against an explicit fftpack rfft -> multiply by the packed circulant
-    # spectrum -> irfft: bitwise at the power-of-two lengths every multigrid
-    # level has (1024, 2048), where dividing the spectrum by L is exact;
-    # n = 301 (L = 625) only to rounding
+    # bitwise against an explicit fftpack rfft -> multiply by the packed
+    # circulant spectrum -> irfft, at the power-of-two lengths every
+    # multigrid level has (1024, 2048) and at L = 625 (n = 301)
     rng = np.random.default_rng(n)
     col = rng.standard_normal(n)
     op = toeplitz.SymToeplitz(col)
@@ -132,11 +128,7 @@ def test_fft_matvec_is_the_rfft_multiply_irfft_product(n):
     buf = np.zeros(L)
     buf[:n] = x
     ref = fftpack.irfft(fftpack.rfft(buf) * packed)[:n]
-    got = op._fft_matvec(x)
-    if L & (L - 1) == 0:
-        np.testing.assert_array_equal(got, ref)
-    else:
-        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+    np.testing.assert_array_equal(op._fft_matvec(x), ref)
 
 
 def test_shared_operator_matvec_is_thread_safe():
