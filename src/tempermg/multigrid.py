@@ -18,12 +18,8 @@ bottom matrix C_b: C_0 = A_0^{-1}, or, when a dense level lies strictly
 between the coarsest and the fine one, C_b = V_b(I) for the largest such
 level, built level by level from C_0 as C_k = V_k(I) with coarse
 correction C_{k-1}.  When the fine level is dense too, b is the level below
-it, and set-up also stores K = S + P C_b R E^{m1}, the fine cycle up to its
-post-smoothing (the pre-smoothed iterate S g plus the coarse correction of
-its residual E^{m1} g).  When m2 >= 1 the stored matrix is
-K' = E_post K + s_post I instead, the cycle through its first
-post-smoothing step: there a cycle is K' g and m2 - 1 more post-smoothing
-steps (K g and none when m2 = 0).
+it, and the same loop also stores the top matrix V_top(I), the whole fine
+cycle, so a cycle there is one product with it.
 ``mg_solve`` and ``contraction_factor`` iterate in correction form,
 z <- z + V(g - A z).
 """
@@ -74,9 +70,8 @@ class Hierarchy:
     # (b, C_b): bottom level index and the read-only matrix that replaces
     # the cycle at and below it
     _bottom: tuple = field(default=None, repr=False)
-    # K, or K' when m2 >= 1: the read-only zero-start top cycle through its
-    # first post-smoothing step, if any, stored when the fine level is
-    # dense; None otherwise
+    # V_top(I): the read-only top matrix, the whole zero-start cycle of the
+    # fine level, stored when that level is dense; None otherwise
     _top: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -109,8 +104,8 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 
     Each coarse level takes the closed-form mass symbol of its mesh and the
     stiffness symbol ``coarsen_symbol`` derives from the level above.
-    ``assembly_seconds`` covers the bottom matrix and K (``_with_bottom``)
-    too.
+    ``assembly_seconds`` covers the bottom and top matrices
+    (``_with_bottom``) too.
     """
     config = config or MgConfig()
     meshes = [fine_mesh]
@@ -133,7 +128,7 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 
 
 def _with_bottom(hier: Hierarchy) -> None:
-    """Store hier's bottom matrix, and K on a dense fine level.
+    """Store hier's bottom matrix, and the top matrix on a dense fine level.
 
     C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
     A_0 raises ``LinAlgError``.  Then every level k strictly between the
@@ -142,8 +137,8 @@ def _with_bottom(hier: Hierarchy) -> None:
     of level k on the identity, with A I that stored matrix and coarse
     correction C_{k-1}, so it makes m1 - 1 + m2 block products.  The
     largest such level is the bottom.  When the fine level is dense too, the
-    same loop gives it K, its cycle stopped after min(1, m2) post-smoothing
-    steps: m1 - 1 + min(1, m2) block products.
+    same loop gives it the top matrix V_top(I), the whole cycle, in the same
+    m1 - 1 + m2 block products.
     """
     config = hier.config
     levels = hier.levels
@@ -155,12 +150,11 @@ def _with_bottom(hier: Hierarchy) -> None:
             break
         eye = np.eye(level.mesh.n_interior)
         z = _presmooth_and_correct(hier, k, eye, level.system._dense)
-        if k == len(levels) - 1:   # K: v_cycle post-smooths the rest here
-            hier._top = jacobi_smooth(level, z, eye, config.eta_post,
-                                      min(1, config.m2))
-            break
-        hier._bottom = (k, jacobi_smooth(level, z, eye, config.eta_post,
-                                         config.m2))
+        z = jacobi_smooth(level, z, eye, config.eta_post, config.m2)
+        if k == len(levels) - 1:
+            hier._top = z
+        else:
+            hier._bottom = (k, z)
     for name, k, matrix in (("bottom", *hier._bottom),
                             ("top", len(levels) - 1, hier._top)):
         if matrix is None:
@@ -248,8 +242,7 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
 
     g may be an (n, k) block, cycled column by column.  The correction from
     the bottom level b is ``hier.coarse_solve(residual)``.  On the fine
-    level, when K is stored, the cycle through its first post-smoothing step
-    is K @ g.
+    level, when the top matrix is stored, the cycle is that matrix times g.
     """
     config = hier.config
     level = hier.levels[k]
@@ -259,13 +252,11 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"level {k} expects vectors of size {n}")
     if k <= bottom:
         raise ValueError(f"level {k} is at or below the bottom level {bottom}")
-    steps = config.m2
     if hier._top is not None and k == len(hier.levels) - 1:
         z = hier._top @ g
-        steps -= min(1, steps)
     else:
         z = _presmooth_and_correct(hier, k, g, level.apply(g))
-    z = jacobi_smooth(level, z, g, config.eta_post, steps)
+        z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
     if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
     return z

@@ -35,8 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 # n = 511.  Multigrid levels have n = 2^k - 1; at 255 the FFT product is
 # the faster one per call.  The crossover stays at 255 because the stored
 # dense matrix is what lets the multigrid set-up build C_255 as the bottom
-# matrix (and K on a 255-unknown fine level); moving it would change the
-# hierarchy and its frozen product counts.
+# matrix (and the top matrix, the whole cycle, on a 255-unknown fine level);
+# moving it would change the hierarchy and its frozen product counts.
 _DENSE_MAX_N = 255
 
 

@@ -290,14 +290,10 @@ def test_per_step_solve_cost_stays_near_linear():
         assert all(ratio <= 2.6 for ratio in ratios), (alpha, times, ratios)
 
 
-@pytest.mark.parametrize("M", (512, 1024, 2048))
-@pytest.mark.parametrize("alpha", sorted(EX1_REFERENCE))
-def test_per_step_products_per_level_are_fixed_per_cycle(monkeypatch, alpha, M):
-    # machine-independent companion of the timing test above: at the
-    # default V(1,2) every cycle makes 4 products on the fine level (the
-    # solver's residual, the cycle's residual, 2 post-smoothing steps) and 3
-    # on each level between it and the bottom level (n = 255), at every M;
-    # the step adds its one fine product outside the solve
+def _first_step_product_sizes(monkeypatch, alpha, M):
+    """The hierarchy, cycle count and per-size matvec counts of the first
+    Crank-Nicolson step of the manufactured benchmark at the default
+    V(1,2)."""
     problem = make_example1(alpha, 0.5)
     mesh = Mesh(problem.a, problem.b, M)
     tau = problem.T / M
@@ -314,12 +310,36 @@ def test_per_step_products_per_level_are_fixed_per_cycle(monkeypatch, alpha, M):
 
     monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
     _, iters = timestep.cn_step(hier, u, 0.0, load)
+    return hier, iters, Counter(sizes)
+
+
+@pytest.mark.parametrize("M", (512, 1024, 2048))
+@pytest.mark.parametrize("alpha", sorted(EX1_REFERENCE))
+def test_per_step_products_per_level_are_fixed_per_cycle(monkeypatch, alpha, M):
+    # machine-independent companion of the timing test above: at the
+    # default V(1,2) every cycle makes 4 products on the fine level (the
+    # solver's residual, the cycle's residual, 2 post-smoothing steps) and 3
+    # on each level between it and the bottom level (n = 255), at every M;
+    # the step adds its one fine product outside the solve
+    hier, iters, sizes = _first_step_product_sizes(monkeypatch, alpha, M)
     bottom, fine = hier._bottom[0], len(hier.levels) - 1
     assert hier.levels[bottom].mesh.n_interior == 255 and iters > 0
     expected = {hier.levels[k].mesh.n_interior: 3 * iters
                 for k in range(bottom + 1, fine)}
     expected[M - 1] = 1 + 4 * iters
-    assert Counter(sizes) == expected
+    assert sizes == expected
+
+
+@pytest.mark.parametrize("M", (128, 256))
+@pytest.mark.parametrize("alpha", sorted(EX1_REFERENCE))
+def test_per_step_products_on_a_dense_fine_level_are_one_per_cycle(
+        monkeypatch, alpha, M):
+    # the same count where the fine level is dense: its stored top matrix
+    # is the whole cycle, so each cycle makes one product, the solver's
+    # residual, and no level below the fine one makes any
+    hier, iters, sizes = _first_step_product_sizes(monkeypatch, alpha, M)
+    assert hier._top is not None and iters > 0
+    assert sizes == {M - 1: 1 + iters}
 
 
 # ---------------------------------------------------------------------------

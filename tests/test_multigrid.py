@@ -278,9 +278,9 @@ def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128, hier1024):
             multigrid.v_cycle(hier, len(hier.levels) - 1, g)
     with pytest.raises(ValueError):
         multigrid.mg_solve(hier128, g)
-    # a non-finite product with K is caught by the dense fine level, and one
-    # with C_b, on an FFT fine level, by the level above the bottom; a
-    # contraction estimate reads both
+    # a non-finite product with the top matrix is caught by the dense fine
+    # level, and one with C_b, on an FFT fine level, by the level above the
+    # bottom; a contraction estimate reads both
     top = len(hier128.levels) - 1
     k, c_k = hier1024._bottom
     for poisoned, level in [
@@ -322,8 +322,8 @@ def test_vcycle_shape_validation(hier128):
 def test_vcycle_error_operator_selfadjoint_in_energy():
     # with symmetric smoothing (m1 = m2, same damping) the cycle's error
     # operator I - V A is self-adjoint in the operator inner product; at
-    # M = 32 the fine level's whole cycle is the stored K, which holds its
-    # one post-smoothing step and the stored C_b of the middle level
+    # M = 32 the fine level's whole cycle is the stored top matrix, built
+    # on the stored C_b of the middle level
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 32),
                                      tau=0.25, config=MgConfig(m1=1, m2=1))
     assert hier._bottom[0] == 1 and len(hier.levels) == 3
@@ -346,8 +346,8 @@ def hier1024():
 
 
 def uncollapsed(hier):
-    # the same cycle with bottom level b = 0 and no K: it recurses to the
-    # coarsest level and ends in A_0^{-1}
+    # the same cycle with bottom level b = 0 and no top matrix: it recurses
+    # to the coarsest level and ends in A_0^{-1}
     a_0 = hier.levels[0].system.dense()
     return dataclasses.replace(hier, _bottom=(0, np.linalg.inv(a_0)),
                                _top=None)
@@ -370,7 +370,7 @@ def test_collapse_level_is_the_largest_dense_coarse_level(hier16, hier128,
     inv = np.linalg.inv(hier16.levels[0].system.dense())
     gap = np.linalg.norm(hier16._bottom[1] - inv)
     assert gap <= 1e-13 * np.linalg.norm(inv)
-    # K is stored on a dense fine level only
+    # the top matrix is stored on a dense fine level only
     for hier in (hier16, hier128):
         n = hier.fine.mesh.n_interior
         assert hier._top.shape == (n, n) and not hier._top.flags.writeable
@@ -406,20 +406,17 @@ def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
 
 
 @pytest.mark.parametrize("cells", [16, 128, 256])
-@pytest.mark.parametrize("m1, m2", [(1, 2), (3, 1), (2, 0)])
+@pytest.mark.parametrize("m1, m2", [(1, 2), (3, 1), (2, 0), (2, 3)])
 def test_top_matrix_matches_recursive_zero_start_cycle(cells, m1, m2):
-    # K g followed by the m2 - min(1, m2) post-smoothing steps K does not
-    # hold is the whole zero-start cycle on the dense fine level, checked on
-    # every unit vector
+    # the top matrix is the whole zero-start cycle on the dense fine level,
+    # checked on every unit vector
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
                                      tau=1.0 / cells,
                                      config=MgConfig(m1=m1, m2=m2))
     ref_hier = uncollapsed(hier)
-    level = hier.fine
     top = len(hier.levels) - 1
-    for col in np.eye(level.mesh.n_interior):
-        got = multigrid.jacobi_smooth(level, hier._top @ col, col,
-                                      hier.config.eta_post, m2 - min(1, m2))
+    for col in np.eye(hier.fine.mesh.n_interior):
+        got = hier._top @ col
         ref = multigrid.v_cycle(ref_hier, top, col)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -449,10 +446,9 @@ def record_block_products(monkeypatch):
 
 
 def assert_bottom_build_products(hier, products):
-    # levels 1..b each get m1 - 1 pre- and m2 post-smoothing products with
-    # their own system, and a dense fine level m1 - 1 pre- and min(1, m2)
-    # post-smoothing products for its K; none is on s * I, and the other
-    # levels get none
+    # levels 1..b, and a dense fine level for its top matrix, each get
+    # m1 - 1 pre- and m2 post-smoothing products with their own system;
+    # none is on s * I, and the other levels get none
     config = hier.config
     k_bottom = hier._bottom[0]
     assert k_bottom > 0
@@ -461,11 +457,9 @@ def assert_bottom_build_products(hier, products):
         assert not scaled_eye
         k = next(k for k, lvl in enumerate(hier.levels) if lvl.system is op)
         per_level[k] += 1
-    expected = Counter({k: config.m1 - 1 + config.m2
-                        for k in range(1, k_bottom + 1)})
-    if hier._top is not None:
-        expected[len(hier.levels) - 1] = config.m1 - 1 + min(1, config.m2)
-    assert per_level == expected
+    top = len(hier.levels) - 1 if hier._top is not None else k_bottom
+    assert per_level == Counter({k: config.m1 - 1 + config.m2
+                                 for k in range(1, top + 1)})
 
 
 @pytest.mark.parametrize("cells, k_bottom", [(128, 3), (4096, 5)])
@@ -475,8 +469,9 @@ def test_bottom_build_makes_m1_minus_1_plus_m2_block_products(
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
                                      tau=1.0 / cells)
     assert hier._bottom[0] == k_bottom
-    # V(1,2): 2 per bottom-matrix level, and 1 for K on the dense fine level
-    assert len(products) == {128: 2 * 3 + 1, 4096: 2 * 5}[cells]
+    # V(1,2): 2 per bottom-matrix level, and 2 for the top matrix on the
+    # dense fine level
+    assert len(products) == {128: 2 * 3 + 2, 4096: 2 * 5}[cells]
     assert_bottom_build_products(hier, products)
 
 
@@ -529,7 +524,7 @@ def test_block_vcycle_matches_column_by_column(hier128):
 
 
 @pytest.mark.parametrize("cells, per_cycle", [
-    (128, {127: 2}),
+    (128, {127: 1}),
     (1024, {1023: 4, 511: 3}),
 ])
 def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
@@ -538,8 +533,8 @@ def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
     # mg_solve's residual + 1 cycle residual + m2 = 2 post-smoothing (the
     # zero-start pre-smoothing step needs no product); each uncollapsed
     # level between the fine level and b costs 3; nothing at or below b.
-    # On a dense fine level K replaces the cycle residual and the first
-    # post-smoothing step, leaving 1 + (m2 - 1)
+    # On a dense fine level the top matrix is the whole cycle, leaving only
+    # the solver's residual
     hier = hier128 if cells == 128 else hier1024
     sizes = []
     matvec = toeplitz.SymToeplitz.matvec
