@@ -116,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative residual target in (0, 1)")
     mg.add_argument("--max-iter", type=int, default=100,
                     help="V-cycle iteration cap")
-    mg.add_argument("--coarse-max", type=int, default=7, metavar="I",
-                    help="direct solve at or below this interior size")
     seed, run = group("run")
     run.add_argument("--seed", type=_value(int, ">= 0", lambda s: s >= 0),
                      default=0, help="seed for randomized checks")
@@ -171,29 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _mg_config(args: argparse.Namespace,
-               sizes: Sequence[int]) -> multigrid.MgConfig:
+               sizes: Sequence[int] = ()) -> multigrid.MgConfig:
     """The multigrid flags, checked against the cell counts they will run.
 
     A value ``MgConfig`` rejects is a usage error naming its flag, and so is
-    a mesh whose interior size is at or below ``--coarse-max``: it would be
-    a single level, which the V-cycle cannot run.  The mesh is named by its
-    ``--M`` value, or as the check mesh for a command that takes no sizes.
+    an ``--M`` whose interior size is at or below ``multigrid.COARSEST_N``:
+    it would be a single level, which the V-cycle cannot run.
     """
     values = {name: getattr(args, name) for name in
-              ("m1", "m2", "eta_pre", "eta_post", "tol", "max_iter",
-               "coarse_max")}
+              ("m1", "m2", "eta_pre", "eta_post", "tol", "max_iter")}
     for name, value in values.items():
         try:  # against the defaults, so the error names this flag alone
             multigrid.MgConfig(**{name: value})
         except ValueError as exc:
             raise UsageError(f"--{name.replace('_', '-')} {value}: {exc}")
-    smallest = min(sizes)
-    if smallest - 1 <= args.coarse_max:
-        mesh = (f"--M {smallest}" if hasattr(args, "M")
-                else f"the {smallest}-cell check mesh")
-        raise UsageError(
-            f"{mesh} leaves {smallest - 1} interior nodes, at or below "
-            f"--coarse-max {args.coarse_max}: a single multigrid level")
+    for cells in sizes:
+        if cells - 1 <= multigrid.COARSEST_N:
+            raise UsageError(
+                f"--M {cells} leaves {cells - 1} interior nodes, at or below "
+                f"the coarsest level size {multigrid.COARSEST_N}: a single "
+                f"multigrid level")
     return multigrid.MgConfig(**values)
 
 
@@ -402,7 +397,7 @@ def _check_galerkin(args) -> Tuple[str, str]:
     # and against an independent re-discretization of the problem on its mesh
     problem = assembly.make_example1(1.5, args.lam)
     hier = multigrid.build_hierarchy(problem, assembly.Mesh(0.0, 32.0, 32),
-                                     0.1, _mg_config(args, (32,)))
+                                     0.1, _mg_config(args))
 
     def gap(x, ref):
         return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
@@ -483,7 +478,7 @@ def _check_cn_stability(args) -> Tuple[str, str]:
     worst = -np.inf
     for steps in (16, 6):  # tau = T/6 is ~10x the mesh width
         hier = multigrid.build_hierarchy(problem, mesh, problem.T / steps,
-                                         _mg_config(args, (mesh.cells,)))
+                                         _mg_config(args))
         u = problem.u0(mesh.interior_nodes())
         norm_prev = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
         for step in range(steps):  # homogeneous: a zero load
@@ -507,7 +502,7 @@ def _check_spectral_scaling(args) -> Tuple[str, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _mg_config(args, (32,))  # the smallest mesh a check runs these flags on
+    _mg_config(args)  # refuse a bad multigrid flag before any check
     # --lambda enters example 1 on (0, 32) and example 2 on (0, 1)
     _problems(args, (1.5,), lambda alpha: assembly.make_example1(alpha, args.lam))
     checks = (

@@ -1,9 +1,9 @@
 """Geometric V-cycle multigrid for the Toeplitz time-step systems.
 
-Levels are built by halving the cell count until the interior size drops to
-the direct-solve threshold.  Only the finest level is assembled by
-quadrature; each coarser level takes the closed-form mass of its mesh and the
-Galerkin product P^T B P of the stiffness above it, which for a symmetric
+Levels are built by halving the cell count until the interior size is at
+most ``COARSEST_N``.  Only the finest level is assembled by quadrature; each
+coarser level takes the closed-form mass of its mesh and the Galerkin
+product P^T B P of the stiffness above it, which for a symmetric
 Toeplitz B is symmetric Toeplitz again and costs O(n) (Chan, Chang & Sun,
 SIAM J. Sci. Comput. 19, 1998).  For nested linear elements that product
 equals re-discretization up to quadrature error (checked against
@@ -14,12 +14,10 @@ scalar Richardson.
 
 Every cycle starts from zero, so it is a fixed linear map of its right-hand
 side, and set-up stores all of it at and below one level b as a read-only
-bottom matrix C_b: C_0 = A_0^{-1}, or, when a dense level lies strictly
-between the coarsest and the fine one, C_b = V_b(I) for the largest such
-level, built level by level from C_0 as C_k = V_k(I) with coarse
-correction C_{k-1}.  When the fine level is dense too, b is the level below
-it, and the same loop also stores the top matrix V_top(I), the whole fine
-cycle, so a cycle there is one product with it.
+bottom matrix C_b.  b is the highest level whose system stores its dense
+matrix, the fine level included: C_0 = A_0^{-1}, and each dense level k >= 1
+in turn gets C_k = V_k(I), its whole cycle with coarse correction C_{k-1}.
+On a dense fine level a cycle is therefore one product with C_b.
 ``mg_solve`` and ``contraction_factor`` iterate in correction form,
 z <- z + V(g - A z).
 """
@@ -36,6 +34,9 @@ import numpy as np
 from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
                        level_from_symbols)
 
+# coarsening stops at the first level with at most this interior size
+COARSEST_N = 7
+
 
 @dataclass(frozen=True)
 class MgConfig:
@@ -45,7 +46,6 @@ class MgConfig:
     eta_post: float = 0.5
     tol: float = 1e-10       # relative residual target, in (0, 1)
     max_iter: int = 100
-    coarse_max: int = 7      # coarsest level: at or below this interior size
 
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 0:
@@ -54,8 +54,8 @@ class MgConfig:
             raise ValueError("damping factors must lie in (0, 1/2]")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1 or self.coarse_max < 1:
-            raise ValueError("need max_iter >= 1 and coarse_max >= 1")
+        if self.max_iter < 1:
+            raise ValueError("need max_iter >= 1")
 
 
 @dataclass
@@ -67,19 +67,16 @@ class Hierarchy:
     config: MgConfig
     levels: List[LevelOperator]
     assembly_seconds: float = 0.0
-    # (b, C_b): bottom level index and the read-only matrix that replaces
-    # the cycle at and below it
+    # (b, C_b): the highest dense level and the read-only matrix of its
+    # whole zero-start cycle (A_0^{-1} at b = 0)
     _bottom: tuple = field(default=None, repr=False)
-    # V_top(I): the read-only top matrix, the whole zero-start cycle of the
-    # fine level, stored when that level is dense; None otherwise
-    _top: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def fine(self) -> LevelOperator:
         return self.levels[-1]
 
     def coarse_solve(self, g: np.ndarray) -> np.ndarray:
-        """C_b @ g; the calling cycle's finiteness check guards the result."""
+        """C_b @ g, level b's whole cycle; ``v_cycle`` checks the result."""
         return self._bottom[1] @ g
 
 
@@ -100,21 +97,20 @@ def coarsen_symbol(first_col: np.ndarray) -> np.ndarray:
 
 def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
                     config: Optional[MgConfig] = None) -> Hierarchy:
-    """Assemble fine_mesh and Galerkin-coarsen down to the direct-solve size.
+    """Assemble fine_mesh and Galerkin-coarsen down to ``COARSEST_N``.
 
     Each coarse level takes the closed-form mass symbol of its mesh and the
     stiffness symbol ``coarsen_symbol`` derives from the level above.
-    ``assembly_seconds`` covers the bottom and top matrices
-    (``_with_bottom``) too.
+    ``assembly_seconds`` covers the bottom matrix (``_with_bottom``) too.
     """
     config = config or MgConfig()
     meshes = [fine_mesh]
-    while meshes[-1].n_interior > config.coarse_max:
+    while meshes[-1].n_interior > COARSEST_N:
         meshes.append(meshes[-1].coarsen())
     if len(meshes) < 2:
         raise ValueError(
-            f"M={fine_mesh.cells} yields a single level at "
-            f"coarse_max={config.coarse_max}; refine the mesh")
+            f"M={fine_mesh.cells} yields a single level at coarsest "
+            f"size {COARSEST_N}; refine the mesh")
     t0 = time.perf_counter()
     levels = [assemble_level(problem, fine_mesh, tau)]
     for mesh in meshes[1:]:
@@ -128,40 +124,28 @@ def build_hierarchy(problem: ProblemSpec, fine_mesh: Mesh, tau: float,
 
 
 def _with_bottom(hier: Hierarchy) -> None:
-    """Store hier's bottom matrix, and the top matrix on a dense fine level.
+    """Store hier's bottom matrix C_b, the whole zero-start cycle of level b.
 
     C_0 = A_0^{-1} = L^{-T} L^{-1} from the Cholesky factor L, so a non-SPD
-    A_0 raises ``LinAlgError``.  Then every level k strictly between the
-    coarsest and the fine one whose system stores its dense matrix (these
-    are the lowest ones) gets, in turn, C_k = V_k(I): the zero-start cycle
-    of level k on the identity, with A I that stored matrix and coarse
-    correction C_{k-1}, so it makes m1 - 1 + m2 block products.  The
-    largest such level is the bottom.  When the fine level is dense too, the
-    same loop gives it the top matrix V_top(I), the whole cycle, in the same
-    m1 - 1 + m2 block products.
+    A_0 raises ``LinAlgError``.  Then every level k >= 1 whose system stores
+    its dense matrix (these are the lowest ones, the fine level among them
+    when it is dense) gets, in turn, C_k = V_k(I): the zero-start cycle of
+    level k on the identity, with A I that stored matrix and coarse
+    correction C_{k-1}, so it makes m1 - 1 + m2 block products.  The highest
+    such level is b.
     """
-    config = hier.config
     levels = hier.levels
     chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system.dense()))
-    hier._bottom, hier._top = (0, chol_inv.T @ chol_inv), None
+    hier._bottom = (0, chol_inv.T @ chol_inv)
     for k in range(1, len(levels)):
-        level = levels[k]
-        if level.system._dense is None:
+        dense = levels[k].system._dense
+        if dense is None:
             break
-        eye = np.eye(level.mesh.n_interior)
-        z = _presmooth_and_correct(hier, k, eye, level.system._dense)
-        z = jacobi_smooth(level, z, eye, config.eta_post, config.m2)
-        if k == len(levels) - 1:
-            hier._top = z
-        else:
-            hier._bottom = (k, z)
-    for name, k, matrix in (("bottom", *hier._bottom),
-                            ("top", len(levels) - 1, hier._top)):
-        if matrix is None:
-            continue
-        if not np.isfinite(matrix).all():
-            raise FloatingPointError(f"non-finite {name} matrix on level {k}")
-        matrix.flags.writeable = False
+        hier._bottom = (k, _cycle(hier, k, np.eye(len(dense)), dense))
+    k, matrix = hier._bottom
+    if not np.isfinite(matrix).all():
+        raise FloatingPointError(f"non-finite bottom matrix on level {k}")
+    matrix.flags.writeable = False
 
 
 def prolongate(coarse: np.ndarray) -> np.ndarray:
@@ -212,13 +196,15 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     return z
 
 
-def _presmooth_and_correct(hier: Hierarchy, k: int, g: np.ndarray,
-                           ag: np.ndarray) -> np.ndarray:
-    """Level k's zero-start pre-smoothing of g plus the coarse correction of
-    its residual, given ag = A g.
+def _cycle(hier: Hierarchy, k: int, g: np.ndarray,
+           ag: np.ndarray) -> np.ndarray:
+    """Level k's zero-start V-cycle of g above the bottom level, given
+    ag = A g.
 
-    The first smoothing step gives s g with residual g - s A g, so the m1 - 1
-    further steps make one product each: z <- z + s r, r <- r - s A r.
+    The first pre-smoothing step gives s g with residual g - s A g, so the
+    m1 - 1 further steps make one product each: z <- z + s r, r <- r - s A r.
+    The coarse correction is the cycle of level k - 1, and m2 post-smoothing
+    steps follow.
     """
     config = hier.config
     level = hier.levels[k]
@@ -230,33 +216,28 @@ def _presmooth_and_correct(hier: Hierarchy, k: int, g: np.ndarray,
         z += s * residual
         residual -= s * level.apply(residual)
     residual = restrict(residual)
-    if k - 1 == hier._bottom[0]:
-        z += prolongate(hier.coarse_solve(residual))
-    else:
-        z += prolongate(v_cycle(hier, k - 1, residual))
-    return z
+    z += prolongate(v_cycle(hier, k - 1, residual))
+    return jacobi_smooth(level, z, g, config.eta_post, config.m2)
 
 
 def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
-    """One zero-start V-cycle on level index k > b with ``hier.config``.
+    """One zero-start V-cycle on level index k >= b with ``hier.config``.
 
-    g may be an (n, k) block, cycled column by column.  The correction from
-    the bottom level b is ``hier.coarse_solve(residual)``.  On the fine
-    level, when the top matrix is stored, the cycle is that matrix times g.
+    g may be an (n, k) block, cycled column by column.  On the bottom level
+    b the cycle is ``hier.coarse_solve(g)``, so on a dense fine level it is
+    one product.
     """
-    config = hier.config
     level = hier.levels[k]
     n = level.mesh.n_interior
     bottom = hier._bottom[0]
     if g.ndim not in (1, 2) or g.shape[0] != n:
         raise ValueError(f"level {k} expects vectors of size {n}")
-    if k <= bottom:
-        raise ValueError(f"level {k} is at or below the bottom level {bottom}")
-    if hier._top is not None and k == len(hier.levels) - 1:
-        z = hier._top @ g
+    if k < bottom:
+        raise ValueError(f"level {k} is below the bottom level {bottom}")
+    if k == bottom:
+        z = hier.coarse_solve(g)
     else:
-        z = _presmooth_and_correct(hier, k, g, level.apply(g))
-        z = jacobi_smooth(level, z, g, config.eta_post, config.m2)
+        z = _cycle(hier, k, g, level.apply(g))
     if not np.isfinite(z).all():
         raise FloatingPointError(f"non-finite iterate on level {k}")
     return z

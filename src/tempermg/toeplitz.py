@@ -34,9 +34,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # 3.1 vs 4.3 us at n = 127, 8.8 vs 5.9 us at n = 255, 51 vs 9.9 us at
 # n = 511.  Multigrid levels have n = 2^k - 1; at 255 the FFT product is
 # the faster one per call.  The crossover stays at 255 because the stored
-# dense matrix is what lets the multigrid set-up build C_255 as the bottom
-# matrix (and the top matrix, the whole cycle, on a 255-unknown fine level);
-# moving it would change the hierarchy and its frozen product counts.
+# dense matrix is what lets the multigrid set-up build C_255, the whole
+# cycle of that level, as the bottom matrix (the fine level's own, when it
+# has 255 unknowns); moving it would change the hierarchy and its frozen
+# product counts.
 _DENSE_MAX_N = 255
 
 

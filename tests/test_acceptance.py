@@ -334,11 +334,12 @@ def test_per_step_products_per_level_are_fixed_per_cycle(monkeypatch, alpha, M):
 @pytest.mark.parametrize("alpha", sorted(EX1_REFERENCE))
 def test_per_step_products_on_a_dense_fine_level_are_one_per_cycle(
         monkeypatch, alpha, M):
-    # the same count where the fine level is dense: its stored top matrix
-    # is the whole cycle, so each cycle makes one product, the solver's
-    # residual, and no level below the fine one makes any
+    # the same count where the fine level is dense: it is the bottom level,
+    # whose stored matrix is the whole cycle, so each cycle makes one
+    # product, the solver's residual, and no level below the fine one makes
+    # any
     hier, iters, sizes = _first_step_product_sizes(monkeypatch, alpha, M)
-    assert hier._top is not None and iters > 0
+    assert hier._bottom[0] == len(hier.levels) - 1 and iters > 0
     assert sizes == {M - 1: 1 + iters}
 
 

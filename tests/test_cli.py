@@ -331,27 +331,19 @@ def test_unread_or_invalid_flag_is_usage_error(args, flag):
 
 @pytest.mark.parametrize("args", [
     ("example1", "--M", "8"),
-    ("example1", "--M", "64,16", "--coarse-max", "15"),
-    ("example2", "--M", "2^5,2^6", "--coarse-max", "31"),
-    ("mgbench", "--M", "32", "--coarse-max", "40"),
-    ("verify", "--coarse-max", "31"),
+    ("example1", "--M", "64,4"),
+    ("example2", "--M", "2^3,2^6"),
+    ("mgbench", "--M", "4"),
+    ("mgbench", "--M", "32,8"),
 ])
 def test_single_level_size_is_usage_error(args):
-    # a mesh whose interior size is at or below --coarse-max has no level
-    # to cycle on; that is a bad flag combination, found before any run
+    # a mesh whose interior size is at or below the coarsest level size has
+    # no level to cycle on; that is a bad size, found before any run
+    cells = min(cli._parse_sizes(args[2]))
     proc = run_cli(*args)
     assert proc.returncode == 2
-    assert "--coarse-max" in proc.stderr and "usage error" in proc.stderr
-    assert proc.stdout == ""
-
-
-def test_verify_single_level_names_its_check_mesh():
-    # verify takes no --M, so the message names the mesh its checks run on
-    proc = run_cli("verify", "--coarse-max", "31")
-    assert proc.returncode == 2
-    assert ("usage error: the 32-cell check mesh leaves 31 interior nodes, "
-            "at or below --coarse-max 31") in proc.stderr
-    assert "--M" not in proc.stderr
+    assert (f"usage error: --M {cells} leaves {cells - 1} interior nodes, "
+            f"at or below the coarsest level size 7") in proc.stderr
     assert proc.stdout == ""
 
 
@@ -368,7 +360,7 @@ def test_overflowing_domain_width_is_usage_error():
 # the problem, multigrid and output flags every subcommand reads
 SHARED_FLAGS = {"-h", "--help", "--alpha", "--lambda", "--m1", "--m2",
                 "--eta-pre", "--eta-post", "--tol", "--max-iter",
-                "--coarse-max", "--format", "--out"}
+                "--format", "--out"}
 
 
 @pytest.mark.parametrize("command, flags", [

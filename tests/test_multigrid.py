@@ -70,8 +70,6 @@ def test_config_validation():
             MgConfig(tol=tol)
     with pytest.raises(ValueError):
         MgConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        MgConfig(coarse_max=0)
 
 
 def test_rediscretized_levels_satisfy_galerkin_relation():
@@ -255,19 +253,15 @@ def hier16():
     return multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 16), 0.1)
 
 
-def test_vcycle_coarsest_is_direct_solve(hier16, hier128):
-    coarse = hier16.levels[0]
+def test_vcycle_coarsest_is_direct_solve(hier16):
+    # a hierarchy of the coarsest level alone: its bottom matrix is A_0^{-1}
+    coarsest = coarsest_only(hier16)
+    coarse = coarsest.levels[0]
     rng = np.random.default_rng(4)
     g = rng.standard_normal(coarse.mesh.n_interior)
     ref = np.linalg.solve(coarse.system.dense(), g)
-    out = hier16.coarse_solve(g)
-    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
-    # no cycle runs on the bottom level or below it
-    for hier in (hier16, hier128):
-        for k in range(hier._bottom[0] + 1):
-            g = np.ones(hier.levels[k].mesh.n_interior)
-            with pytest.raises(ValueError, match="bottom level"):
-                multigrid.v_cycle(hier, k, g)
+    for out in (coarsest.coarse_solve(g), multigrid.v_cycle(coarsest, 0, g)):
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128, hier1024):
@@ -278,21 +272,18 @@ def test_coarse_solve_rejects_non_finite_rhs(hier16, hier128, hier1024):
             multigrid.v_cycle(hier, len(hier.levels) - 1, g)
     with pytest.raises(ValueError):
         multigrid.mg_solve(hier128, g)
-    # a non-finite product with the top matrix is caught by the dense fine
-    # level, and one with C_b, on an FFT fine level, by the level above the
-    # bottom; a contraction estimate reads both
-    top = len(hier128.levels) - 1
-    k, c_k = hier1024._bottom
-    for poisoned, level in [
-            (dataclasses.replace(hier128,
-                                 _top=np.full_like(hier128._top, np.nan)),
-             top),
-            (dataclasses.replace(hier1024,
-                                 _bottom=(k, np.full_like(c_k, np.nan))),
-             k + 1)]:
-        g = np.ones(poisoned.levels[level].mesh.n_interior)
-        with pytest.raises(FloatingPointError, match=f"level {level}"):
-            multigrid.v_cycle(poisoned, level, g)
+    # a non-finite product with C_b is caught by level b itself, whether b
+    # is the dense fine level or lies below an FFT fine one, and whether the
+    # cycle starts at b or at the fine level; a contraction estimate reads
+    # both
+    for hier in (hier128, hier1024):
+        k, c_k = hier._bottom
+        poisoned = dataclasses.replace(hier,
+                                       _bottom=(k, np.full_like(c_k, np.nan)))
+        for level in (k, len(hier.levels) - 1):
+            g = np.ones(poisoned.levels[level].mesh.n_interior)
+            with pytest.raises(FloatingPointError, match=f"level {k}$"):
+                multigrid.v_cycle(poisoned, level, g)
         with pytest.raises(FloatingPointError):
             multigrid.contraction_factor(poisoned)
 
@@ -322,11 +313,11 @@ def test_vcycle_shape_validation(hier128):
 def test_vcycle_error_operator_selfadjoint_in_energy():
     # with symmetric smoothing (m1 = m2, same damping) the cycle's error
     # operator I - V A is self-adjoint in the operator inner product; at
-    # M = 32 the fine level's whole cycle is the stored top matrix, built
-    # on the stored C_b of the middle level
+    # M = 32 the fine level is the bottom level, and its whole cycle is the
+    # stored C_b, built on the stored C_1 of the middle level
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 32),
                                      tau=0.25, config=MgConfig(m1=1, m2=1))
-    assert hier._bottom[0] == 1 and len(hier.levels) == 3
+    assert hier._bottom[0] == 2 and len(hier.levels) == 3
     top = len(hier.levels) - 1
     a_dense = hier.fine.system.dense()
     e_mat = np.eye(len(a_dense)) - np.column_stack([
@@ -346,35 +337,59 @@ def hier1024():
 
 
 def uncollapsed(hier):
-    # the same cycle with bottom level b = 0 and no top matrix: it recurses
-    # to the coarsest level and ends in A_0^{-1}
+    # the same cycle with bottom level b = 0: it recurses to the coarsest
+    # level and ends in A_0^{-1}
     a_0 = hier.levels[0].system.dense()
-    return dataclasses.replace(hier, _bottom=(0, np.linalg.inv(a_0)),
-                               _top=None)
+    return dataclasses.replace(hier, _bottom=(0, np.linalg.inv(a_0)))
+
+
+def coarsest_only(hier):
+    # hier's coarsest level alone, with the bottom matrix set-up gives it
+    single = dataclasses.replace(hier, levels=hier.levels[:1])
+    multigrid._with_bottom(single)
+    return single
 
 
 def test_collapse_level_is_the_largest_dense_coarse_level(hier16, hier128,
                                                           hier1024):
-    # fine n = 127: every level below it is dense, so b is the one under the
-    # fine level; fine n = 1023: b is n = 255, two levels down
-    assert hier128._bottom[0] == len(hier128.levels) - 2
+    # fine n = 15 or 127: every level is dense, so b is the fine level;
+    # fine n = 1023: b is n = 255, two levels down
+    assert hier16._bottom[0] == len(hier16.levels) - 1 == 1
+    assert hier128._bottom[0] == len(hier128.levels) - 1
     assert hier1024._bottom[0] == len(hier1024.levels) - 3
     for hier in (hier16, hier128, hier1024):
         k, c_k = hier._bottom
         n = hier.levels[k].mesh.n_interior
         assert n <= toeplitz._DENSE_MAX_N
         assert c_k.shape == (n, n) and not c_k.flags.writeable
-    # no coarse level strictly between the coarsest and the fine one: the
-    # bottom matrix is the coarsest inverse
-    assert len(hier16.levels) == 2 and hier16._bottom[0] == 0
+    # no dense level above the coarsest one: the bottom matrix is the
+    # coarsest inverse
+    coarsest = coarsest_only(hier16)
+    assert coarsest._bottom[0] == 0
+    assert not coarsest._bottom[1].flags.writeable
     inv = np.linalg.inv(hier16.levels[0].system.dense())
-    gap = np.linalg.norm(hier16._bottom[1] - inv)
+    gap = np.linalg.norm(coarsest._bottom[1] - inv)
     assert gap <= 1e-13 * np.linalg.norm(inv)
-    # the top matrix is stored on a dense fine level only
-    for hier in (hier16, hier128):
-        n = hier.fine.mesh.n_interior
-        assert hier._top.shape == (n, n) and not hier._top.flags.writeable
-    assert hier1024._top is None
+
+
+@pytest.mark.parametrize("cells", [16, 128, 1024])
+def test_vcycle_on_the_bottom_level_is_its_stored_matrix(cells):
+    # on level b the cycle is one product with C_b, bit for bit: b is the
+    # fine level at M = 16 and 128, and the n = 255 level at M = 1024; no
+    # cycle runs below b
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
+                                     tau=1.0 / cells)
+    k = hier._bottom[0]
+    n = hier.levels[k].mesh.n_interior
+    assert n == min(cells - 1, 255)
+    rng = np.random.default_rng(cells)
+    for g in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        np.testing.assert_array_equal(multigrid.v_cycle(hier, k, g),
+                                      hier.coarse_solve(g))
+    for j in range(k):
+        g = np.ones(hier.levels[j].mesh.n_interior)
+        with pytest.raises(ValueError, match=f"below the bottom level {k}"):
+            multigrid.v_cycle(hier, j, g)
 
 
 def test_non_spd_coarsest_level_raises_linalg_error(hier16):
@@ -408,15 +423,16 @@ def test_collapsed_matrix_matches_recursive_zero_start_cycle(cells, lam, sigma):
 @pytest.mark.parametrize("cells", [16, 128, 256])
 @pytest.mark.parametrize("m1, m2", [(1, 2), (3, 1), (2, 0), (2, 3)])
 def test_top_matrix_matches_recursive_zero_start_cycle(cells, m1, m2):
-    # the top matrix is the whole zero-start cycle on the dense fine level,
-    # checked on every unit vector
+    # on a dense fine level, the top of the hierarchy, the stored C_b is the
+    # whole zero-start cycle, checked on every unit vector
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
                                      tau=1.0 / cells,
                                      config=MgConfig(m1=m1, m2=m2))
     ref_hier = uncollapsed(hier)
     top = len(hier.levels) - 1
+    assert hier._bottom[0] == top
     for col in np.eye(hier.fine.mesh.n_interior):
-        got = hier._top @ col
+        got = hier._bottom[1] @ col
         ref = multigrid.v_cycle(ref_hier, top, col)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -446,9 +462,8 @@ def record_block_products(monkeypatch):
 
 
 def assert_bottom_build_products(hier, products):
-    # levels 1..b, and a dense fine level for its top matrix, each get
-    # m1 - 1 pre- and m2 post-smoothing products with their own system;
-    # none is on s * I, and the other levels get none
+    # levels 1..b each get m1 - 1 pre- and m2 post-smoothing products with
+    # their own system; none is on s * I, and the other levels get none
     config = hier.config
     k_bottom = hier._bottom[0]
     assert k_bottom > 0
@@ -457,21 +472,19 @@ def assert_bottom_build_products(hier, products):
         assert not scaled_eye
         k = next(k for k, lvl in enumerate(hier.levels) if lvl.system is op)
         per_level[k] += 1
-    top = len(hier.levels) - 1 if hier._top is not None else k_bottom
     assert per_level == Counter({k: config.m1 - 1 + config.m2
-                                 for k in range(1, top + 1)})
+                                 for k in range(1, k_bottom + 1)})
 
 
-@pytest.mark.parametrize("cells, k_bottom", [(128, 3), (4096, 5)])
+@pytest.mark.parametrize("cells, k_bottom", [(128, 4), (4096, 5)])
 def test_bottom_build_makes_m1_minus_1_plus_m2_block_products(
         monkeypatch, cells, k_bottom):
     products = record_block_products(monkeypatch)
     hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
                                      tau=1.0 / cells)
     assert hier._bottom[0] == k_bottom
-    # V(1,2): 2 per bottom-matrix level, and 2 for the top matrix on the
-    # dense fine level
-    assert len(products) == {128: 2 * 3 + 2, 4096: 2 * 5}[cells]
+    # V(1,2): 2 per level 1..b, the dense fine level included at M = 128
+    assert len(products) == {128: 2 * 4, 4096: 2 * 5}[cells]
     assert_bottom_build_products(hier, products)
 
 
@@ -533,8 +546,8 @@ def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
     # mg_solve's residual + 1 cycle residual + m2 = 2 post-smoothing (the
     # zero-start pre-smoothing step needs no product); each uncollapsed
     # level between the fine level and b costs 3; nothing at or below b.
-    # On a dense fine level the top matrix is the whole cycle, leaving only
-    # the solver's residual
+    # A dense fine level is b itself, so its cycle is one product with C_b,
+    # leaving only the solver's residual
     hier = hier128 if cells == 128 else hier1024
     sizes = []
     matvec = toeplitz.SymToeplitz.matvec
