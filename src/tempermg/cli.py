@@ -37,7 +37,9 @@ def _parse_sizes(text: str) -> List[int]:
     """Comma list of mesh sizes; accepts plain ints and the 2^k shorthand.
 
     Each size must be a cell count ``assembly.Mesh`` accepts, at most
-    ``_MAX_CELLS``; a 2^k exponent is bounded before the power is taken.
+    ``_MAX_CELLS``, whose interior size is above ``multigrid.COARSEST_N``:
+    one at or below it would be a single level, which the V-cycle cannot
+    run.  A 2^k exponent is bounded before the power is taken.
     """
     sizes = []
     max_exp = _MAX_CELLS.bit_length() - 1
@@ -65,6 +67,11 @@ def _parse_sizes(text: str) -> List[int]:
             assembly.Mesh(0.0, 1.0, size)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"mesh size {token!r}: {exc}")
+        if size - 1 <= multigrid.COARSEST_N:
+            raise argparse.ArgumentTypeError(
+                f"mesh size {token!r}: {size} cells leave {size - 1} interior "
+                f"nodes, at or below the coarsest level size "
+                f"{multigrid.COARSEST_N}: a single multigrid level")
         sizes.append(size)
     if not sizes:
         raise argparse.ArgumentTypeError("empty size list")
@@ -108,14 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     multigrid_flags, mg = group("multigrid")
     mg.add_argument("--m1", type=int, default=1, help="pre-smoothing steps")
     mg.add_argument("--m2", type=int, default=2, help="post-smoothing steps")
-    mg.add_argument("--eta-pre", type=float, default=0.5, metavar="R",
-                    help="pre-smoother damping in (0, 1/2]")
-    mg.add_argument("--eta-post", type=float, default=0.5, metavar="R",
-                    help="post-smoother damping in (0, 1/2]")
-    mg.add_argument("--tol", type=float, default=1e-10,
-                    help="relative residual target in (0, 1)")
-    mg.add_argument("--max-iter", type=int, default=100,
-                    help="V-cycle iteration cap")
     seed, run = group("run")
     run.add_argument("--seed", type=_value(int, ">= 0", lambda s: s >= 0),
                      default=0, help="seed for randomized checks")
@@ -168,28 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mg_config(args: argparse.Namespace,
-               sizes: Sequence[int] = ()) -> multigrid.MgConfig:
-    """The multigrid flags, checked against the cell counts they will run.
-
-    A value ``MgConfig`` rejects is a usage error naming its flag, and so is
-    an ``--M`` whose interior size is at or below ``multigrid.COARSEST_N``:
-    it would be a single level, which the V-cycle cannot run.
-    """
-    values = {name: getattr(args, name) for name in
-              ("m1", "m2", "eta_pre", "eta_post", "tol", "max_iter")}
-    for name, value in values.items():
+def _mg_config(args: argparse.Namespace) -> multigrid.MgConfig:
+    """The ``--m1`` and ``--m2`` flags; a count ``MgConfig`` rejects is a
+    usage error naming its flag."""
+    for name in ("m1", "m2"):
+        value = getattr(args, name)
         try:  # against the defaults, so the error names this flag alone
             multigrid.MgConfig(**{name: value})
         except ValueError as exc:
-            raise UsageError(f"--{name.replace('_', '-')} {value}: {exc}")
-    for cells in sizes:
-        if cells - 1 <= multigrid.COARSEST_N:
-            raise UsageError(
-                f"--M {cells} leaves {cells - 1} interior nodes, at or below "
-                f"the coarsest level size {multigrid.COARSEST_N}: a single "
-                f"multigrid level")
-    return multigrid.MgConfig(**values)
+            raise UsageError(f"--{name} {value}: {exc}")
+    return multigrid.MgConfig(args.m1, args.m2)
 
 
 def _problems(args: argparse.Namespace, alphas: Sequence[float],
@@ -246,7 +233,7 @@ def _rate_column(sizes: Sequence[int], errors: dict) -> List[str]:
 def cmd_example1(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.8]
     sizes = args.M or [128, 256, 512, 1024]
-    config = _mg_config(args, sizes)
+    config = _mg_config(args)
     problems = _problems(args, alphas, lambda alpha: assembly.make_example1(
         alpha, args.lam, args.b, args.T))
 
@@ -270,7 +257,7 @@ def cmd_example1(args: argparse.Namespace) -> int:
 def cmd_example2(args: argparse.Namespace) -> int:
     alphas = args.alpha or [1.1, 1.5, 1.9]
     sizes = args.M or [128, 256, 512, 1024]
-    config = _mg_config(args, sizes)
+    config = _mg_config(args)
     problems = _problems(args, alphas,
                          lambda alpha: assembly.make_example2(alpha, args.lam))
 
@@ -296,7 +283,7 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
     taus = (1.0, 1e-3, 1e-6)
     problems = _problems(args, alphas, lambda alpha: assembly.ProblemSpec(
         alpha, args.lam, args.sigma, args.a, args.b, 1.0))
-    config = _mg_config(args, sizes)
+    config = _mg_config(args)
 
     def hierarchy(problem, m, tau, config=config):
         return multigrid.build_hierarchy(

@@ -36,26 +36,23 @@ from .assembly import (LevelOperator, Mesh, ProblemSpec, assemble_level,
 
 # coarsening stops at the first level with at most this interior size
 COARSEST_N = 7
+# Jacobi damping before and after the coarse correction; must be in (0, 1/2]
+ETA = 0.5
+# mg_solve's relative residual target and cycle cap
+TOL = 1e-10
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class MgConfig:
+    """Smoothing steps of the V-cycle, each damped by ``ETA``."""
+
     m1: int = 1              # pre-smoothing steps
     m2: int = 2              # post-smoothing steps
-    eta_pre: float = 0.5     # damping, in (0, 1/2]
-    eta_post: float = 0.5
-    tol: float = 1e-10       # relative residual target, in (0, 1)
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 0:
             raise ValueError("need m1 >= 1 and m2 >= 0")
-        if not (0.0 < self.eta_pre <= 0.5 and 0.0 < self.eta_post <= 0.5):
-            raise ValueError("damping factors must lie in (0, 1/2]")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("need max_iter >= 1")
 
 
 @dataclass
@@ -180,13 +177,13 @@ def restrict(fine: np.ndarray) -> np.ndarray:
 
 
 def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
-                  eta: float, steps: int) -> np.ndarray:
-    """steps of z <- z + (eta/diag)(g - A z).
+                  steps: int) -> np.ndarray:
+    """steps of z <- z + (ETA/diag)(g - A z).
 
     The system diagonal is constant (Toeplitz), so damped Jacobi here is
     scalar Richardson; implemented that way.
     """
-    scale = eta / level.diag
+    scale = ETA / level.diag
     for _ in range(steps):
         step = level.apply(z)   # the new iterate, built in A z's fresh buffer
         np.subtract(g, step, out=step)
@@ -201,14 +198,15 @@ def _cycle(hier: Hierarchy, k: int, g: np.ndarray,
     """Level k's zero-start V-cycle of g above the bottom level, given
     ag = A g.
 
-    The first pre-smoothing step gives s g with residual g - s A g, so the
-    m1 - 1 further steps make one product each: z <- z + s r, r <- r - s A r.
-    The coarse correction is the cycle of level k - 1, and m2 post-smoothing
-    steps follow.
+    With s = ETA / diag, the first pre-smoothing step gives s g with
+    residual g - s A g, so the m1 - 1 further steps make one product each:
+    z <- z + s r, r <- r - s A r.  The coarse correction is the cycle of
+    level k - 1, and m2 post-smoothing steps follow; m1 and m2 come from
+    ``hier.config``.
     """
     config = hier.config
     level = hier.levels[k]
-    s = config.eta_pre / level.diag
+    s = ETA / level.diag
     z = s * g
     residual = np.multiply(ag, -s)
     residual += g
@@ -217,7 +215,7 @@ def _cycle(hier: Hierarchy, k: int, g: np.ndarray,
         residual -= s * level.apply(residual)
     residual = restrict(residual)
     z += prolongate(v_cycle(hier, k - 1, residual))
-    return jacobi_smooth(level, z, g, config.eta_post, config.m2)
+    return jacobi_smooth(level, z, g, config.m2)
 
 
 def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
@@ -247,20 +245,21 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
 class MgResult:
     solution: np.ndarray
     iters: int
-    residual_history: List[float]  # relative euclidean residuals, starts at 1
+    # relative euclidean residuals: 1, then one a cycle; [0.0] for g = 0
+    residual_history: List[float]
     converged: bool
 
 
 def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
-    """Correction-form V-cycles z <- z + V(g - A z) from zero to tol.
+    """Correction-form V-cycles z <- z + V(g - A z) from zero to ``TOL``.
 
     The residual of each stopping test is the next cycle's right-hand side.
 
-    Non-convergence within max_iter is reported via ``converged=False`` with
-    the last iterate, never raised, so parameter sweeps can record failures.
-    A non-finite right-hand side raises ``ValueError`` before any cycle runs.
+    Non-convergence within ``MAX_ITER`` cycles is reported via
+    ``converged=False`` with the last iterate, never raised, so parameter
+    sweeps can record failures.  A non-finite right-hand side raises
+    ``ValueError`` before any cycle runs.
     """
-    config = hier.config
     g = np.asarray(g, dtype=float)
     top = len(hier.levels) - 1
     z = np.zeros_like(g)
@@ -271,15 +270,15 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
         return MgResult(z, 0, [0.0], True)
     history = [1.0]
     r = g
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         z += v_cycle(hier, top, r)
         r = hier.fine.apply(z)
         np.subtract(g, r, out=r)
         rel = math.sqrt(r @ r) / r0
         history.append(rel)
-        if rel < config.tol:
+        if rel < TOL:
             return MgResult(z, it, history, True)
-    return MgResult(z, config.max_iter, history, False)
+    return MgResult(z, MAX_ITER, history, False)
 
 
 def contraction_factor(hier: Hierarchy, seed: int = 0) -> float:

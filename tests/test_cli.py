@@ -282,6 +282,9 @@ def test_quad_order_is_unknown_flag(command):
     (("example2", "--M", "2^5,48"), "--M"),
     (("example1", "--M", "2^5", "--m1", "0"), "--m1"),
     (("example2", "--M", "2^5", "--m2", "-1"), "--m2"),
+    # no subcommand has --eta-pre, --eta-post, --tol or --max-iter (the
+    # solver's damping, tolerance and cycle cap are constants); argparse
+    # refuses them as unrecognized
     (("mgbench", "--M", "2^5", "--eta-pre", "0.7"), "--eta-pre"),
     (("mgbench", "--M", "2^5", "--eta-post", "0"), "--eta-post"),
     (("example1", "--M", "2^5", "--tol", "0"), "--tol"),
@@ -339,11 +342,13 @@ def test_unread_or_invalid_flag_is_usage_error(args, flag):
 def test_single_level_size_is_usage_error(args):
     # a mesh whose interior size is at or below the coarsest level size has
     # no level to cycle on; that is a bad size, found before any run
-    cells = min(cli._parse_sizes(args[2]))
+    cells = min(int(base) ** int(exp or 1) for base, _, exp in
+                (size.partition("^") for size in args[2].split(",")))
     proc = run_cli(*args)
     assert proc.returncode == 2
-    assert (f"usage error: --M {cells} leaves {cells - 1} interior nodes, "
-            f"at or below the coarsest level size 7") in proc.stderr
+    assert "argument --M: mesh size " in proc.stderr
+    assert (f"{cells} cells leave {cells - 1} interior nodes, at or below "
+            f"the coarsest level size 7") in proc.stderr
     assert proc.stdout == ""
 
 
@@ -359,7 +364,6 @@ def test_overflowing_domain_width_is_usage_error():
 
 # the problem, multigrid and output flags every subcommand reads
 SHARED_FLAGS = {"-h", "--help", "--alpha", "--lambda", "--m1", "--m2",
-                "--eta-pre", "--eta-post", "--tol", "--max-iter",
                 "--format", "--out"}
 
 

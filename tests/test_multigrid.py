@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tempermg import assembly, multigrid, toeplitz
+from tempermg import assembly, multigrid, timestep, toeplitz
 from tempermg.assembly import Mesh, ProblemSpec
 from tempermg.multigrid import MgConfig
 
@@ -59,17 +59,6 @@ def test_config_validation():
         MgConfig(m1=0)
     with pytest.raises(ValueError):
         MgConfig(m2=-1)
-    with pytest.raises(ValueError):
-        MgConfig(eta_pre=0.7)
-    with pytest.raises(ValueError):
-        MgConfig(eta_post=0.0)
-    with pytest.raises(ValueError):
-        MgConfig(tol=0.0)
-    for tol in (1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            MgConfig(tol=tol)
-    with pytest.raises(ValueError):
-        MgConfig(max_iter=0)
 
 
 def test_rediscretized_levels_satisfy_galerkin_relation():
@@ -208,7 +197,7 @@ def test_smoother_fixed_point(hier128):
     rng = np.random.default_rng(0)
     z_star = rng.standard_normal(level.mesh.n_interior)
     g = level.apply(z_star)
-    out = multigrid.jacobi_smooth(level, z_star.copy(), g, 0.5, 3)
+    out = multigrid.jacobi_smooth(level, z_star.copy(), g, 3)
     np.testing.assert_allclose(out, z_star, rtol=1e-12)
 
 
@@ -216,8 +205,9 @@ def test_smoother_single_step_from_zero(hier128):
     level = hier128.fine
     rng = np.random.default_rng(1)
     g = rng.standard_normal(level.mesh.n_interior)
-    out = multigrid.jacobi_smooth(level, np.zeros_like(g), g, 0.4, 1)
-    np.testing.assert_allclose(out, 0.4 / level.diag * g, rtol=1e-14)
+    out = multigrid.jacobi_smooth(level, np.zeros_like(g), g, 1)
+    np.testing.assert_allclose(out, multigrid.ETA / level.diag * g,
+                               rtol=1e-14)
 
 
 def test_smoother_energy_monotone(hier128):
@@ -231,7 +221,7 @@ def test_smoother_energy_monotone(hier128):
     for _ in range(6):
         d = z_star - z
         energies.append(np.sqrt(h * (d @ level.apply(d))))
-        z = multigrid.jacobi_smooth(level, z, g, 0.5, 1)
+        z = multigrid.jacobi_smooth(level, z, g, 1)
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * energies[0])
 
@@ -575,7 +565,7 @@ def test_mg_solve_recovers_manufactured_solution(hier128):
     assert res.converged
     assert np.linalg.norm(res.solution - z_star) <= 1e-8 * np.linalg.norm(z_star)
     assert res.residual_history[0] == 1.0
-    assert res.residual_history[-1] < hier128.config.tol
+    assert res.residual_history[-1] < multigrid.TOL
     assert len(res.residual_history) == res.iters + 1
 
 
@@ -588,7 +578,7 @@ def test_cycle_functions_leave_their_inputs_untouched(hier128):
     g = rng.standard_normal(level.mesh.n_interior)
     kept = z.copy(), g.copy()
     for steps in (0, 1, 3):
-        out = multigrid.jacobi_smooth(level, z, g, 0.5, steps)
+        out = multigrid.jacobi_smooth(level, z, g, steps)
         assert steps == 0 or not np.shares_memory(out, z)
     multigrid.v_cycle(hier128, top, g)
     multigrid.v_cycle(hier128, top, np.column_stack((g, z)))
@@ -601,18 +591,35 @@ def test_mg_solve_zero_rhs(hier128):
     n = hier128.fine.mesh.n_interior
     res = multigrid.mg_solve(hier128, np.zeros(n))
     assert res.converged and res.iters == 0
+    assert res.residual_history == [0.0]
     assert np.all(res.solution == 0.0)
 
 
-def test_mg_solve_reports_nonconvergence():
-    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, 128),
-                                     tau=1.0 / 128.0,
-                                     config=MgConfig(tol=1e-14, max_iter=1))
+def test_mg_solve_reports_nonconvergence(hier128, monkeypatch):
+    monkeypatch.setattr(multigrid, "TOL", 1e-14)
+    monkeypatch.setattr(multigrid, "MAX_ITER", 1)
     rng = np.random.default_rng(7)
-    g = rng.standard_normal(hier.fine.mesh.n_interior)
-    res = multigrid.mg_solve(hier, g)
+    g = rng.standard_normal(hier128.fine.mesh.n_interior)
+    res = multigrid.mg_solve(hier128, g)
     assert not res.converged
     assert res.iters == 1
+
+
+def test_mg_solve_stops_at_the_cycle_cap(hier128):
+    # a zero cycle matrix never reduces the residual, so mg_solve runs all
+    # MAX_ITER cycles and reports the stall with its full history
+    k, matrix = hier128._bottom
+    assert k == len(hier128.levels) - 1
+    stuck = dataclasses.replace(hier128, _bottom=(k, np.zeros_like(matrix)))
+    g = np.random.default_rng(8).standard_normal(stuck.fine.mesh.n_interior)
+    res = multigrid.mg_solve(stuck, g)
+    assert not res.converged
+    assert res.iters == multigrid.MAX_ITER
+    assert res.residual_history == [1.0] * (multigrid.MAX_ITER + 1)
+    np.testing.assert_array_equal(res.solution, 0.0)
+    with pytest.raises(RuntimeError, match=r"stalled at t=0\.5 .* after "
+                       rf"{multigrid.MAX_ITER} cycles"):
+        timestep.cn_step(stuck, g, 0.5 - stuck.tau, np.zeros_like(g))
 
 
 # ---------------------------------------------------------------------------

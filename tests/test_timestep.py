@@ -102,10 +102,11 @@ def test_cn_step_matches_dense_direct_solve():
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_cn_step_escalates_solver_stall():
+def test_cn_step_escalates_solver_stall(monkeypatch):
+    monkeypatch.setattr(multigrid, "TOL", 1e-14)
+    monkeypatch.setattr(multigrid, "MAX_ITER", 1)
     prob = assembly.make_example2(1.5)
-    config = multigrid.MgConfig(tol=1e-14, max_iter=1)
-    hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 64), 0.01, config)
+    hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 64), 0.01)
     u0 = prob.u0(hier.fine.mesh.interior_nodes())
     with pytest.raises(RuntimeError, match="stalled"):
         timestep.cn_step(hier, u0, 0.0, np.zeros_like(u0))
