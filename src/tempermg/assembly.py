@@ -298,12 +298,12 @@ def stiffness_symbol(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
 class LevelOperator:
     """One multigrid level: mesh, time step, symbols and the system operator.
 
-    ``apply`` realizes (1/h)(tau^{-1} M + B/2) through ``system``, the one
-    operator whose product data (dense matrix or spectrum) is built at
-    assembly; ``diag`` is its (constant) diagonal.  The mass and stiffness
-    are kept as first columns, and ``apply_mass`` applies the tridiagonal
-    mass as its 3-point stencil.  ``mass`` and ``stiff`` build an operator
-    from the columns on each access, for diagnostics.
+    ``system`` is (1/h)(tau^{-1} M + B/2), the one operator whose product
+    data (dense matrix or spectrum) is built at assembly; callers apply it
+    as ``system.matvec``, and ``diag`` is its (constant) diagonal.  The
+    mass and stiffness are kept as first columns, and ``apply_mass`` applies
+    the tridiagonal mass as its 3-point stencil.  ``mass`` and ``stiff``
+    build an operator from the columns on each access, for diagnostics.
     """
 
     mesh: Mesh
@@ -320,9 +320,6 @@ class LevelOperator:
     @property
     def stiff(self) -> SymToeplitz:
         return SymToeplitz(self.stiff_col)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.system.matvec(v)
 
     def apply_mass(self, v: np.ndarray) -> np.ndarray:
         return np.convolve(v, self.mass_col[[1, 0, 1]], "same")

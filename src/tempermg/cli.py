@@ -300,7 +300,8 @@ def cmd_mgbench(args: argparse.Namespace) -> int:
                     multigrid.contraction_factor(hier, seed=args.seed))
                 rng = np.random.default_rng(args.seed)
                 target = rng.standard_normal(hier.fine.mesh.n_interior)
-                result = multigrid.mg_solve(hier, hier.fine.apply(target))
+                result = multigrid.mg_solve(
+                    hier, hier.fine.system.matvec(target))
                 iters.append(result.iters)
                 solved = solved and result.converged
                 rows.append((str(m), f"{tau:.0e}", f"{factors[-1]:.4f}",

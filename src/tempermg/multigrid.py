@@ -73,8 +73,8 @@ class Hierarchy:
         return self.levels[-1]
 
     def coarse_solve(self, g: np.ndarray) -> np.ndarray:
-        """C_b @ g, level b's whole cycle; ``v_cycle`` checks the result."""
-        return self._bottom[1] @ g
+        """C_b g, level b's whole cycle; ``v_cycle`` checks the result."""
+        return self._bottom[1].dot(g)
 
 
 def coarsen_symbol(first_col: np.ndarray) -> np.ndarray:
@@ -168,11 +168,11 @@ def restrict(fine: np.ndarray) -> np.ndarray:
     vf = np.asarray(fine, dtype=float)
     if vf.ndim == 0 or vf.shape[0] < 3 or vf.shape[0] % 2 == 0:
         raise ValueError("fine vector must have odd size >= 3")
-    # (0.25 left + 0.5 centre) + 0.25 right, summed in place
-    out = np.multiply(vf[0:-2:2], 0.25)
-    part = np.multiply(vf[1::2], 0.5)
-    out += part
-    out += np.multiply(vf[2::2], 0.25, out=part)
+    # (0.25 left + 0.5 centre) + 0.25 right; left and right both come from
+    # one quarter-scaled copy of the even entries
+    quarter = vf[::2] * 0.25
+    out = quarter[:-1] + vf[1::2] * 0.5
+    out += quarter[1:]
     return out
 
 
@@ -185,7 +185,8 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     """
     scale = ETA / level.diag
     for _ in range(steps):
-        step = level.apply(z)   # the new iterate, built in A z's fresh buffer
+        # the new iterate, built in A z's fresh buffer
+        step = level.system.matvec(z)
         np.subtract(g, step, out=step)
         step *= scale
         step += z
@@ -212,7 +213,7 @@ def _cycle(hier: Hierarchy, k: int, g: np.ndarray,
     residual += g
     for _ in range(config.m1 - 1):
         z += s * residual
-        residual -= s * level.apply(residual)
+        residual -= s * level.system.matvec(residual)
     residual = restrict(residual)
     z += prolongate(v_cycle(hier, k - 1, residual))
     return jacobi_smooth(level, z, g, config.m2)
@@ -223,11 +224,14 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
 
     g may be an (n, k) block, cycled column by column.  On the bottom level
     b the cycle is ``hier.coarse_solve(g)``, so on a dense fine level it is
-    one product.
+    one product.  A non-finite iterate raises ``FloatingPointError`` naming
+    level k.  This runs on every level of every cycle, so each product is
+    one call to the level's ``system.matvec`` and the finiteness check is
+    one reduction.
     """
-    level = hier.levels[k]
-    n = level.mesh.n_interior
-    bottom = hier._bottom[0]
+    system = hier.levels[k].system
+    n = system.n
+    bottom, _ = hier._bottom
     if g.ndim not in (1, 2) or g.shape[0] != n:
         raise ValueError(f"level {k} expects vectors of size {n}")
     if k < bottom:
@@ -235,8 +239,8 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
     if k == bottom:
         z = hier.coarse_solve(g)
     else:
-        z = _cycle(hier, k, g, level.apply(g))
-    if not np.isfinite(z).all():
+        z = _cycle(hier, k, g, system.matvec(g))
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise FloatingPointError(f"non-finite iterate on level {k}")
     return z
 
@@ -262,8 +266,9 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     """
     g = np.asarray(g, dtype=float)
     top = len(hier.levels) - 1
+    matvec = hier.levels[top].system.matvec
     z = np.zeros_like(g)
-    r0 = math.sqrt(g @ g)
+    r0 = math.sqrt(g.dot(g))
     if not np.isfinite(r0):
         raise ValueError("right-hand side g is not finite")
     if r0 == 0.0:
@@ -272,9 +277,9 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     r = g
     for it in range(1, MAX_ITER + 1):
         z += v_cycle(hier, top, r)
-        r = hier.fine.apply(z)
+        r = matvec(z)
         np.subtract(g, r, out=r)
-        rel = math.sqrt(r @ r) / r0
+        rel = math.sqrt(r.dot(r)) / r0
         history.append(rel)
         if rel < TOL:
             return MgResult(z, it, history, True)
@@ -305,14 +310,14 @@ def contraction_factor(hier: Hierarchy, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(3):
         z_star = rng.standard_normal(level.mesh.n_interior)
-        g = level.apply(z_star)
+        g = level.system.matvec(z_star)
         e_init = math.sqrt(h * (z_star @ g))
         z = np.zeros_like(g)
         r = g
         errs = []
         for cycles in range(1, 21):
             z += v_cycle(hier, top, r)
-            r = g - level.apply(z)
+            r = g - level.system.matvec(z)
             e = math.sqrt(max(h * ((z_star - z) @ r), 0.0))
             if e < 1e-12 * e_init or (errs and e < 1e-8 * errs[0]):
                 break

@@ -52,7 +52,7 @@ def cn_step(hier: Hierarchy, u_prev: np.ndarray, t_prev: float,
     g *= 2.0 / tau
     g += load
     g /= h
-    g -= level.apply(u_prev)
+    g -= level.system.matvec(u_prev)
     result = mg_solve(hier, g)
     if not result.converged:
         raise RuntimeError(

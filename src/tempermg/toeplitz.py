@@ -11,9 +11,9 @@ binding that ``scipy.fftpack.rfft`` and ``irfft`` end in, directly, so
 products are bitwise-equal to that public pair at any length.  The binding
 sits in a private SciPy module (``scipy.fft._pocketfft``), but it is what
 keeps the fixed cost per product low: best of 40 batches per call at
-n = 511 and 1023, 9.9 and 18.3 us this way, 12.5 and 20.5 us through
+n = 511 and 1023, 9.6 and 17.1 us this way, 11.7 and 19.9 us through
 ``scipy.fftpack.convolve.convolve`` (one compiled call for the whole
-product), 14.5 and 22.7 us through the ``scipy.fftpack`` wrappers.
+product), 14.7 and 22.9 us through the ``scipy.fftpack`` wrappers.
 Small operators also store their dense matrix and apply that instead (see
 ``_DENSE_MAX_N`` for why the crossover sits where it does).
 The module also carries the dense materialization and a structural report
@@ -30,14 +30,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest n whose matvec is a stored dense product rather than the FFT path.
 # Measured per call on a 2-core x86 host (numpy 2.4, scipy 1.17, OpenBLAS,
-# one thread), dense vs FFT product, best of 40 interleaved batches of 500:
-# 3.1 vs 4.3 us at n = 127, 8.8 vs 5.9 us at n = 255, 51 vs 9.9 us at
-# n = 511.  Multigrid levels have n = 2^k - 1; at 255 the FFT product is
-# the faster one per call.  The crossover stays at 255 because the stored
-# dense matrix is what lets the multigrid set-up build C_255, the whole
-# cycle of that level, as the bottom matrix (the fine level's own, when it
-# has 255 unknowns); moving it would change the hierarchy and its frozen
-# product counts.
+# one thread), dense product (``ndarray.dot``) vs FFT product, best of 40
+# interleaved batches of 500: 2.9 vs 4.4 us at n = 127, 9.4 vs 6.1 us at
+# n = 255, 45 vs 9.6 us at n = 511.  Multigrid levels have n = 2^k - 1;
+# at 255 the FFT product is the faster one per call.  The crossover stays
+# at 255 because the stored dense matrix is what lets the multigrid set-up
+# build C_255, the whole cycle of that level, as the bottom matrix (the
+# fine level's own, when it has 255 unknowns); moving it would change the
+# hierarchy and its frozen product counts.
 _DENSE_MAX_N = 255
 
 
@@ -97,7 +97,7 @@ class SymToeplitz:
             raise ValueError(f"expected shape ({self.n},) or ({self.n}, k), "
                              f"got {x.shape}")
         if self._dense is not None:
-            return self._dense @ x
+            return self._dense.dot(x)
         return self._fft_matvec(x)
 
     def _fft_matvec(self, x):

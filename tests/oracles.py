@@ -319,15 +319,15 @@ def example1_space_mp(alpha, lam, b, x):
 
 
 def mesh_norm(level, v, s):
-    """Discrete norm sqrt(h * v' A^s v) for s in {0, 1, 2}, A = level.apply."""
+    """Discrete norm sqrt(h * v' A^s v) for s in {0, 1, 2}, A = level.system."""
     v = np.asarray(v, dtype=float)
     h = level.mesh.h
     if s == 0:
         return float(np.sqrt(h * np.dot(v, v)))
     if s == 1:
-        return float(np.sqrt(h * np.dot(v, level.apply(v))))
+        return float(np.sqrt(h * np.dot(v, level.system.matvec(v))))
     if s == 2:
-        av = level.apply(v)
+        av = level.system.matvec(v)
         return float(np.sqrt(h * np.dot(av, av)))
     raise ValueError("s must be 0, 1 or 2")
 

@@ -104,7 +104,8 @@ def contraction_grid():
                 factor = multigrid.contraction_factor(hier, seed=0)
                 rng = np.random.default_rng(0)
                 target = rng.standard_normal(hier.fine.mesh.n_interior)
-                result = multigrid.mg_solve(hier, hier.fine.apply(target))
+                result = multigrid.mg_solve(
+                    hier, hier.fine.system.matvec(target))
                 grid[(alpha, M, tau)] = (factor, result.iters,
                                          result.converged)
     return grid

@@ -352,10 +352,10 @@ def test_level_operator_composition():
                                        rel=1e-14)
     e1 = np.zeros(mesh.n_interior)
     e1[0] = 1.0
-    assert level.apply(e1)[0] == pytest.approx(level.diag, rel=1e-12)
+    assert level.system.matvec(e1)[0] == pytest.approx(level.diag, rel=1e-12)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(mesh.n_interior)
-    lhs = h * (v @ level.apply(v))
+    lhs = h * (v @ level.system.matvec(v))
     rhs = (v @ level.mass.matvec(v)) / tau + 0.5 * (v @ level.stiff.matvec(v))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -30,7 +30,7 @@ def test_mesh_norm_definitions(level):
     rng = np.random.default_rng(0)
     v = rng.standard_normal(7)
     h = level.mesh.h
-    av = level.apply(v)
+    av = level.system.matvec(v)
     assert oracles.mesh_norm(level, v, 0) == pytest.approx(
         np.sqrt(h * v @ v), rel=1e-14)
     assert oracles.mesh_norm(level, v, 1) == pytest.approx(
@@ -67,7 +67,7 @@ def test_operator_pairing_cauchy_schwarz(level, theta):
     h = level.mesh.h
     for _ in range(20):
         v, w = rng.standard_normal(7), rng.standard_normal(7)
-        pairing = abs(h * (v @ level.apply(w)))
+        pairing = abs(h * (v @ level.system.matvec(w)))
         bound = (oracles.mesh_norm(level, v, 1 + theta)
                  * oracles.mesh_norm(level, w, 1 - theta))
         assert pairing <= bound * (1.0 + 1e-12)

@@ -1,6 +1,8 @@
 """V-cycle multigrid: transfers, smoother, cycle algebra, solver driver."""
 
 import dataclasses
+import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -196,7 +198,7 @@ def test_smoother_fixed_point(hier128):
     level = hier128.fine
     rng = np.random.default_rng(0)
     z_star = rng.standard_normal(level.mesh.n_interior)
-    g = level.apply(z_star)
+    g = level.system.matvec(z_star)
     out = multigrid.jacobi_smooth(level, z_star.copy(), g, 3)
     np.testing.assert_allclose(out, z_star, rtol=1e-12)
 
@@ -215,12 +217,12 @@ def test_smoother_energy_monotone(hier128):
     h = level.mesh.h
     rng = np.random.default_rng(2)
     z_star = rng.standard_normal(level.mesh.n_interior)
-    g = level.apply(z_star)
+    g = level.system.matvec(z_star)
     z = np.zeros_like(g)
     energies = []
     for _ in range(6):
         d = z_star - z
-        energies.append(np.sqrt(h * (d @ level.apply(d))))
+        energies.append(np.sqrt(h * (d @ level.system.matvec(d))))
         z = multigrid.jacobi_smooth(level, z, g, 1)
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * energies[0])
@@ -560,7 +562,7 @@ def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
 def test_mg_solve_recovers_manufactured_solution(hier128):
     rng = np.random.default_rng(6)
     z_star = rng.standard_normal(hier128.fine.mesh.n_interior)
-    g = hier128.fine.apply(z_star)
+    g = hier128.fine.system.matvec(z_star)
     res = multigrid.mg_solve(hier128, g)
     assert res.converged
     assert np.linalg.norm(res.solution - z_star) <= 1e-8 * np.linalg.norm(z_star)
@@ -585,6 +587,78 @@ def test_cycle_functions_leave_their_inputs_untouched(hier128):
     multigrid.mg_solve(hier128, g)
     np.testing.assert_array_equal(z, kept[0])
     np.testing.assert_array_equal(g, kept[1])
+
+
+@pytest.mark.parametrize("cells", (128, 1024))
+def test_mg_solve_is_the_reference_loop_bit_for_bit(hier128, hier1024, cells):
+    # mg_solve's arithmetic order, pinned against the plain correction loop
+    # z <- z + V(r), r = g - A z, with relative residuals |r| / |g|; M = 128
+    # has a dense fine level (one product with C_b a cycle), M = 1024 an FFT
+    # fine level above it
+    hier = hier128 if cells == 128 else hier1024
+    top = len(hier.levels) - 1
+    system = hier.fine.system
+    g = np.random.default_rng(13).standard_normal(system.n)
+    r0 = np.sqrt(g @ g)
+    z, r, history = np.zeros_like(g), g, [1.0]
+    while history[-1] >= multigrid.TOL and len(history) <= multigrid.MAX_ITER:
+        z = z + multigrid.v_cycle(hier, top, r)
+        r = g - system.matvec(z)
+        history.append(float(np.sqrt(r @ r) / r0))
+    res = multigrid.mg_solve(hier, g)
+    assert res.converged and res.iters == len(history) - 1 >= 2
+    np.testing.assert_array_equal(res.solution, z)
+    assert res.residual_history == history
+
+
+@pytest.mark.parametrize("cells", (128, 1024))
+def test_mg_solve_calls_the_module_v_cycle_once_per_iteration(
+        hier128, hier1024, monkeypatch, cells):
+    # the benchmark's trace wraps multigrid.v_cycle after import and counts
+    # the top-level calls it sees as mg_solve's cycles, so mg_solve must look
+    # the function up at each cycle rather than hold an earlier binding
+    hier = hier128 if cells == 128 else hier1024
+    top = len(hier.levels) - 1
+    levels = []
+    v_cycle = multigrid.v_cycle
+
+    def counting(hier_, k, g):
+        levels.append(k)
+        return v_cycle(hier_, k, g)
+
+    monkeypatch.setattr(multigrid, "v_cycle", counting)
+    g = np.random.default_rng(14).standard_normal(hier.fine.mesh.n_interior)
+    res = multigrid.mg_solve(hier, g)
+    assert res.converged and res.iters >= 2
+    assert levels.count(top) == res.iters
+
+
+@pytest.mark.parametrize("cells, bound", [(128, 3), (1024, 26)])
+def test_mg_solve_python_frames_per_iteration(hier128, hier1024, cells,
+                                              bound):
+    # machine-independent per-call overhead of one mg_solve iteration: the
+    # Python frames it enters in tempermg.  On a dense fine level a cycle is
+    # v_cycle, coarse_solve and the residual's matvec.  At M = 1024 each of
+    # the 7 FFT products is matvec + _fft_matvec, and the two levels above
+    # b = 255 add v_cycle, _cycle, restrict, prolongate and jacobi_smooth
+    # each, plus v_cycle and coarse_solve on b: 14 + 10 + 2 = 26
+    hier = hier128 if cells == 128 else hier1024
+    package = os.path.dirname(multigrid.__file__) + os.sep
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            frames.append(frame.f_code.co_name)
+
+    g = np.random.default_rng(15).standard_normal(hier.fine.mesh.n_interior)
+    sys.setprofile(profile)
+    try:
+        res = multigrid.mg_solve(hier, g)
+    finally:
+        sys.setprofile(None)
+    assert res.converged and res.iters >= 2
+    assert frames.count("mg_solve") == 1
+    assert len(frames) - 1 <= bound * res.iters, Counter(frames)
 
 
 def test_mg_solve_zero_rhs(hier128):
