@@ -469,8 +469,10 @@ def _check_cn_stability(args) -> Tuple[str, str]:
                                          _mg_config(args))
         u = problem.u0(mesh.interior_nodes())
         norm_prev = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
+        au = None  # A u, passed from step to step as run_simulation does
         for step in range(steps):  # homogeneous: a zero load
-            u, _ = timestep.cn_step(hier, u, step * hier.tau, np.zeros_like(u))
+            u, _, au = timestep.cn_step(hier, u, step * hier.tau,
+                                        np.zeros_like(u), au)
             norm_now = float(np.sqrt(mesh.h * (u @ hier.fine.apply_mass(u))))
             worst = max(worst, (norm_now - norm_prev) / norm_prev)
             norm_prev = norm_now

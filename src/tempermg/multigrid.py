@@ -226,8 +226,10 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
     b the cycle is ``hier.coarse_solve(g)``, so on a dense fine level it is
     one product.  A non-finite iterate raises ``FloatingPointError`` naming
     level k.  This runs on every level of every cycle, so each product is
-    one call to the level's ``system.matvec`` and the finiteness check is
-    one reduction.
+    one call to the level's ``system.matvec``, and the finiteness check is
+    one dot: every square is >= 0 or NaN, so a finite sum of squares proves
+    every entry finite.  Only a non-finite sum, which huge finite entries
+    (about 1e154 and up) reach by overflow, takes the exact entrywise test.
     """
     system = hier.levels[k].system
     n = system.n
@@ -240,7 +242,8 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray) -> np.ndarray:
         z = hier.coarse_solve(g)
     else:
         z = _cycle(hier, k, g, system.matvec(g))
-    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+    if (not math.isfinite(z.dot(z) if z.ndim == 1 else np.vdot(z, z))
+            and not np.isfinite(z).all()):
         raise FloatingPointError(f"non-finite iterate on level {k}")
     return z
 
@@ -252,12 +255,16 @@ class MgResult:
     # relative euclidean residuals: 1, then one a cycle; [0.0] for g = 0
     residual_history: List[float]
     converged: bool
+    # g - A solution, the last residual formed: a fresh array, never g
+    residual: np.ndarray
 
 
 def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     """Correction-form V-cycles z <- z + V(g - A z) from zero to ``TOL``.
 
-    The residual of each stopping test is the next cycle's right-hand side.
+    The residual of each stopping test is the next cycle's right-hand side,
+    and the last one is returned, so a caller gets A z = g - r without a
+    product (``cn_step`` does).
 
     Non-convergence within ``MAX_ITER`` cycles is reported via
     ``converged=False`` with the last iterate, never raised, so parameter
@@ -272,7 +279,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     if not np.isfinite(r0):
         raise ValueError("right-hand side g is not finite")
     if r0 == 0.0:
-        return MgResult(z, 0, [0.0], True)
+        return MgResult(z, 0, [0.0], True, g.copy())
     history = [1.0]
     r = g
     for it in range(1, MAX_ITER + 1):
@@ -282,8 +289,8 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
         rel = math.sqrt(r.dot(r)) / r0
         history.append(rel)
         if rel < TOL:
-            return MgResult(z, it, history, True)
-    return MgResult(z, MAX_ITER, history, False)
+            return MgResult(z, it, history, True, r)
+    return MgResult(z, MAX_ITER, history, False, r)
 
 
 def contraction_factor(hier: Hierarchy, seed: int = 0) -> float:

@@ -291,17 +291,23 @@ def test_per_step_solve_cost_stays_near_linear():
         assert all(ratio <= 2.6 for ratio in ratios), (alpha, times, ratios)
 
 
-def _first_step_product_sizes(monkeypatch, alpha, M):
-    """The hierarchy, cycle count and per-size matvec counts of the first
-    Crank-Nicolson step of the manufactured benchmark at the default
-    V(1,2)."""
+def _step_product_sizes(monkeypatch, alpha, M, step):
+    """The hierarchy, cycle count and per-size matvec counts of
+    Crank-Nicolson step ``step`` of the manufactured benchmark at the default
+    V(1,2).  The steps before it run uncounted and pass A u on, as in
+    ``run_simulation``."""
     problem = make_example1(alpha, 0.5)
     mesh = Mesh(problem.a, problem.b, M)
     tau = problem.T / M
     hier = multigrid.build_hierarchy(problem, mesh, tau)
-    u = problem.u0(mesh.interior_nodes())
-    load = problem.f.time_factor(0.5 * tau) * assembly.profile_load(
-        mesh, problem.f.space)
+    u, au = problem.u0(mesh.interior_nodes()), None
+    space_load = assembly.profile_load(mesh, problem.f.space)
+
+    def load(k):
+        return problem.f.time_factor((k + 0.5) * tau) * space_load
+
+    for k in range(step):
+        u, _, au = timestep.cn_step(hier, u, k * tau, load(k), au)
     sizes = []
     matvec = toeplitz.SymToeplitz.matvec
 
@@ -310,8 +316,12 @@ def _first_step_product_sizes(monkeypatch, alpha, M):
         return matvec(self, x)
 
     monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
-    _, iters = timestep.cn_step(hier, u, 0.0, load)
+    _, iters, _ = timestep.cn_step(hier, u, step * tau, load(step), au)
     return hier, iters, Counter(sizes)
+
+
+def _first_step_product_sizes(monkeypatch, alpha, M):
+    return _step_product_sizes(monkeypatch, alpha, M, 0)
 
 
 @pytest.mark.parametrize("M", (512, 1024, 2048))
@@ -342,6 +352,23 @@ def test_per_step_products_on_a_dense_fine_level_are_one_per_cycle(
     hier, iters, sizes = _first_step_product_sizes(monkeypatch, alpha, M)
     assert hier._bottom[0] == len(hier.levels) - 1 and iters > 0
     assert sizes == {M - 1: 1 + iters}
+
+
+@pytest.mark.parametrize("M", (128, 256, 512, 1024, 2048))
+@pytest.mark.parametrize("alpha", sorted(EX1_REFERENCE))
+def test_later_step_products_per_level_are_fixed_per_cycle(monkeypatch,
+                                                           alpha, M):
+    # a step after the first is passed A u by the one before, so it makes
+    # only its cycles' products: 4 a cycle on an FFT fine level and 3 on
+    # each level between it and the bottom level, or 1 a cycle where the
+    # fine level is the dense bottom level
+    hier, iters, sizes = _step_product_sizes(monkeypatch, alpha, M, 1)
+    bottom, fine = hier._bottom[0], len(hier.levels) - 1
+    assert iters > 0
+    expected = {hier.levels[k].mesh.n_interior: 3 * iters
+                for k in range(bottom + 1, fine)}
+    expected[M - 1] = (4 if bottom < fine else 1) * iters
+    assert sizes == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """V-cycle multigrid: transfers, smoother, cycle algebra, solver driver."""
 
 import dataclasses
+import math
 import os
 import sys
 from collections import Counter
@@ -294,6 +295,49 @@ def test_mg_solve_rejects_non_finite_rhs_before_cycling(hier128, monkeypatch):
     with pytest.raises(ValueError, match="right-hand side"):
         multigrid.mg_solve(hier128, g)
     assert cycles == []
+
+
+# about 1.2e200: squares overflow, and scaling by a power of 2 is exact in
+# every operation of a cycle
+HUGE = 2.0 ** 664
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+def test_vcycle_passes_huge_finite_iterates(hier16, hier128, hier1024, block):
+    # the finiteness check's sum of squares overflows on these iterates, so
+    # it falls back to the exact entrywise test, which passes them: each
+    # cycle is the ordinary one scaled, bit for bit
+    rng = np.random.default_rng(7)
+    for hier in (hier16, hier128, uncollapsed(hier128), hier1024):
+        for k in range(hier._bottom[0], len(hier.levels)):
+            n = hier.levels[k].mesh.n_interior
+            g = rng.standard_normal((n, 3) if block else n)
+            z = multigrid.v_cycle(hier, k, HUGE * g)
+            assert not math.isfinite(np.vdot(z, z))
+            scaled = HUGE * multigrid.v_cycle(hier, k, g)
+            assert z.tobytes() == scaled.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, HUGE], ids=["unit", "huge"])
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vcycle_names_the_level_of_each_non_finite_value(hier128, hier1024,
+                                                         bad, block, scale):
+    # one NaN, +inf or -inf entry of C_b puts one non-finite entry among
+    # ordinary or huge finite ones into level b's iterate, and level b
+    # raises, whether the cycle starts at b or at the fine level above it
+    for hier in (hier128, hier1024):
+        k, c_k = hier._bottom
+        c_bad = c_k.copy()
+        c_bad[0, 0] = bad
+        poisoned = dataclasses.replace(hier, _bottom=(k, c_bad))
+        for level in {k, len(hier.levels) - 1}:
+            n = poisoned.levels[level].mesh.n_interior
+            g = np.full((n, 3) if block else n, scale)
+            with pytest.raises(FloatingPointError, match=f"level {k}$"):
+                multigrid.v_cycle(poisoned, level, g)
 
 
 def test_vcycle_shape_validation(hier128):

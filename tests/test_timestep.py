@@ -32,36 +32,27 @@ def test_cn_step_mass_norm_never_grows(steps):
     norm = lambda v: np.sqrt(v @ hier.fine.mass.matvec(v))
     prev = norm(u)
     for step in range(min(steps, 8)):
-        u, _ = timestep.cn_step(hier, u, step * tau, np.zeros_like(u))
+        u, _, _ = timestep.cn_step(hier, u, step * tau, np.zeros_like(u))
         cur = norm(u)
         assert cur <= prev * (1.0 + 1e-12)
         prev = cur
 
 
-def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
-    # g = (2 M u / tau + f) / h - A u, with M as its stencil, is the
-    # right-hand side (M u / tau - B u / 2 + f) / h, and A u is the one
-    # product the step makes outside mg_solve
-    prob = assembly.make_example1(1.8, 0.5)
-    mesh = Mesh(prob.a, prob.b, 512)
-    tau = prob.T / 64
-    hier = multigrid.build_hierarchy(prob, mesh, tau)
-    u = prob.u0(mesh.interior_nodes())
-    load = midpoint_load(prob, mesh, 0.5 * tau)
-    fine = hier.fine
-    expected = (fine.mass.matvec(u) / tau - 0.5 * fine.stiff.matvec(u)
-                + load) / mesh.h
+def _record_products_and_rhs(monkeypatch):
+    """Patch the module names so that each system multiplying a vector
+    outside mg_solve, and a copy of each right-hand side passed to it, are
+    recorded (set-up's block products are not)."""
     outside, rhs, solving = [], [], []
     matvec = toeplitz.SymToeplitz.matvec
     solve = timestep.mg_solve
 
     def recording_matvec(self, x):
-        if not solving:
+        if not solving and np.ndim(x) == 1:
             outside.append(self)
         return matvec(self, x)
 
     def recording_solve(hier_, g):
-        rhs.append(g)
+        rhs.append(g.copy())
         solving.append(True)
         try:
             return solve(hier_, g)
@@ -70,17 +61,56 @@ def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
 
     monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", recording_matvec)
     monkeypatch.setattr(timestep, "mg_solve", recording_solve)
-    _, iters = timestep.cn_step(hier, u, 0.0, load)
+    return outside, rhs
+
+
+def _example1_first_step():
+    prob = assembly.make_example1(1.8, 0.5)
+    mesh = Mesh(prob.a, prob.b, 512)
+    tau = prob.T / 64
+    hier = multigrid.build_hierarchy(prob, mesh, tau)
+    return (hier, prob.u0(mesh.interior_nodes()),
+            midpoint_load(prob, mesh, 0.5 * tau))
+
+
+def test_cn_step_makes_one_fine_product_outside_the_solve(monkeypatch):
+    # g = (2 M u / tau + f) / h - A u, with M as its stencil, is the
+    # right-hand side (M u / tau - B u / 2 + f) / h, and A u is the one
+    # product the step makes outside mg_solve when no A u is passed
+    hier, u, load = _example1_first_step()
+    fine, tau, h = hier.fine, hier.tau, hier.fine.mesh.h
+    expected = (fine.mass.matvec(u) / tau - 0.5 * fine.stiff.matvec(u)
+                + load) / h
+    outside, rhs = _record_products_and_rhs(monkeypatch)
+    _, iters, _ = timestep.cn_step(hier, u, 0.0, load)
     assert iters > 0
     assert len(outside) == 1 and outside[0] is fine.system
     np.testing.assert_allclose(rhs[0], expected, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(expected)))
 
 
+def test_cn_step_given_a_u_makes_no_fine_product_outside_the_solve(
+        monkeypatch):
+    # passed A u, as each later step of run_simulation is, the step forms
+    # the right-hand side of the step that makes the product, bit for bit,
+    # and returns the same state, count and A u_next
+    hier, u, load = _example1_first_step()
+    au = hier.fine.system.matvec(u)
+    outside, rhs = _record_products_and_rhs(monkeypatch)
+    made = timestep.cn_step(hier, u, 0.0, load)
+    assert len(outside) == 1
+    given = timestep.cn_step(hier, u, 0.0, load, au)
+    assert len(outside) == 1 and len(rhs) == 2
+    assert rhs[1].tobytes() == rhs[0].tobytes()
+    assert given[1] == made[1] > 0
+    assert given[0].tobytes() == made[0].tobytes()
+    assert given[2].tobytes() == made[2].tobytes()
+
+
 def test_cn_step_preserves_zero_state():
     prob = assembly.make_example2(1.8)
     hier = multigrid.build_hierarchy(prob, Mesh(0.0, 1.0, 32), 0.125)
-    u, iters = timestep.cn_step(hier, np.zeros(31), 0.0, np.zeros(31))
+    u, iters, _ = timestep.cn_step(hier, np.zeros(31), 0.0, np.zeros(31))
     assert iters == 0
     assert np.all(u == 0.0)
 
@@ -92,7 +122,7 @@ def test_cn_step_matches_dense_direct_solve():
     hier = multigrid.build_hierarchy(prob, mesh, tau)
     u0 = prob.u0(mesh.interior_nodes())
     load = midpoint_load(prob, mesh, 0.5 * tau)
-    got, _ = timestep.cn_step(hier, u0, 0.0, load)
+    got, _, _ = timestep.cn_step(hier, u0, 0.0, load)
 
     mass = sla.toeplitz(assembly.mass_symbol(mesh))
     stiff = sla.toeplitz(assembly.stiffness_symbol(prob, mesh))
@@ -187,9 +217,9 @@ def test_simulation_integrates_the_source_once(monkeypatch):
         calls.append(("profile_load", profile))
         return profile_load(mesh, profile)
 
-    def recording_step(hier, u, t_prev, load):
+    def recording_step(hier, u, t_prev, load, au_prev):
         calls.append(("cn_step", t_prev, load))
-        return cn_step(hier, u, t_prev, load)
+        return cn_step(hier, u, t_prev, load, au_prev)
 
     monkeypatch.setattr(timestep, "profile_load", recording_load)
     monkeypatch.setattr(timestep, "cn_step", recording_step)
@@ -200,6 +230,37 @@ def test_simulation_integrates_the_source_once(monkeypatch):
     for step, (_, t_prev, load) in enumerate(calls[1:]):
         assert t_prev == step * 0.25
         np.testing.assert_array_equal(load, np.exp(-(t_prev + 0.125)) * base)
+
+
+@pytest.mark.parametrize("make,M,N", [
+    (lambda: assembly.make_example2(1.1), 128, 6),       # dense fine level
+    (lambda: assembly.make_example1(1.8, 0.5), 1024, 3),  # FFT fine level
+])
+def test_simulation_reuses_a_u_and_matches_the_product_loop_bit_for_bit(
+        monkeypatch, make, M, N):
+    # run_simulation hands each step's A u to the next, so the run makes one
+    # fine product outside its solves (step 0's); a loop that forms every
+    # A u by a product ends in the same state with the same cycle counts,
+    # bit for bit
+    prob = make()
+    mesh = Mesh(prob.a, prob.b, M)
+    tau = prob.T / N
+    hier = multigrid.build_hierarchy(prob, mesh, tau)
+    u = np.asarray(prob.u0(mesh.interior_nodes()), dtype=float)
+    space_load = (np.zeros(M - 1) if prob.f is None
+                  else assembly.profile_load(mesh, prob.f.space))
+    time_factor = (lambda t: 1.0) if prob.f is None else prob.f.time_factor
+    iterations = []
+    for step in range(N):
+        t_prev = step * tau
+        load = time_factor(t_prev + 0.5 * tau) * space_load
+        u, iters, _ = timestep.cn_step(hier, u, t_prev, load)
+        iterations.append(iters)
+    outside, _ = _record_products_and_rhs(monkeypatch)
+    rec = timestep.run_simulation(prob, M, N)
+    assert [op.n for op in outside] == [M - 1]
+    assert rec.iterations == iterations and min(iterations) > 0
+    assert rec.final.tobytes() == u.tobytes()
 
 
 def test_homogeneous_simulation_integrates_no_source(monkeypatch):
