@@ -10,10 +10,12 @@ eigenvalues in between.  Both transforms call ``r2r_fftpack``, the pocketfft
 binding that ``scipy.fftpack.rfft`` and ``irfft`` end in, directly, so
 products are bitwise-equal to that public pair at any length.  The binding
 sits in a private SciPy module (``scipy.fft._pocketfft``), but it is what
-keeps the fixed cost per product low: best of 40 batches per call at
-n = 511 and 1023, 9.6 and 17.1 us this way, 11.7 and 19.9 us through
-``scipy.fftpack.convolve.convolve`` (one compiled call for the whole
-product), 14.7 and 22.9 us through the ``scipy.fftpack`` wrappers.
+keeps the fixed cost per product low: best of 40 interleaved batches of
+500 per call at n = 511 and 1023, 8.4 and 16.2 us for an operand already
+padded (``_padded_matvec``), 9.6 and 17.0 us padding a fresh buffer
+(``matvec``), 11.4 and 18.4 us through ``scipy.fftpack.convolve.convolve``
+(one compiled call for the whole product), 14.3 and 23.2 us through the
+``scipy.fftpack`` wrappers.
 Small operators also store their dense matrix and apply that instead (see
 ``_DENSE_MAX_N`` for why the crossover sits where it does).
 The module also carries the dense materialization and a structural report
@@ -48,8 +50,10 @@ class SymToeplitz:
     dense product; above that only the circulant spectrum is cached, at
     construction, as a real vector, and ``matvec`` costs two real FFTs of
     length ~2n.
-    Instances are safe to share across threads (matvec allocates per-call
-    scratch).
+    Instances hold no mutable state and are safe to share across threads:
+    ``matvec`` allocates its own padded buffer per call, and the copy-free
+    ``_padded_matvec`` works in buffers its caller owns (``mg_solve``'s
+    per-solve scratch).
     """
 
     __slots__ = ("n", "first_col", "_fft_len", "_spec", "_dense")
@@ -101,21 +105,29 @@ class SymToeplitz:
         return self._fft_matvec(x)
 
     def _fft_matvec(self, x):
-        """Circulant-embedding matvec of a checked vector or block, at any n.
-
-        Below the dense crossover the spectrum is not cached (only tests and
-        ``verify`` take this path there), so it is computed per call.
-        """
-        spec = self._spec if self._spec is not None else self._spectrum()
-        if x.ndim == 2:
-            spec = spec[:, None]
+        """Circulant-embedding matvec of a checked vector or block, at any n:
+        x is padded into a fresh buffer, which then holds the product."""
         buf = np.zeros((self._fft_len,) + x.shape[1:])
         buf[: self.n] = x
-        # forward transform, multiply, inverse normalized by 1/L (inorm=2)
-        # as in scipy.fftpack.irfft; all in place
-        r2r_fftpack(buf, (0,), True, True, 0, buf, 1)
-        buf *= spec
-        return r2r_fftpack(buf, (0,), False, False, 2, buf, 1)[: self.n]
+        return self._padded_matvec(buf, buf)
+
+    def _padded_matvec(self, padded, out):
+        """A x for x in the first n rows of ``padded`` (``_fft_len`` rows,
+        zero past n), computed in the caller's ``out`` of the same shape.
+
+        Returns the view ``out[:n]``.  It allocates and copies nothing, and
+        leaves ``padded`` as it is unless it is ``out``.  Below the dense
+        crossover the spectrum is not cached (only tests and ``verify`` take
+        this path there), so it is computed per call.
+        """
+        spec = self._spec if self._spec is not None else self._spectrum()
+        if out.ndim == 2:
+            spec = spec[:, None]
+        # forward transform into out, multiply, inverse normalized by 1/L
+        # (inorm=2) as in scipy.fftpack.irfft, in place
+        r2r_fftpack(padded, (0,), True, True, 0, out, 1)
+        out *= spec
+        return r2r_fftpack(out, (0,), False, False, 2, out, 1)[: self.n]
 
     def dense(self):
         """Materialize the full matrix (small n: the dense matvec, diagnostics)."""

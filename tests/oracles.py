@@ -4,17 +4,22 @@ Everything here is deliberately built from different machinery than the
 package: incomplete-gamma closed forms and adaptive scipy quadrature instead
 of fixed Gauss rules, nested profile-product integrals instead of the kernel
 form of the symbol, dense matrices instead of Toeplitz symbols, and
-`mpmath` where double precision cancels.  The one exception is the
-pointwise-quadrature section, the package's Gauss-Jacobi rules applied where
-the package itself now uses closed forms.  Agreement is then meaningful.
+`mpmath` where double precision cancels.  Agreement is then meaningful.
+Two sections are exceptions.  The pointwise-quadrature section applies the
+package's Gauss-Jacobi rules where the package itself now uses closed forms.
+The reference-cycle section keeps the V-cycle as it was before it ran in
+per-solve buffers, one fresh array per operation, as the oracle that the
+buffered cycle must equal bit for bit, since its arithmetic is unchanged.
 """
+
+import dataclasses
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammainc
 
-from tempermg import fracquad
+from tempermg import fracquad, multigrid, toeplitz
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +346,98 @@ def sin_load_ref(nodes, h):
     return (2.0 * (1.0 - np.cos(np.pi * h)) / (np.pi**2 * h)
             * np.sin(np.pi * np.asarray(nodes)))
 
+
+
+# ---------------------------------------------------------------------------
+# the allocate-per-operation V-cycle, and a product recorder
+
+
+def reference_prolongate(coarse):
+    vc = np.asarray(coarse, dtype=float)
+    nc = vc.shape[0]
+    vf = np.zeros((2 * nc + 1,) + vc.shape[1:])
+    vf[1::2] = vc
+    half = 0.5 * vc
+    vf[0:-2:2] += half
+    vf[2::2] += half
+    return vf
+
+
+def reference_restrict(fine):
+    vf = np.asarray(fine, dtype=float)
+    quarter = vf[::2] * 0.25
+    out = quarter[:-1] + vf[1::2] * 0.5
+    out += quarter[1:]
+    return out
+
+
+def reference_smooth(level, z, g, steps):
+    scale = multigrid.ETA / level.diag
+    for _ in range(steps):
+        step = level.system.matvec(z)
+        np.subtract(g, step, out=step)
+        step *= scale
+        step += z
+        z = step
+    return z
+
+
+def reference_cycle(hier, k, g, ag):
+    """Level k's zero-start cycle of g above the bottom level, ag = A g."""
+    config = hier.config
+    level = hier.levels[k]
+    s = multigrid.ETA / level.diag
+    z = s * g
+    residual = np.multiply(ag, -s)
+    residual += g
+    for _ in range(config.m1 - 1):
+        z += s * residual
+        residual -= s * level.system.matvec(residual)
+    residual = reference_restrict(residual)
+    z += reference_prolongate(reference_v_cycle(hier, k - 1, residual))
+    return reference_smooth(level, z, g, config.m2)
+
+
+def reference_v_cycle(hier, k, g):
+    """One zero-start V-cycle on level k >= b, ending in C_b on level b."""
+    if k == hier._bottom[0]:
+        return hier.coarse_solve(g)
+    return reference_cycle(hier, k, g, hier.levels[k].system.matvec(g))
+
+
+def reference_bottom(hier):
+    """(b, C_b) built as set-up builds it, with the reference cycle."""
+    levels = hier.levels
+    chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system.dense()))
+    bottom = (0, chol_inv.T @ chol_inv)
+    for k in range(1, len(levels)):
+        dense = levels[k].system._dense
+        if dense is None:
+            break
+        below = dataclasses.replace(hier, _bottom=bottom)
+        bottom = (k, reference_cycle(below, k, np.eye(len(dense)), dense))
+    return bottom
+
+
+def record_products(monkeypatch):
+    """Patch ``SymToeplitz`` so that every product, vector or block, appends
+    its operator to the returned list once.  A dense product is seen at
+    ``matvec``; an FFT product at ``_padded_matvec``, which ``matvec`` and
+    the solver's copy-free products both go through."""
+    products = []
+    matvec = toeplitz.SymToeplitz.matvec
+    padded_matvec = toeplitz.SymToeplitz._padded_matvec
+
+    def counting_matvec(self, x):
+        if self._dense is not None:
+            products.append(self)
+        return matvec(self, x)
+
+    def counting_padded_matvec(self, padded, out):
+        products.append(self)
+        return padded_matvec(self, padded, out)
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting_matvec)
+    monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec",
+                        counting_padded_matvec)
+    return products

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+import oracles
 from tempermg import assembly, multigrid, timestep, toeplitz
 from tempermg.assembly import Mesh, make_example1, make_example2
 from tempermg.multigrid import MgConfig
@@ -292,7 +293,7 @@ def test_per_step_solve_cost_stays_near_linear():
 
 
 def _step_product_sizes(monkeypatch, alpha, M, step):
-    """The hierarchy, cycle count and per-size matvec counts of
+    """The hierarchy, cycle count and per-size product counts of
     Crank-Nicolson step ``step`` of the manufactured benchmark at the default
     V(1,2).  The steps before it run uncounted and pass A u on, as in
     ``run_simulation``."""
@@ -308,16 +309,9 @@ def _step_product_sizes(monkeypatch, alpha, M, step):
 
     for k in range(step):
         u, _, au = timestep.cn_step(hier, u, k * tau, load(k), au)
-    sizes = []
-    matvec = toeplitz.SymToeplitz.matvec
-
-    def counting(self, x):
-        sizes.append(self.n)
-        return matvec(self, x)
-
-    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
+    products = oracles.record_products(monkeypatch)
     _, iters, _ = timestep.cn_step(hier, u, step * tau, load(step), au)
-    return hier, iters, Counter(sizes)
+    return hier, iters, Counter(op.n for op in products)
 
 
 def _first_step_product_sizes(monkeypatch, alpha, M):

@@ -4,12 +4,15 @@ import dataclasses
 import math
 import os
 import sys
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import oracles
 from tempermg import assembly, multigrid, timestep, toeplitz
 from tempermg.assembly import Mesh, ProblemSpec
 from tempermg.multigrid import MgConfig
@@ -585,18 +588,12 @@ def test_toeplitz_matvecs_per_vcycle(hier128, hier1024, monkeypatch,
     # A dense fine level is b itself, so its cycle is one product with C_b,
     # leaving only the solver's residual
     hier = hier128 if cells == 128 else hier1024
-    sizes = []
-    matvec = toeplitz.SymToeplitz.matvec
-
-    def counting(self, x):
-        sizes.append(self.n)
-        return matvec(self, x)
-
-    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
+    products = oracles.record_products(monkeypatch)
     g = np.random.default_rng(12).standard_normal(hier.fine.mesh.n_interior)
     res = multigrid.mg_solve(hier, g)
     assert res.converged and res.iters >= 2
-    assert Counter(sizes) == {n: c * res.iters for n, c in per_cycle.items()}
+    assert (Counter(op.n for op in products)
+            == {n: c * res.iters for n, c in per_cycle.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +663,9 @@ def test_mg_solve_calls_the_module_v_cycle_once_per_iteration(
     levels = []
     v_cycle = multigrid.v_cycle
 
-    def counting(hier_, k, g):
+    def counting(hier_, k, g, *scratch):
         levels.append(k)
-        return v_cycle(hier_, k, g)
+        return v_cycle(hier_, k, g, *scratch)
 
     monkeypatch.setattr(multigrid, "v_cycle", counting)
     g = np.random.default_rng(14).standard_normal(hier.fine.mesh.n_interior)
@@ -677,16 +674,23 @@ def test_mg_solve_calls_the_module_v_cycle_once_per_iteration(
     assert levels.count(top) == res.iters
 
 
-@pytest.mark.parametrize("cells, bound", [(128, 3), (1024, 26)])
+@pytest.mark.parametrize("cells, bound", [(128, 3), (1024, 19)])
 def test_mg_solve_python_frames_per_iteration(hier128, hier1024, cells,
                                               bound):
     # machine-independent per-call overhead of one mg_solve iteration: the
     # Python frames it enters in tempermg.  On a dense fine level a cycle is
     # v_cycle, coarse_solve and the residual's matvec.  At M = 1024 each of
-    # the 7 FFT products is matvec + _fft_matvec, and the two levels above
+    # the 7 FFT products is one _padded_matvec, and the two levels above
     # b = 255 add v_cycle, _cycle, restrict, prolongate and jacobi_smooth
-    # each, plus v_cycle and coarse_solve on b: 14 + 10 + 2 = 26
+    # each, plus v_cycle and coarse_solve on b: 7 + 10 + 2 = 19.  Once per
+    # solve, above a dense fine level, mg_solve allocates its buffers: its
+    # own two _operand arrays, then _scratch with one _Buffers.__init__ and
+    # three _operand arrays for each of those two levels
     hier = hier128 if cells == 128 else hier1024
+    above = len(hier.levels) - 1 - hier._bottom[0]
+    per_solve = Counter(mg_solve=1)
+    if above:
+        per_solve.update(_scratch=1, __init__=above, _operand=2 + 3 * above)
     package = os.path.dirname(multigrid.__file__) + os.sep
     frames = []
 
@@ -701,8 +705,127 @@ def test_mg_solve_python_frames_per_iteration(hier128, hier1024, cells,
     finally:
         sys.setprofile(None)
     assert res.converged and res.iters >= 2
-    assert frames.count("mg_solve") == 1
-    assert len(frames) - 1 <= bound * res.iters, Counter(frames)
+    counts = Counter(frames)
+    assert {name: counts[name] for name in per_solve} == per_solve
+    assert len(frames) - per_solve.total() <= bound * res.iters, counts
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("cells", (512, 1024, 4096))
+def test_vcycle_is_the_reference_cycle_bit_for_bit(cells, m1, m2):
+    # the cycle in per-solve buffers makes the same arithmetic in the same
+    # order as the allocate-per-operation cycle it replaced: equal bit for
+    # bit on every level above b, on vectors and blocks, cycle by cycle in
+    # a solve (whose buffers carry the last cycle's values into the next),
+    # and in the bottom matrix set-up builds with it
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
+                                     tau=1.0 / cells,
+                                     config=MgConfig(m1=m1, m2=m2))
+    bottom, top = hier._bottom[0], len(hier.levels) - 1
+    assert bottom < top
+    assert hier._bottom[1].tobytes() == oracles.reference_bottom(hier)[1].tobytes()
+    rng = np.random.default_rng(cells + 10 * m1 + m2)
+    for k in range(bottom + 1, top + 1):
+        n = hier.levels[k].mesh.n_interior
+        for g in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            got = multigrid.v_cycle(hier, k, g)
+            assert got.tobytes() == oracles.reference_v_cycle(hier, k, g).tobytes()
+    g = rng.standard_normal(hier.fine.mesh.n_interior)
+    system = hier.fine.system
+    z, r, history = np.zeros_like(g), g, [1.0]
+    while history[-1] >= multigrid.TOL and len(history) <= multigrid.MAX_ITER:
+        z = z + oracles.reference_v_cycle(hier, top, r)
+        r = g - system.matvec(z)
+        history.append(math.sqrt(r.dot(r)) / math.sqrt(g.dot(g)))
+    res = multigrid.mg_solve(hier, g)
+    assert res.converged and res.iters == len(history) - 1 >= 2
+    assert res.residual_history == history
+    assert res.solution.tobytes() == z.tobytes()
+    assert res.residual.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("cells", (16, 128, 256))
+def test_dense_fine_bottom_matrix_is_the_reference_build(cells, m1, m2):
+    # on a dense fine level C_b is the whole cycle; set-up's buffered build
+    # of it equals the allocate-per-operation build bit for bit
+    hier = multigrid.build_hierarchy(model_problem(), Mesh(0.0, 1.0, cells),
+                                     tau=1.0 / cells,
+                                     config=MgConfig(m1=m1, m2=m2))
+    k, c_k = hier._bottom
+    ref_k, ref = oracles.reference_bottom(hier)
+    assert k == ref_k == len(hier.levels) - 1
+    assert c_k.tobytes() == ref.tobytes()
+
+
+def test_vcycle_in_solve_buffers_allocates_no_fine_vector(hier1024):
+    # in a solve's buffers a cycle allocates nothing as large as a vector of
+    # the level below the fine one: only level b's product with C_b is a
+    # fresh array
+    top, bottom = len(hier1024.levels) - 1, hier1024._bottom[0]
+    rhs_pad = multigrid._operand(hier1024.fine.system, ())
+    scratch = multigrid._scratch(hier1024, top, rhs_pad)
+    g = scratch[top].rhs
+    g[...] = np.random.default_rng(16).standard_normal(len(g))
+    ref = multigrid.v_cycle(hier1024, top, g).copy()
+    multigrid.v_cycle(hier1024, top, g, scratch)  # warm the FFT plans
+    tracemalloc.start()
+    try:
+        z = multigrid.v_cycle(hier1024, top, g, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.tobytes() == ref.tobytes()
+    assert np.shares_memory(z, scratch[top].z_pad)
+    assert peak < 8 * hier1024.levels[bottom + 1].system.n, peak
+
+
+def test_shared_hierarchy_solves_from_threads_match_serial(hier1024):
+    # each solve owns its buffers, so solves sharing one hierarchy from
+    # several threads, switching as often as the interpreter allows, give
+    # the serial results bit for bit
+    rng = np.random.default_rng(17)
+    gs = list(rng.standard_normal((8, hier1024.fine.mesh.n_interior)))
+
+    def solve(g):
+        res = multigrid.mg_solve(hier1024, g)
+        return (res.solution.tobytes(), res.residual.tobytes(),
+                res.residual_history, res.iters)
+
+    serial = [solve(g) for g in gs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve, g) for _ in range(3) for g in gs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mg_solve_scales_a_huge_finite_rhs(hier128, hier1024):
+    # a right-hand side whose sum of squares overflows is solved at a
+    # power-of-two scale: the same cycles and history, and the unscaled
+    # solution and residual times the scale, bit for bit
+    rng = np.random.default_rng(18)
+    for hier in (hier128, hier1024):
+        g = rng.standard_normal(hier.fine.mesh.n_interior)
+        assert not math.isfinite((HUGE * g).dot(HUGE * g))
+        res, big = multigrid.mg_solve(hier, g), multigrid.mg_solve(hier, HUGE * g)
+        assert big.converged and big.iters == res.iters
+        assert big.residual_history == res.residual_history
+        assert big.solution.tobytes() == (HUGE * res.solution).tobytes()
+        assert big.residual.tobytes() == (HUGE * res.residual).tobytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            for scale in (1.0, HUGE):
+                g_bad = scale * g
+                g_bad[5] = bad
+                with pytest.raises(ValueError,
+                                   match="right-hand side g is not finite"):
+                    multigrid.mg_solve(hier, g_bad)
+    assert multigrid.mg_solve(hier128, np.full(127, 1e200)).converged
 
 
 def test_mg_solve_zero_rhs(hier128):
@@ -765,25 +888,23 @@ def test_contraction_factor_makes_one_fine_product_per_cycle(
     hier = multigrid.build_hierarchy(model_problem(alpha),
                                      Mesh(0.0, 1.0, cells), tau=1.0 / cells)
     top = len(hier.levels) - 1
-    fine_products, cycle_products = [], []
-    matvec, v_cycle = toeplitz.SymToeplitz.matvec, multigrid.v_cycle
+    cycle_products = []
+    v_cycle = multigrid.v_cycle
+    products = oracles.record_products(monkeypatch)
 
-    def counting(self, x):
-        if self is hier.fine.system:
-            fine_products.append(1)
-        return matvec(self, x)
+    def fine_products():
+        return sum(op is hier.fine.system for op in products)
 
-    def cycle(hier_, k, g):
-        before = len(fine_products)
-        z = v_cycle(hier_, k, g)
+    def cycle(hier_, k, g, *scratch):
+        before = fine_products()
+        z = v_cycle(hier_, k, g, *scratch)
         if k == top:
-            cycle_products.append(len(fine_products) - before)
+            cycle_products.append(fine_products() - before)
         return z
 
-    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting)
     monkeypatch.setattr(multigrid, "v_cycle", cycle)
     multigrid.contraction_factor(hier)
-    outside = len(fine_products) - sum(cycle_products)
+    outside = fine_products() - sum(cycle_products)
     assert len(cycle_products) > 3
     assert outside == len(cycle_products) + 3
 

@@ -131,6 +131,25 @@ def test_fft_matvec_is_the_rfft_multiply_irfft_product(n):
     np.testing.assert_array_equal(op._fft_matvec(x), ref)
 
 
+@pytest.mark.parametrize("shape", [(1023,), (511, 3)])
+def test_padded_matvec_reads_its_operand_in_place(shape):
+    # the copy-free entry: the product of the head of a zero-tailed operand,
+    # written into the caller's buffer and returned as its head, is matvec's
+    # bit for bit, and the operand is left as it was
+    rng = np.random.default_rng(shape[0])
+    n = shape[0]
+    op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n)) ** 1.5)
+    x = rng.standard_normal(shape)
+    padded = np.zeros((op._fft_len,) + shape[1:])
+    padded[:n] = x
+    before = padded.copy()
+    out = np.full_like(padded, np.nan)
+    got = op._padded_matvec(padded, out)
+    assert got.base is out and got.shape == shape
+    assert got.tobytes() == op.matvec(x).tobytes()
+    assert padded.tobytes() == before.tobytes()
+
+
 def test_shared_operator_matvec_is_thread_safe():
     n = 1023
     rng = np.random.default_rng(11)
