@@ -21,16 +21,16 @@ On a dense fine level a cycle is therefore one product with C_b.
 ``mg_solve`` and ``contraction_factor`` iterate in correction form,
 z <- z + V(g - A z).
 
-Above b a cycle runs in scratch that each solve allocates once
-(``_scratch``): per level, a right-hand side, an iterate and a residual in
-the heads of zero-tailed arrays of the FFT length, a product buffer and
-``restrict``'s quarter buffer.  Restriction writes the level below's
-right-hand side in place, and every product reads its operand where it
-lies (``SymToeplitz._padded_matvec``), so a cycle allocates nothing but
-level b's product with C_b (and s r for each pre-smoothing step past the
-first).  The arithmetic and its order are those of an
-allocate-per-operation cycle, bit for bit.  The hierarchy stays read-only,
-so solves may share it across threads.
+Each solve, dense fine level or not, allocates its buffers once: the fine
+right-hand side, iterate and product, and per level above b
+(``_scratch``) a right-hand side, an iterate and a residual in the heads
+of zero-tailed arrays of the system's ``_pad_len``, and a product buffer.
+Restriction writes the level below's right-hand side in place, every
+product reads its operand where it lies (``SymToeplitz._padded_matvec``),
+and C_b's product lands in the product buffer of the level above, so a
+cycle above a dense fine level allocates nothing.  The arithmetic and its
+order are those of an allocate-per-operation cycle, bit for bit.  The
+hierarchy stays read-only, so solves may share it across threads.
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ class Hierarchy:
     def fine(self) -> LevelOperator:
         return self.levels[-1]
 
-    def coarse_solve(self, g: np.ndarray) -> np.ndarray:
-        """C_b g, level b's whole cycle; ``v_cycle`` checks the result."""
-        return self._bottom[1].dot(g)
+    def coarse_solve(self, g: np.ndarray, out=None) -> np.ndarray:
+        """C_b g, level b's whole cycle, into ``out`` if given; ``v_cycle``
+        checks the result."""
+        return self._bottom[1].dot(g, out)
 
 
 def coarsen_symbol(first_col: np.ndarray) -> np.ndarray:
@@ -158,24 +159,25 @@ def _with_bottom(hier: Hierarchy) -> None:
     matrix.flags.writeable = False
 
 
-def prolongate(coarse: np.ndarray, out: Optional[np.ndarray] = None
-               ) -> np.ndarray:
+def prolongate(coarse: np.ndarray, out: Optional[np.ndarray] = None,
+               half: Optional[np.ndarray] = None) -> np.ndarray:
     """Linear interpolation in nodal values: nc -> 2*nc + 1 (zero boundary).
 
     Acts along axis 0, so an (nc, k) block is prolongated column by column.
-    ``out`` (2*nc + 1 rows, not overlapping coarse) receives the result.
+    ``out`` (2*nc + 1 rows) receives the result, and ``half`` (nc rows) is
+    scratch; both are optional and overlap neither coarse nor each other.
     """
     vc = np.asarray(coarse, dtype=float)
     nc = vc.shape[0]
     if out is None:
         out = np.empty((2 * nc + 1,) + vc.shape[1:])
-    # the odd nodes first hold half of each coarse value; even node 2j sums
-    # the halves of coarse j and j - 1 (one of them at either end)
-    half = np.multiply(vc, 0.5, out=out[1::2])
+    # even node 2j sums the halves of coarse j and j - 1 (one of them at
+    # either end); halves in out's odd rows would make numpy copy a block
+    half = np.multiply(vc, 0.5, out=half)
     np.add(half[1:], half[:-1], out=out[2:-1:2])
     out[0] = half[0]
     out[-1] = half[-1]
-    half[...] = vc
+    out[1::2] = vc
     return out
 
 
@@ -199,13 +201,12 @@ def restrict(fine: np.ndarray, out: Optional[np.ndarray] = None,
 
 
 def _operand(system, tail: tuple) -> np.ndarray:
-    """An array whose head a product with ``system`` reads in place: on an
-    FFT level zeros of the FFT length (the tail must stay zero), on a dense
-    level n uninitialised rows, since every head is written before it is
-    read."""
-    if system._dense is None:
-        return np.zeros((system._fft_len,) + tail)
-    return np.empty((system.n,) + tail)
+    """An array whose head a product with ``system`` reads in place: its
+    ``_pad_len`` rows, zero past n (the tail must stay so) and uninitialised
+    in the first n, which every user writes before it reads them."""
+    buf = np.empty((system._pad_len,) + tail)
+    buf[system.n:] = 0.0
+    return buf
 
 
 class _Buffers:
@@ -213,49 +214,44 @@ class _Buffers:
 
     The level's right-hand side, iterate and residual live in the heads
     ``rhs``, ``z`` and ``res`` of the ``_operand`` arrays ``*_pad``, so
-    that ``apply(x_pad, prod)`` forms A x with no copy: by
-    ``SymToeplitz._padded_matvec`` into ``prod`` on an FFT level, by
-    ``matvec`` on a dense one.  ``rhs_pad`` is the caller's.  With the
-    level below, ``coarse`` is the head of ``coarse_pad``, which holds that
-    level's right-hand side, and ``quarter`` is ``restrict``'s scratch.
+    that ``system._padded_matvec(x_pad, prod)`` forms A x in ``prod`` with
+    no copy.  ``rhs_pad`` is the caller's.  With the level below,
+    ``coarse`` is the head of ``coarse_pad``, that level's right-hand side,
+    and ``restrict``'s scratch ``quarter`` is the head of the idle ``prod``.
     """
 
     __slots__ = ("rhs_pad", "z_pad", "res_pad", "coarse_pad", "rhs", "z",
-                 "res", "coarse", "prod", "apply", "quarter")
+                 "res", "coarse", "prod", "quarter")
 
     def __init__(self, system, tail, rhs_pad=None, below=None):
         n = system.n
         self.rhs_pad = rhs_pad
         self.z_pad = _operand(system, tail)
         self.res_pad = _operand(system, tail)
+        self.prod = np.empty_like(self.z_pad)
         self.rhs = None if rhs_pad is None else rhs_pad[:n]
         self.z, self.res = self.z_pad[:n], self.res_pad[:n]
-        if system._dense is None:
-            self.prod = np.empty_like(self.z_pad)
-            self.apply = system._padded_matvec
-        else:
-            self.prod = None
-            self.apply = lambda x, out: system.matvec(x)
         if below is not None:
             self.coarse_pad = _operand(below, tail)
             self.coarse = self.coarse_pad[:below.n]
-            # dense levels cycle only at set-up, on (n, n) blocks; there
-            # restrict makes its quarter, freed before the smoothing steps
-            self.quarter = (np.empty((below.n + 1,) + tail)
-                            if system._dense is None else None)
+            self.quarter = self.prod[:below.n + 1]
 
 
 def _scratch(hier: Hierarchy, k: int, rhs_pad: np.ndarray) -> list:
     """Buffers for the cycles of one solve on level k, indexed by level:
-    ``_Buffers`` on levels b + 1 .. k, None at and below b.  ``rhs_pad``
-    holds level k's right-hand side in its head, as ``_operand`` lays it
-    out; each level below takes its right-hand side from the one above."""
+    ``_Buffers`` on levels b + 1 .. k; at b < k, for the bottom product,
+    the head of level b + 1's ``prod``, idle while level b cycles.
+    ``rhs_pad`` holds level k's right-hand side in its head, as
+    ``_operand`` lays it out; each level below takes its right-hand side
+    from the one above."""
     scratch = [None] * (k + 1)
     tail = rhs_pad.shape[1:]
     for j in range(k, hier._bottom[0], -1):
         scratch[j] = work = _Buffers(hier.levels[j].system, tail, rhs_pad,
                                      hier.levels[j - 1].system)
         rhs_pad = work.coarse_pad
+    if k > hier._bottom[0]:
+        scratch[j - 1] = work.prod[:len(work.coarse)]
     return scratch
 
 
@@ -275,12 +271,10 @@ def jacobi_smooth(level: LevelOperator, z: np.ndarray, g: np.ndarray,
     scale = ETA / level.diag
     for _ in range(steps):
         # t = (g - A z) s in the product's buffer, then z + t
-        t = work.apply(work.z_pad, work.prod)
+        t = level.system._padded_matvec(work.z_pad, work.prod)
         np.subtract(g, t, out=t)
         t *= scale
         z += t
-        # a dense level's product is a fresh block: free it before the next
-        del t
     return z
 
 
@@ -291,11 +285,11 @@ def _cycle(hier: Hierarchy, k: int, g: np.ndarray, ag: np.ndarray,
 
     With s = ETA / diag, the first pre-smoothing step gives s g with
     residual g - s A g, so the m1 - 1 further steps make one product each:
-    z <- z + s r, r <- r - s A r.  The coarse correction is the cycle of
-    level k - 1 on the restricted residual, written into that level's
-    right-hand side, and m2 post-smoothing steps follow; m1 and m2 come
-    from ``hier.config``.  Each further pre-smoothing step makes one
-    temporary, s r.  Set-up builds each C_k with this routine too, on
+    z <- z + s r, r <- r - s A r, with s r first written into the
+    product's buffer.  The coarse correction is the cycle of level k - 1
+    on the restricted residual, written into that level's right-hand side,
+    and m2 post-smoothing steps follow; m1 and m2 come from
+    ``hier.config``.  Set-up builds each C_k with this routine too, on
     (n, n) blocks.
     """
     config = hier.config
@@ -306,13 +300,15 @@ def _cycle(hier: Hierarchy, k: int, g: np.ndarray, ag: np.ndarray,
     residual = np.multiply(ag, -s, out=work.res)
     residual += g
     for _ in range(config.m1 - 1):
-        z += s * residual
-        t = work.apply(work.res_pad, work.prod)
+        z += np.multiply(residual, s, out=work.prod[:len(z)])
+        t = level.system._padded_matvec(work.res_pad, work.prod)
         t *= s
         residual -= t
     coarse = restrict(residual, work.coarse, work.quarter)
-    # the residual is spent: its buffer takes the prolongated correction
-    z += prolongate(v_cycle(hier, k - 1, coarse, scratch), work.res)
+    # the residual and, once the level below has cycled, its right-hand
+    # side are spent: they take the correction and its halves
+    z += prolongate(v_cycle(hier, k - 1, coarse, scratch), work.res,
+                    work.coarse)
     return jacobi_smooth(level, z, g, config.m2, work)
 
 
@@ -322,10 +318,11 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray,
 
     g may be an (n, k) block, cycled column by column.  On the bottom level
     b the cycle is ``hier.coarse_solve(g)``, so on a dense fine level it is
-    one product.  Above b the cycle runs in ``scratch``, a solve's buffers
-    from ``_scratch``, where g must be ``scratch[k].rhs``; the result is
-    then the view ``scratch[k].z``, valid until the next cycle.  Without
-    ``scratch`` the call makes its own and copies g into it.
+    one product; with ``scratch`` from a level above, it is written into
+    ``scratch[b]``.  Above b the cycle runs in ``scratch``, a solve's
+    buffers from ``_scratch``, where g must be ``scratch[k].rhs``; the
+    result is then the view ``scratch[k].z``, valid until the next cycle.
+    Without ``scratch`` the call makes its own and copies g into it.
     A non-finite iterate raises ``FloatingPointError`` naming level k.
     This runs on every level of every cycle, so the finiteness check is
     one dot: every square is >= 0 or NaN, so a finite sum of squares proves
@@ -340,14 +337,15 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray,
     if k < bottom:
         raise ValueError(f"level {k} is below the bottom level {bottom}")
     if k == bottom:
-        z = hier.coarse_solve(g)
+        z = hier.coarse_solve(g, None if scratch is None else scratch[k])
     else:
         if scratch is None:
             rhs_pad = _operand(system, g.shape[1:])
             rhs_pad[:n] = g
             scratch = _scratch(hier, k, rhs_pad)
         work = scratch[k]
-        z = _cycle(hier, k, g, work.apply(work.rhs_pad, work.prod), scratch)
+        z = _cycle(hier, k, g, system._padded_matvec(work.rhs_pad, work.prod),
+                   scratch)
     if (not math.isfinite(z.dot(z) if z.ndim == 1 else np.vdot(z, z))
             and not np.isfinite(z).all()):
         raise FloatingPointError(f"non-finite iterate on level {k}")
@@ -361,8 +359,8 @@ class MgResult:
     # relative euclidean residuals: 1, then one a cycle; [0.0] for g = 0
     residual_history: List[float]
     converged: bool
-    # g - A solution, the last residual formed: this solve's own array
-    # (above a dense fine level, a view of its buffers), never g
+    # g - A solution, the last residual formed: once a cycle has run,
+    # always a view of this solve's buffers; never g
     residual: np.ndarray
 
 
@@ -371,9 +369,10 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
 
     The residual of each stopping test is the next cycle's right-hand side,
     and the last one is returned, so a caller gets A z = g - r without a
-    product (``cn_step`` does).  Above a dense fine level the cycles run in
-    buffers this call allocates once (``_scratch``), and the returned
-    solution and residual are views of buffers no other solve shares.
+    product (``cn_step`` does).  The cycles run in buffers this call
+    allocates once, for a dense fine level as for an FFT one, and every
+    fine product reads the iterate where it lies; the returned solution
+    and residual are views of buffers no other solve shares.
 
     Non-convergence within ``MAX_ITER`` cycles is reported via
     ``converged=False`` with the last iterate, never raised, so parameter
@@ -387,7 +386,8 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
     g = np.asarray(g, dtype=float)
     top = len(hier.levels) - 1
     system = hier.levels[top].system
-    matvec = system.matvec
+    if g.shape != (system.n,):
+        raise ValueError(f"g must have shape ({system.n},), got {g.shape}")
     r0 = math.sqrt(g.dot(g))
     if not math.isfinite(r0):
         if not np.isfinite(g).all():
@@ -399,24 +399,16 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
         return res
     if r0 == 0.0:
         return MgResult(np.zeros_like(g), 0, [0.0], True, g.copy())
-    if hier._bottom[0] == top:
-        # each cycle is one product with C_b: nothing to pad
-        scratch, z, r = None, np.zeros_like(g), g
-    else:
-        rhs_pad, z_pad = _operand(system, ()), _operand(system, ())
-        z, r = z_pad[:system.n], rhs_pad[:system.n]
-        r[...] = g
-        scratch = _scratch(hier, top, rhs_pad)
-        prod = scratch[top].prod
+    rhs_pad = _operand(system, ())
+    z_pad, prod = np.zeros_like(rhs_pad), np.empty_like(rhs_pad)
+    z, r = z_pad[:system.n], rhs_pad[:system.n]
+    r[...] = g
+    scratch = _scratch(hier, top, rhs_pad)
     history = [1.0]
     for it in range(1, MAX_ITER + 1):
         z += v_cycle(hier, top, r, scratch)
-        if scratch is None:
-            r = matvec(z)
-            np.subtract(g, r, out=r)
-        else:
-            # written where the next cycle reads its right-hand side
-            np.subtract(g, system._padded_matvec(z_pad, prod), out=r)
+        # written where the next cycle reads its right-hand side
+        np.subtract(g, system._padded_matvec(z_pad, prod), out=r)
         rel = math.sqrt(r.dot(r)) / r0
         history.append(rel)
         if rel < TOL:

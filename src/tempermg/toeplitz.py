@@ -17,7 +17,8 @@ padded (``_padded_matvec``), 9.6 and 17.0 us padding a fresh buffer
 (one compiled call for the whole product), 14.3 and 23.2 us through the
 ``scipy.fftpack`` wrappers.
 Small operators also store their dense matrix and apply that instead (see
-``_DENSE_MAX_N`` for why the crossover sits where it does).
+``_DENSE_MAX_N`` for why the crossover sits where it does), in the same
+copy-free ``_padded_matvec``, so a caller's loop is one code path at any n.
 The module also carries the dense materialization and a structural report
 (sign pattern, diagonal dominance) used by the solver's admissibility
 checks.
@@ -49,14 +50,15 @@ class SymToeplitz:
     For n <= 255 the read-only dense matrix is stored and ``matvec`` is one
     dense product; above that only the circulant spectrum is cached, at
     construction, as a real vector, and ``matvec`` costs two real FFTs of
-    length ~2n.
+    length ~2n.  ``_pad_len`` is the row count of ``_padded_matvec``'s
+    operands: n with the dense matrix, ``_fft_len`` with the spectrum.
     Instances hold no mutable state and are safe to share across threads:
-    ``matvec`` allocates its own padded buffer per call, and the copy-free
+    ``matvec`` allocates its result per call, and the copy-free
     ``_padded_matvec`` works in buffers its caller owns (``mg_solve``'s
     per-solve scratch).
     """
 
-    __slots__ = ("n", "first_col", "_fft_len", "_spec", "_dense")
+    __slots__ = ("n", "first_col", "_fft_len", "_pad_len", "_spec", "_dense")
 
     def __init__(self, first_col):
         col = np.asarray(first_col, dtype=float)
@@ -79,6 +81,7 @@ class SymToeplitz:
             self._dense.flags.writeable = False
         else:
             self._spec = self._spectrum()
+        self._pad_len = n if self._spec is None else self._fft_len
 
     def _spectrum(self):
         """Eigenvalues of the circulant that embeds the operator, in
@@ -105,22 +108,25 @@ class SymToeplitz:
         return self._fft_matvec(x)
 
     def _fft_matvec(self, x):
-        """Circulant-embedding matvec of a checked vector or block, at any n:
-        x is padded into a fresh buffer, which then holds the product."""
+        """Circulant-embedding matvec of a checked vector or block, at any n,
+        in a fresh padded buffer; below the dense crossover (only tests and
+        ``verify`` go there) the spectrum is computed per call."""
         buf = np.zeros((self._fft_len,) + x.shape[1:])
         buf[: self.n] = x
-        return self._padded_matvec(buf, buf)
+        spec = self._spec if self._spec is not None else self._spectrum()
+        return self._padded_matvec(buf, buf, spec)
 
-    def _padded_matvec(self, padded, out):
-        """A x for x in the first n rows of ``padded`` (``_fft_len`` rows,
+    def _padded_matvec(self, padded, out, spec=None):
+        """A x for x in the first n rows of ``padded`` (``_pad_len`` rows,
         zero past n), computed in the caller's ``out`` of the same shape.
 
-        Returns the view ``out[:n]``.  It allocates and copies nothing, and
-        leaves ``padded`` as it is unless it is ``out``.  Below the dense
-        crossover the spectrum is not cached (only tests and ``verify`` take
-        this path there), so it is computed per call.
+        Returns the head ``out[:n]`` (``out`` itself when dense), allocates
+        and copies nothing, and leaves ``padded`` as it is unless it is
+        ``out`` (FFT only).  A given ``spec`` forces the FFT product.
         """
-        spec = self._spec if self._spec is not None else self._spectrum()
+        if spec is None and self._dense is not None:
+            return self._dense.dot(padded, out)
+        spec = self._spec if spec is None else spec
         if out.ndim == 2:
             spec = spec[:, None]
         # forward transform into out, multiply, inverse normalized by 1/L

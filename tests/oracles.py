@@ -419,23 +419,29 @@ def reference_bottom(hier):
     return bottom
 
 
-def record_products(monkeypatch):
+def record_products(monkeypatch, entry=lambda op, x: op):
     """Patch ``SymToeplitz`` so that every product, vector or block, appends
-    its operator to the returned list once.  A dense product is seen at
-    ``matvec``; an FFT product at ``_padded_matvec``, which ``matvec`` and
-    the solver's copy-free products both go through."""
+    ``entry(operator, operand)`` to the returned list once, unless that is
+    None; the operand is read at the call.  A product is seen at
+    ``_padded_matvec``, which every product in a solve or a set-up and every
+    FFT ``matvec`` go through, or else, dense, at ``matvec``."""
     products = []
     matvec = toeplitz.SymToeplitz.matvec
     padded_matvec = toeplitz.SymToeplitz._padded_matvec
 
+    def record(op, x):
+        item = entry(op, x)
+        if item is not None:
+            products.append(item)
+
     def counting_matvec(self, x):
         if self._dense is not None:
-            products.append(self)
+            record(self, np.asarray(x, dtype=float))
         return matvec(self, x)
 
-    def counting_padded_matvec(self, padded, out):
-        products.append(self)
-        return padded_matvec(self, padded, out)
+    def counting_padded_matvec(self, padded, out, *spec):
+        record(self, padded[: self.n])
+        return padded_matvec(self, padded, out, *spec)
 
     monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting_matvec)
     monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec",

@@ -182,6 +182,23 @@ def test_transfers_act_on_blocks_column_by_column():
         np.testing.assert_array_equal(fine, kept[1])
 
 
+def test_prolongate_with_its_half_buffer_copies_no_block():
+    # with the halves apart from out, numpy needs no copy of a block's
+    # interleaved rows (without, it made one of 197 KB at this size), and
+    # the result is the same bit for bit
+    coarse = np.random.default_rng(9).standard_normal((127, 255))
+    out, half = np.empty((255, 255)), np.empty((127, 255))
+    want = multigrid.prolongate(coarse)
+    tracemalloc.start()
+    try:
+        got = multigrid.prolongate(coarse, out, half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and got.tobytes() == want.tobytes()
+    assert peak < coarse.nbytes / 2, peak
+
+
 @pytest.mark.parametrize("nc", [7, 15, 31])
 def test_transfers_are_mesh_weighted_adjoints(nc):
     rng = np.random.default_rng(nc)
@@ -484,20 +501,16 @@ def smoothed128(m1, m2):
 
 
 def record_block_products(monkeypatch):
-    # (operator, is the operand a scaled identity) per block product
-    products = []
-    matvec = toeplitz.SymToeplitz.matvec
-
-    def recording(self, x):
-        if np.ndim(x) == 2:
+    # (operator, is the operand a scaled identity) per block product, seen
+    # at matvec and at _padded_matvec as oracles.record_products sees them
+    def block(op, x):
+        if x.ndim == 2:
             d = np.diag(x)
-            scaled_eye = (x.shape[0] == x.shape[1] and np.ptp(d) == 0.0
-                          and np.count_nonzero(x - np.diag(d)) == 0)
-            products.append((self, scaled_eye))
-        return matvec(self, x)
+            return op, (x.shape[0] == x.shape[1] and np.ptp(d) == 0.0
+                        and np.count_nonzero(x - np.diag(d)) == 0)
+        return None
 
-    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", recording)
-    return products
+    return oracles.record_products(monkeypatch, block)
 
 
 def assert_bottom_build_products(hier, products):
@@ -652,6 +665,31 @@ def test_mg_solve_is_the_reference_loop_bit_for_bit(hier128, hier1024, cells):
     assert res.residual_history == history
 
 
+@pytest.mark.parametrize("cells, per_cycle", [(128, 1), (1024, 4)])
+def test_mg_solve_makes_every_fine_product_in_place(
+        hier128, hier1024, monkeypatch, cells, per_cycle):
+    # mg_solve never calls matvec, which allocates: every fine product, the
+    # solver's residual and the cycle's, reads its operand where it lies
+    # (_padded_matvec), on a dense fine level as on an FFT one
+    hier = hier128 if cells == 128 else hier1024
+    padded_matvec = toeplitz.SymToeplitz._padded_matvec
+    fine = []
+
+    def unexpected(self, x):
+        raise AssertionError(f"matvec called at n = {self.n}")
+
+    def counting(self, padded, out, *spec):
+        fine.append(self is hier.fine.system)
+        return padded_matvec(self, padded, out, *spec)
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", unexpected)
+    monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec", counting)
+    g = np.random.default_rng(19).standard_normal(hier.fine.mesh.n_interior)
+    res = multigrid.mg_solve(hier, g)
+    assert res.converged and res.iters >= 2
+    assert sum(fine) == per_cycle * res.iters
+
+
 @pytest.mark.parametrize("cells", (128, 1024))
 def test_mg_solve_calls_the_module_v_cycle_once_per_iteration(
         hier128, hier1024, monkeypatch, cells):
@@ -679,18 +717,18 @@ def test_mg_solve_python_frames_per_iteration(hier128, hier1024, cells,
                                               bound):
     # machine-independent per-call overhead of one mg_solve iteration: the
     # Python frames it enters in tempermg.  On a dense fine level a cycle is
-    # v_cycle, coarse_solve and the residual's matvec.  At M = 1024 each of
-    # the 7 FFT products is one _padded_matvec, and the two levels above
-    # b = 255 add v_cycle, _cycle, restrict, prolongate and jacobi_smooth
-    # each, plus v_cycle and coarse_solve on b: 7 + 10 + 2 = 19.  Once per
-    # solve, above a dense fine level, mg_solve allocates its buffers: its
-    # own two _operand arrays, then _scratch with one _Buffers.__init__ and
-    # three _operand arrays for each of those two levels
+    # v_cycle, coarse_solve and the residual's _padded_matvec.  At M = 1024
+    # each of the 7 FFT products is one _padded_matvec, and the two levels
+    # above b = 255 add v_cycle, _cycle, restrict, prolongate and
+    # jacobi_smooth each, plus v_cycle and coarse_solve on b: 7 + 10 + 2 =
+    # 19.  Once per solve, at either size, mg_solve allocates its buffers:
+    # its right-hand side by _operand, then _scratch with one
+    # _Buffers.__init__ and three _operand arrays for each level above b
+    # (none at M = 128)
     hier = hier128 if cells == 128 else hier1024
     above = len(hier.levels) - 1 - hier._bottom[0]
-    per_solve = Counter(mg_solve=1)
-    if above:
-        per_solve.update(_scratch=1, __init__=above, _operand=2 + 3 * above)
+    per_solve = Counter(mg_solve=1, _scratch=1, __init__=above,
+                        _operand=1 + 3 * above)
     package = os.path.dirname(multigrid.__file__) + os.sep
     frames = []
 
@@ -758,50 +796,56 @@ def test_dense_fine_bottom_matrix_is_the_reference_build(cells, m1, m2):
     assert c_k.tobytes() == ref.tobytes()
 
 
-def test_vcycle_in_solve_buffers_allocates_no_fine_vector(hier1024):
+@pytest.mark.parametrize("m1", (1, 2))
+def test_vcycle_in_solve_buffers_allocates_no_fine_vector(hier1024, m1):
     # in a solve's buffers a cycle allocates nothing as large as a vector of
-    # the level below the fine one: only level b's product with C_b is a
-    # fresh array
-    top, bottom = len(hier1024.levels) - 1, hier1024._bottom[0]
-    rhs_pad = multigrid._operand(hier1024.fine.system, ())
-    scratch = multigrid._scratch(hier1024, top, rhs_pad)
+    # the bottom level: level b's product with C_b goes into the product
+    # buffer of the level above, and a pre-smoothing step past the first
+    # writes s r into its own level's
+    hier = hier1024 if m1 == 1 else multigrid.build_hierarchy(
+        model_problem(), Mesh(0.0, 1.0, 1024), tau=1.0 / 1024.0,
+        config=MgConfig(m1=m1))
+    top, bottom = len(hier.levels) - 1, hier._bottom[0]
+    rhs_pad = multigrid._operand(hier.fine.system, ())
+    scratch = multigrid._scratch(hier, top, rhs_pad)
     g = scratch[top].rhs
     g[...] = np.random.default_rng(16).standard_normal(len(g))
-    ref = multigrid.v_cycle(hier1024, top, g).copy()
-    multigrid.v_cycle(hier1024, top, g, scratch)  # warm the FFT plans
+    ref = multigrid.v_cycle(hier, top, g).copy()
+    multigrid.v_cycle(hier, top, g, scratch)  # warm the FFT plans
     tracemalloc.start()
     try:
-        z = multigrid.v_cycle(hier1024, top, g, scratch)
+        z = multigrid.v_cycle(hier, top, g, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert z.tobytes() == ref.tobytes()
     assert np.shares_memory(z, scratch[top].z_pad)
-    assert peak < 8 * hier1024.levels[bottom + 1].system.n, peak
+    assert peak < 8 * hier.levels[bottom].system.n, peak
 
 
-def test_shared_hierarchy_solves_from_threads_match_serial(hier1024):
-    # each solve owns its buffers, so solves sharing one hierarchy from
-    # several threads, switching as often as the interpreter allows, give
-    # the serial results bit for bit
+def test_shared_hierarchy_solves_from_threads_match_serial(hier128, hier1024):
+    # each solve owns its buffers, on a dense fine level as on an FFT one,
+    # so solves sharing one hierarchy from several threads, switching as
+    # often as the interpreter allows, give the serial results bit for bit
     rng = np.random.default_rng(17)
-    gs = list(rng.standard_normal((8, hier1024.fine.mesh.n_interior)))
+    for hier in (hier128, hier1024):
+        gs = list(rng.standard_normal((8, hier.fine.mesh.n_interior)))
 
-    def solve(g):
-        res = multigrid.mg_solve(hier1024, g)
-        return (res.solution.tobytes(), res.residual.tobytes(),
-                res.residual_history, res.iters)
+        def solve(g):
+            res = multigrid.mg_solve(hier, g)
+            return (res.solution.tobytes(), res.residual.tobytes(),
+                    res.residual_history, res.iters)
 
-    serial = [solve(g) for g in gs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(solve, g) for _ in range(3) for g in gs]
-            threaded = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial * 3
+        serial = [solve(g) for g in gs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(solve, g) for _ in range(3) for g in gs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -826,6 +870,16 @@ def test_mg_solve_scales_a_huge_finite_rhs(hier128, hier1024):
                                    match="right-hand side g is not finite"):
                     multigrid.mg_solve(hier, g_bad)
     assert multigrid.mg_solve(hier128, np.full(127, 1e200)).converged
+
+
+def test_mg_solve_rejects_a_misshapen_rhs(hier128, hier1024):
+    # the right-hand side is copied into the solve's buffers, which would
+    # broadcast a single entry: every shape but (n,) raises
+    for hier in (hier128, hier1024):
+        n = hier.fine.mesh.n_interior
+        for shape in ((1,), (5,), (n, 2), ()):
+            with pytest.raises(ValueError, match="g must have shape"):
+                multigrid.mg_solve(hier, np.ones(shape))
 
 
 def test_mg_solve_zero_rhs(hier128):

@@ -131,21 +131,25 @@ def test_fft_matvec_is_the_rfft_multiply_irfft_product(n):
     np.testing.assert_array_equal(op._fft_matvec(x), ref)
 
 
-@pytest.mark.parametrize("shape", [(1023,), (511, 3)])
+@pytest.mark.parametrize("shape", [(1023,), (511, 3), (127,), (127, 3),
+                                   (255,), (255, 255)])
 def test_padded_matvec_reads_its_operand_in_place(shape):
-    # the copy-free entry: the product of the head of a zero-tailed operand,
-    # written into the caller's buffer and returned as its head, is matvec's
-    # bit for bit, and the operand is left as it was
+    # the copy-free entry, dense (n <= 255) or FFT: the product of the head
+    # of a zero-tailed operand, written into the caller's buffer and
+    # returned as its head, is matvec's bit for bit, and the operand is left
+    # as it was
     rng = np.random.default_rng(shape[0])
     n = shape[0]
     op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n)) ** 1.5)
+    assert op._pad_len == (n if n <= 255 else op._fft_len)
     x = rng.standard_normal(shape)
-    padded = np.zeros((op._fft_len,) + shape[1:])
+    padded = np.zeros((op._pad_len,) + shape[1:])
     padded[:n] = x
     before = padded.copy()
     out = np.full_like(padded, np.nan)
     got = op._padded_matvec(padded, out)
-    assert got.base is out and got.shape == shape
+    assert got.shape == shape and got.ctypes.data == out.ctypes.data
+    assert np.shares_memory(got, out)
     assert got.tobytes() == op.matvec(x).tobytes()
     assert padded.tobytes() == before.tobytes()
 
