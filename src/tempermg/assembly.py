@@ -299,11 +299,13 @@ class LevelOperator:
     """One multigrid level: mesh, time step, symbols and the system operator.
 
     ``system`` is (1/h)(tau^{-1} M + B/2), the one operator whose product
-    data (dense matrix or spectrum) is built at assembly; callers apply it
-    as ``system.matvec``, and ``diag`` is its (constant) diagonal.  The
-    mass and stiffness are kept as first columns, and ``apply_mass`` applies
-    the tridiagonal mass as its 3-point stencil.  ``mass`` and ``stiff``
-    build an operator from the columns on each access, for diagnostics.
+    data (dense matrix or spectrum) is built at assembly; ``matvec``
+    applies it into a fresh result, the solver's cycles with the copy-free
+    ``_padded_matvec`` on operands its ``_operand`` lays out, and ``diag``
+    is its (constant) diagonal.  The mass and stiffness are kept as first
+    columns, and ``apply_mass`` applies the tridiagonal mass as its 3-point
+    stencil.  ``mass`` and ``stiff`` build an operator from the columns on
+    each access, for diagnostics.
     """
 
     mesh: Mesh

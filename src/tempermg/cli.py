@@ -358,12 +358,13 @@ def _rel(x: np.ndarray, ref: np.ndarray) -> float:
 def _check_fft_vs_dense(args) -> Tuple[str, str]:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for n in (2, 3, 5, 8, 16, 64, 129, 512):
+    # dense products up to 255 unknowns, FFT products above: at 512 and at
+    # 301, whose embedding length (625) is odd
+    for n in (2, 3, 5, 8, 16, 64, 129, 512, 301):
         op = toeplitz.SymToeplitz(rng.standard_normal(n))
         x = rng.standard_normal(n)
         ref = scipy.linalg.toeplitz(op.first_col) @ x
-        # the FFT path at every size, whichever path matvec takes at this n
-        worst = max(worst, _rel(op._fft_matvec(x), ref), _rel(op.matvec(x), ref))
+        worst = max(worst, _rel(op.matvec(x), ref))
     return ("PASS" if worst <= 1e-12 else "FAIL", f"max rel {worst:.2e}")
 
 

@@ -24,13 +24,14 @@ z <- z + V(g - A z).
 Each solve, dense fine level or not, allocates its buffers once: the fine
 right-hand side, iterate and product, and per level above b
 (``_scratch``) a right-hand side, an iterate and a residual in the heads
-of zero-tailed arrays of the system's ``_pad_len``, and a product buffer.
-Restriction writes the level below's right-hand side in place, every
-product reads its operand where it lies (``SymToeplitz._padded_matvec``),
-and C_b's product lands in the product buffer of the level above, so a
-cycle above a dense fine level allocates nothing.  The arithmetic and its
-order are those of an allocate-per-operation cycle, bit for bit.  The
-hierarchy stays read-only, so solves may share it across threads.
+of operands the system lays out (``SymToeplitz._operand``), and a product
+buffer.  Restriction writes the level below's right-hand side in place,
+every product reads its operand where it lies
+(``SymToeplitz._padded_matvec``), and C_b's product lands in the product
+buffer of the level above, so a cycle above a dense fine level allocates
+nothing.  The arithmetic and its order are those of an
+allocate-per-operation cycle, bit for bit.  The hierarchy stays
+read-only, so solves may share it across threads.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _with_bottom(hier: Hierarchy) -> None:
     such level is b.
     """
     levels = hier.levels
-    chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system.dense()))
+    chol_inv = np.linalg.inv(np.linalg.cholesky(levels[0].system._dense))
     hier._bottom = (0, chol_inv.T @ chol_inv)
     for k in range(1, len(levels)):
         dense = levels[k].system._dense
@@ -200,39 +201,30 @@ def restrict(fine: np.ndarray, out: Optional[np.ndarray] = None,
     return out
 
 
-def _operand(system, tail: tuple) -> np.ndarray:
-    """An array whose head a product with ``system`` reads in place: its
-    ``_pad_len`` rows, zero past n (the tail must stay so) and uninitialised
-    in the first n, which every user writes before it reads them."""
-    buf = np.empty((system._pad_len,) + tail)
-    buf[system.n:] = 0.0
-    return buf
-
-
 class _Buffers:
     """One level's buffers for the cycles of one solve, above level b.
 
-    The level's right-hand side, iterate and residual live in the heads
-    ``rhs``, ``z`` and ``res`` of the ``_operand`` arrays ``*_pad``, so
-    that ``system._padded_matvec(x_pad, prod)`` forms A x in ``prod`` with
-    no copy.  ``rhs_pad`` is the caller's.  With the level below,
+    The level's right-hand side, iterate and residual live in the heads of
+    the operands ``rhs_pad`` (the caller's), ``z_pad`` and ``res_pad`` that
+    ``system._operand`` lays out, so that
+    ``system._padded_matvec(x_pad, prod)`` forms A x in ``prod`` with no
+    copy; ``z`` and ``res`` are the latter two heads.  With the level below,
     ``coarse`` is the head of ``coarse_pad``, that level's right-hand side,
     and ``restrict``'s scratch ``quarter`` is the head of the idle ``prod``.
     """
 
-    __slots__ = ("rhs_pad", "z_pad", "res_pad", "coarse_pad", "rhs", "z",
-                 "res", "coarse", "prod", "quarter")
+    __slots__ = ("rhs_pad", "z_pad", "res_pad", "coarse_pad", "z", "res",
+                 "coarse", "prod", "quarter")
 
     def __init__(self, system, tail, rhs_pad=None, below=None):
         n = system.n
         self.rhs_pad = rhs_pad
-        self.z_pad = _operand(system, tail)
-        self.res_pad = _operand(system, tail)
+        self.z_pad = system._operand(tail)
+        self.res_pad = system._operand(tail)
         self.prod = np.empty_like(self.z_pad)
-        self.rhs = None if rhs_pad is None else rhs_pad[:n]
         self.z, self.res = self.z_pad[:n], self.res_pad[:n]
         if below is not None:
-            self.coarse_pad = _operand(below, tail)
+            self.coarse_pad = below._operand(tail)
             self.coarse = self.coarse_pad[:below.n]
             self.quarter = self.prod[:below.n + 1]
 
@@ -241,9 +233,9 @@ def _scratch(hier: Hierarchy, k: int, rhs_pad: np.ndarray) -> list:
     """Buffers for the cycles of one solve on level k, indexed by level:
     ``_Buffers`` on levels b + 1 .. k; at b < k, for the bottom product,
     the head of level b + 1's ``prod``, idle while level b cycles.
-    ``rhs_pad`` holds level k's right-hand side in its head, as
-    ``_operand`` lays it out; each level below takes its right-hand side
-    from the one above."""
+    ``rhs_pad``, an operand of level k's system (``_operand``), holds that
+    level's right-hand side in its head; each level below takes its
+    right-hand side from the one above."""
     scratch = [None] * (k + 1)
     tail = rhs_pad.shape[1:]
     for j in range(k, hier._bottom[0], -1):
@@ -320,9 +312,10 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray,
     b the cycle is ``hier.coarse_solve(g)``, so on a dense fine level it is
     one product; with ``scratch`` from a level above, it is written into
     ``scratch[b]``.  Above b the cycle runs in ``scratch``, a solve's
-    buffers from ``_scratch``, where g must be ``scratch[k].rhs``; the
-    result is then the view ``scratch[k].z``, valid until the next cycle.
-    Without ``scratch`` the call makes its own and copies g into it.
+    buffers from ``_scratch``, where g must be the head of
+    ``scratch[k].rhs_pad``; the result is then the view ``scratch[k].z``,
+    valid until the next cycle.  Without ``scratch`` the call makes its own
+    and copies g into it.
     A non-finite iterate raises ``FloatingPointError`` naming level k.
     This runs on every level of every cycle, so the finiteness check is
     one dot: every square is >= 0 or NaN, so a finite sum of squares proves
@@ -340,7 +333,7 @@ def v_cycle(hier: Hierarchy, k: int, g: np.ndarray,
         z = hier.coarse_solve(g, None if scratch is None else scratch[k])
     else:
         if scratch is None:
-            rhs_pad = _operand(system, g.shape[1:])
+            rhs_pad = system._operand(g.shape[1:])
             rhs_pad[:n] = g
             scratch = _scratch(hier, k, rhs_pad)
         work = scratch[k]
@@ -399,7 +392,7 @@ def mg_solve(hier: Hierarchy, g: np.ndarray) -> MgResult:
         return res
     if r0 == 0.0:
         return MgResult(np.zeros_like(g), 0, [0.0], True, g.copy())
-    rhs_pad = _operand(system, ())
+    rhs_pad = system._operand(())
     z_pad, prod = np.zeros_like(rhs_pad), np.empty_like(rhs_pad)
     z, r = z_pad[:system.n], rhs_pad[:system.n]
     r[...] = g

@@ -11,14 +11,16 @@ binding that ``scipy.fftpack.rfft`` and ``irfft`` end in, directly, so
 products are bitwise-equal to that public pair at any length.  The binding
 sits in a private SciPy module (``scipy.fft._pocketfft``), but it is what
 keeps the fixed cost per product low: best of 40 interleaved batches of
-500 per call at n = 511 and 1023, 8.4 and 16.2 us for an operand already
-padded (``_padded_matvec``), 9.6 and 17.0 us padding a fresh buffer
-(``matvec``), 11.4 and 18.4 us through ``scipy.fftpack.convolve.convolve``
-(one compiled call for the whole product), 14.3 and 23.2 us through the
-``scipy.fftpack`` wrappers.
-Small operators also store their dense matrix and apply that instead (see
-``_DENSE_MAX_N`` for why the crossover sits where it does), in the same
-copy-free ``_padded_matvec``, so a caller's loop is one code path at any n.
+500 per call at n = 511 and 1023 (2-core x86 host, one thread), 9.0 and
+16.2 us for an operand already laid out (``_padded_matvec``), 10.4 and
+17.3 us laying out a fresh one (``matvec``), 11.4 and 19.0 us through
+``scipy.fftpack.convolve.convolve`` (one compiled call for the whole
+product), 14.4 and 22.0 us through the ``scipy.fftpack`` wrappers.
+Small operators store their dense matrix instead (see ``_DENSE_MAX_N`` for
+why the crossover sits where it does) and compute no spectrum.  Either
+way the operator owns the layout of a product's operand (``_operand``),
+and every product, ``matvec``'s included, is one call of the copy-free
+``_padded_matvec``, so a caller's loop is one code path at any n.
 The module also carries the dense materialization and a structural report
 (sign pattern, diagonal dominance) used by the solver's admissibility
 checks.
@@ -47,18 +49,19 @@ _DENSE_MAX_N = 255
 class SymToeplitz:
     """Immutable symmetric Toeplitz operator ``T[i, j] = first_col[|i - j|]``.
 
-    For n <= 255 the read-only dense matrix is stored and ``matvec`` is one
+    For n <= 255 the read-only dense matrix is stored and a product is one
     dense product; above that only the circulant spectrum is cached, at
-    construction, as a real vector, and ``matvec`` costs two real FFTs of
-    length ~2n.  ``_pad_len`` is the row count of ``_padded_matvec``'s
-    operands: n with the dense matrix, ``_fft_len`` with the spectrum.
+    construction, as a real vector, and a product costs two real FFTs of
+    length ~2n.  ``_pad_len`` is the row count of a product's operand: n
+    with the dense matrix, the embedding length ``next_fast_len(2n)`` with
+    the spectrum.  ``_operand`` lays such an operand out, and every
+    product, ``matvec``'s too, is one ``_padded_matvec`` call.
     Instances hold no mutable state and are safe to share across threads:
-    ``matvec`` allocates its result per call, and the copy-free
-    ``_padded_matvec`` works in buffers its caller owns (``mg_solve``'s
-    per-solve scratch).
+    ``matvec`` allocates its result per call, and ``_padded_matvec`` works
+    in buffers its caller owns (``mg_solve``'s per-solve scratch).
     """
 
-    __slots__ = ("n", "first_col", "_fft_len", "_pad_len", "_spec", "_dense")
+    __slots__ = ("n", "first_col", "_pad_len", "_spec", "_dense")
 
     def __init__(self, first_col):
         col = np.asarray(first_col, dtype=float)
@@ -71,64 +74,63 @@ class SymToeplitz:
         col.flags.writeable = False
         self.n = n
         self.first_col = col
-        # Minimal embedding is 2n; next_fast_len may pad further for FFT
-        # efficiency.  Extra padding is zero-filled and semantics-neutral.
-        self._fft_len = sfft.next_fast_len(2 * n, real=True)
         self._spec = None
         self._dense = None
         if n <= _DENSE_MAX_N:
+            self._pad_len = n
             self._dense = self.dense()
             self._dense.flags.writeable = False
         else:
+            # Minimal embedding is 2n; next_fast_len may pad further for FFT
+            # efficiency.  Extra padding is zero-filled and semantics-neutral.
+            self._pad_len = sfft.next_fast_len(2 * n, real=True)
             self._spec = self._spectrum()
-        self._pad_len = n if self._spec is None else self._fft_len
 
     def _spectrum(self):
         """Eigenvalues of the circulant that embeds the operator, in
         ``scipy.fftpack``'s packed order ``[l0, l1, l1, l2, l2, ...]`` (for
         even length the last eigenvalue ``l_{L/2}`` is unpaired)."""
-        L = self._fft_len
+        L = self._pad_len
         emb = np.zeros(L)
         emb[: self.n] = self.first_col
-        if self.n > 1:
-            emb[L - self.n + 1:] = self.first_col[1:][::-1]
+        emb[L - self.n + 1:] = self.first_col[1:][::-1]
         # emb is symmetric, so the imaginary part is rounding only
         return np.repeat(sfft.rfft(emb).real, 2)[1: L + 1]
 
+    def _operand(self, tail: tuple) -> np.ndarray:
+        """An array whose head a product reads in place: ``_pad_len`` rows
+        (and ``tail``), zero past n (the tail must stay so) and
+        uninitialised in the first n, which every user writes before it
+        reads them."""
+        buf = np.empty((self._pad_len,) + tail)
+        buf[self.n:] = 0.0
+        return buf
+
     def matvec(self, x):
         """y_i = sum_j first_col[|i-j|] x_j: stored dense product at small n,
-        O(n log n) circulant embedding above.  An (n, k) block is applied
-        column by column."""
+        O(n log n) circulant embedding above, in a fresh result.  An (n, k)
+        block is applied column by column."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"expected shape ({self.n},) or ({self.n}, k), "
                              f"got {x.shape}")
         if self._dense is not None:
-            return self._dense.dot(x)
-        return self._fft_matvec(x)
+            return self._padded_matvec(x, np.empty(x.shape))
+        padded = self._operand(x.shape[1:])
+        padded[: self.n] = x
+        return self._padded_matvec(padded, padded)
 
-    def _fft_matvec(self, x):
-        """Circulant-embedding matvec of a checked vector or block, at any n,
-        in a fresh padded buffer; below the dense crossover (only tests and
-        ``verify`` go there) the spectrum is computed per call."""
-        buf = np.zeros((self._fft_len,) + x.shape[1:])
-        buf[: self.n] = x
-        spec = self._spec if self._spec is not None else self._spectrum()
-        return self._padded_matvec(buf, buf, spec)
-
-    def _padded_matvec(self, padded, out, spec=None):
-        """A x for x in the first n rows of ``padded`` (``_pad_len`` rows,
-        zero past n), computed in the caller's ``out`` of the same shape.
+    def _padded_matvec(self, padded, out):
+        """A x for x in the first n rows of ``padded`` (laid out as
+        ``_operand``'s), computed in the caller's ``out`` of the same shape.
 
         Returns the head ``out[:n]`` (``out`` itself when dense), allocates
         and copies nothing, and leaves ``padded`` as it is unless it is
-        ``out`` (FFT only).  A given ``spec`` forces the FFT product.
+        ``out`` (FFT only).
         """
-        if spec is None and self._dense is not None:
+        if self._dense is not None:
             return self._dense.dot(padded, out)
-        spec = self._spec if spec is None else spec
-        if out.ndim == 2:
-            spec = spec[:, None]
+        spec = self._spec if out.ndim == 1 else self._spec[:, None]
         # forward transform into out, multiply, inverse normalized by 1/L
         # (inorm=2) as in scipy.fftpack.irfft, in place
         r2r_fftpack(padded, (0,), True, True, 0, out, 1)

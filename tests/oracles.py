@@ -423,27 +423,16 @@ def record_products(monkeypatch, entry=lambda op, x: op):
     """Patch ``SymToeplitz`` so that every product, vector or block, appends
     ``entry(operator, operand)`` to the returned list once, unless that is
     None; the operand is read at the call.  A product is seen at
-    ``_padded_matvec``, which every product in a solve or a set-up and every
-    FFT ``matvec`` go through, or else, dense, at ``matvec``."""
+    ``_padded_matvec``, which every product goes through, ``matvec``'s
+    included."""
     products = []
-    matvec = toeplitz.SymToeplitz.matvec
     padded_matvec = toeplitz.SymToeplitz._padded_matvec
 
-    def record(op, x):
-        item = entry(op, x)
+    def counting(self, padded, out):
+        item = entry(self, padded[: self.n])
         if item is not None:
             products.append(item)
+        return padded_matvec(self, padded, out)
 
-    def counting_matvec(self, x):
-        if self._dense is not None:
-            record(self, np.asarray(x, dtype=float))
-        return matvec(self, x)
-
-    def counting_padded_matvec(self, padded, out, *spec):
-        record(self, padded[: self.n])
-        return padded_matvec(self, padded, out, *spec)
-
-    monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", counting_matvec)
-    monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec",
-                        counting_padded_matvec)
+    monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec", counting)
     return products

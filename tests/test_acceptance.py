@@ -254,9 +254,9 @@ def test_matvec_is_two_real_transforms_of_length_about_2n():
     # against one stored real spectrum of that length
     for n in MATVEC_SIZES:
         op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n, dtype=float)) ** 2.5)
-        assert op._fft_len == sfft.next_fast_len(2 * n, real=True) <= 2 * n + 2
+        assert op._pad_len == sfft.next_fast_len(2 * n, real=True) <= 2 * n + 2
         assert op._dense is None
-        assert op._spec.dtype == float and op._spec.shape == (op._fft_len,)
+        assert op._spec.dtype == float and op._spec.shape == (op._pad_len,)
 
 
 def _cn_step_doubling_ratios(alpha, repeats=9, batch=5):

@@ -502,7 +502,7 @@ def smoothed128(m1, m2):
 
 def record_block_products(monkeypatch):
     # (operator, is the operand a scaled identity) per block product, seen
-    # at matvec and at _padded_matvec as oracles.record_products sees them
+    # at _padded_matvec as oracles.record_products sees them
     def block(op, x):
         if x.ndim == 2:
             d = np.diag(x)
@@ -678,9 +678,9 @@ def test_mg_solve_makes_every_fine_product_in_place(
     def unexpected(self, x):
         raise AssertionError(f"matvec called at n = {self.n}")
 
-    def counting(self, padded, out, *spec):
+    def counting(self, padded, out):
         fine.append(self is hier.fine.system)
-        return padded_matvec(self, padded, out, *spec)
+        return padded_matvec(self, padded, out)
 
     monkeypatch.setattr(toeplitz.SymToeplitz, "matvec", unexpected)
     monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec", counting)
@@ -806,9 +806,9 @@ def test_vcycle_in_solve_buffers_allocates_no_fine_vector(hier1024, m1):
         model_problem(), Mesh(0.0, 1.0, 1024), tau=1.0 / 1024.0,
         config=MgConfig(m1=m1))
     top, bottom = len(hier.levels) - 1, hier._bottom[0]
-    rhs_pad = multigrid._operand(hier.fine.system, ())
+    rhs_pad = hier.fine.system._operand(())
     scratch = multigrid._scratch(hier, top, rhs_pad)
-    g = scratch[top].rhs
+    g = rhs_pad[:hier.fine.system.n]
     g[...] = np.random.default_rng(16).standard_normal(len(g))
     ref = multigrid.v_cycle(hier, top, g).copy()
     multigrid.v_cycle(hier, top, g, scratch)  # warm the FFT plans

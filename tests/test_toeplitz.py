@@ -37,7 +37,14 @@ def test_direct_column_extraction():
     e1 = np.zeros(6)
     e1[0] = 1.0
     np.testing.assert_allclose(op.matvec(e1), col, atol=0)
-    np.testing.assert_allclose(op._fft_matvec(e1), col, rtol=0, atol=1e-15)
+    # the same head with a decaying tail, past the dense crossover: the FFT
+    # product (embedding length 625) returns the column to rounding
+    col = np.concatenate((col, 1.0 / (1.0 + np.arange(6, 301)) ** 1.5))
+    op = toeplitz.SymToeplitz(col)
+    assert op._dense is None
+    e1 = np.zeros(301)
+    e1[0] = 1.0
+    np.testing.assert_allclose(op.matvec(e1), col, rtol=0, atol=1e-15)
 
 
 def test_direct_matches_materialized_dense():
@@ -51,17 +58,18 @@ def test_direct_matches_materialized_dense():
     np.testing.assert_allclose(op.dense(), dense, atol=0)
 
 
-# n = 13 and n = 301 have odd embedding lengths (27 and 625): the packed
-# spectrum then ends in a full (real, imaginary) pair
+# matvec is the stored dense product up to n = 255 and the FFT product
+# above.  There, n = 301 and n = 312 have an odd embedding length (625), so
+# the packed spectrum ends in a full (real, imaginary) pair, and n = 257,
+# 511 and 1023 one longer than 2n (540, 1024 and 2048)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100, 129, 256,
-                               301, 511, 512])
+                               257, 301, 312, 511, 512, 1023])
 def test_fft_matvec_matches_direct(n):
     rng = np.random.default_rng(n)
     op = toeplitz.SymToeplitz(rng.standard_normal(n))
     x = rng.standard_normal(n)
     ref = sla.toeplitz(op.first_col) @ x
-    # the FFT path at every n, even where matvec uses the stored dense matrix
-    got = op._fft_matvec(x)
+    got = op.matvec(x)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -77,7 +85,7 @@ def test_matvec_across_dense_crossover(n):
         np.testing.assert_array_equal(op._dense, op.dense())
         with pytest.raises(ValueError):
             op._dense[0, 0] = 0.0
-        assert op._spec is None  # built per call by _fft_matvec here
+        assert op._spec is None and op._pad_len == n
     else:
         assert op._dense is None and op._spec is not None
 
@@ -90,8 +98,6 @@ def test_block_matvec_matches_column_by_column(n):
     cols = np.column_stack([op.matvec(col) for col in block.T])
     scale = np.linalg.norm(cols)
     assert np.linalg.norm(op.matvec(block) - cols) <= 1e-14 * scale
-    fft_cols = np.column_stack([op._fft_matvec(col) for col in block.T])
-    assert np.linalg.norm(op._fft_matvec(block) - fft_cols) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n", [256, 1023])
@@ -99,7 +105,7 @@ def test_packed_spectrum_is_the_real_circulant_spectrum(n):
     rng = np.random.default_rng(n)
     col = rng.standard_normal(n)
     op = toeplitz.SymToeplitz(col)
-    L = op._fft_len
+    L = op._pad_len
     emb = np.concatenate((col, np.zeros(L - 2 * n + 1), col[:0:-1]))
     lam = sfft.rfft(emb)
     # the embedding is symmetric, so the dropped imaginary part is rounding
@@ -122,13 +128,13 @@ def test_fft_matvec_is_the_rfft_multiply_irfft_product(n):
     col = rng.standard_normal(n)
     op = toeplitz.SymToeplitz(col)
     x = rng.standard_normal(n)
-    L = op._fft_len
+    L = op._pad_len
     emb = np.concatenate((col, np.zeros(L - 2 * n + 1), col[:0:-1]))
     packed = np.repeat(sfft.rfft(emb).real, 2)[1: L + 1]
     buf = np.zeros(L)
     buf[:n] = x
     ref = fftpack.irfft(fftpack.rfft(buf) * packed)[:n]
-    np.testing.assert_array_equal(op._fft_matvec(x), ref)
+    np.testing.assert_array_equal(op.matvec(x), ref)
 
 
 @pytest.mark.parametrize("shape", [(1023,), (511, 3), (127,), (127, 3),
@@ -141,7 +147,8 @@ def test_padded_matvec_reads_its_operand_in_place(shape):
     rng = np.random.default_rng(shape[0])
     n = shape[0]
     op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n)) ** 1.5)
-    assert op._pad_len == (n if n <= 255 else op._fft_len)
+    assert op._pad_len == (n if n <= 255 else
+                           sfft.next_fast_len(2 * n, real=True))
     x = rng.standard_normal(shape)
     padded = np.zeros((op._pad_len,) + shape[1:])
     padded[:n] = x
@@ -152,6 +159,33 @@ def test_padded_matvec_reads_its_operand_in_place(shape):
     assert np.shares_memory(got, out)
     assert got.tobytes() == op.matvec(x).tobytes()
     assert padded.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(127,), (127, 3), (255,), (255, 4),
+                                   (301,), (301, 3), (1023,), (1023, 4)])
+def test_matvec_is_one_padded_product_of_its_input(monkeypatch, shape):
+    # dense or FFT, vector or block, matvec makes exactly one copy-free
+    # product, of an operand whose head is its input, and returns its result
+    rng = np.random.default_rng(shape[0] + len(shape))
+    n = shape[0]
+    op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n)) ** 1.5)
+    padded_matvec = toeplitz.SymToeplitz._padded_matvec
+    operands, results = [], []
+
+    def recording(self, padded, out):
+        operands.append(padded.copy())
+        results.append(padded_matvec(self, padded, out))
+        return results[-1]
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "_padded_matvec", recording)
+    x = rng.standard_normal(shape)
+    y = op.matvec(x)
+    [padded] = operands
+    assert padded.shape == (op._pad_len,) + shape[1:]
+    assert padded[:n].tobytes() == x.tobytes() and not padded[n:].any()
+    assert y is results[0]
+    assert np.linalg.norm(y - sla.toeplitz(op.first_col) @ x) <= (
+        1e-12 * np.linalg.norm(y))
 
 
 def test_shared_operator_matvec_is_thread_safe():
