@@ -347,6 +347,23 @@ def sin_load_ref(nodes, h):
             * np.sin(np.pi * np.asarray(nodes)))
 
 
+# ---------------------------------------------------------------------------
+# Toeplitz products
+
+
+def toeplitz_product_ref(first_col, x):
+    """T x for the symmetric Toeplitz T with this first column, in O(n^2)
+    by direct convolution with the mirrored column t_{n-1} .. t_1, t_0 ..
+    t_{n-1}, whose entry i + n - 1 of the full convolution is row i of the
+    product; an (n, k) block column by column.  No n x n matrix is built."""
+    col = np.asarray(first_col, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return np.column_stack([toeplitz_product_ref(col, c) for c in x.T])
+    n = col.size
+    mirrored = np.concatenate((col[:0:-1], col))
+    return np.convolve(x, mirrored)[n - 1: 2 * n - 1]
+
 
 # ---------------------------------------------------------------------------
 # the allocate-per-operation V-cycle, and a product recorder

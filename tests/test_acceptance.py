@@ -248,15 +248,18 @@ def test_matvec_doubling_cost_stays_near_linear():
     assert all(ratio <= 2.6 for ratio in ratios), (times, ratios)
 
 
-def test_matvec_is_two_real_transforms_of_length_about_2n():
+def test_matvec_is_two_complex_transforms_of_length_about_n():
     # machine-independent companion of the timing test above: each product
-    # is a real FFT and its inverse of length next_fast_len(2n) <= 2n + 2,
-    # against one stored real spectrum of that length
+    # is a complex FFT and its inverse of length next_fast_len(n) <= n + 1,
+    # half the operand length, against two stored real recombination arrays
+    # of the operand's length and no packed real spectrum
     for n in MATVEC_SIZES:
         op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n, dtype=float)) ** 2.5)
-        assert op._pad_len == sfft.next_fast_len(2 * n, real=True) <= 2 * n + 2
-        assert op._dense is None
-        assert op._spec.dtype == float and op._spec.shape == (op._pad_len,)
+        assert op._pad_len == 2 * sfft.next_fast_len(n) <= 2 * n + 2
+        assert op._dense is None and op._spec is None
+        assert len(op._half) == 2
+        for stored in op._half:
+            assert stored.dtype == float and stored.shape == (op._pad_len,)
 
 
 def _cn_step_doubling_ratios(alpha, repeats=9, batch=5):

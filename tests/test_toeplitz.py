@@ -9,6 +9,7 @@ import scipy.fft as sfft
 import scipy.fftpack as fftpack
 import scipy.linalg as sla
 
+import oracles
 from tempermg import toeplitz
 
 
@@ -189,22 +190,82 @@ def test_matvec_is_one_padded_product_of_its_input(monkeypatch, shape):
 
 
 def test_shared_operator_matvec_is_thread_safe():
-    n = 1023
+    # one operator on the packed real path (n = 1023) and one on the
+    # half-length complex path (n = 4095)
     rng = np.random.default_rng(11)
-    op = toeplitz.SymToeplitz(rng.standard_normal(n))
-    xs = list(rng.standard_normal((64, n)))
-    serial = [op.matvec(x) for x in xs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # force thread switches inside matvec
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            rounds = [list(pool.map(op.matvec, xs, timeout=60))
-                      for _ in range(8)]
-    finally:
-        sys.setswitchinterval(interval)
-    for threaded in rounds:
-        for got, ref in zip(threaded, serial):
-            np.testing.assert_array_equal(got, ref)
+    for n in (1023, 4095):
+        op = toeplitz.SymToeplitz(rng.standard_normal(n))
+        xs = list(rng.standard_normal((64, n)))
+        serial = [op.matvec(x) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches inside matvec
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                rounds = [list(pool.map(op.matvec, xs, timeout=60))
+                          for _ in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+        for threaded in rounds:
+            for got, ref in zip(threaded, serial):
+                np.testing.assert_array_equal(got, ref)
+
+
+# from n = 4095 (_HALF_MIN_N) on, a product is one complex transform of
+# half the operand length each way: 4095 and 8191 are multigrid level sizes
+# (L = 8192, 16384), and 7800's real fast length 15625 is odd, so its
+# operand is 2 next_fast_len(7800) = 15680 long instead
+HALF_SIZES = (4095, 7800, 8191)
+
+
+def test_half_length_storage_starts_at_its_crossover():
+    n = toeplitz._HALF_MIN_N
+    below = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n - 1)) ** 1.5)
+    assert below._half is None and below._spec is not None
+    assert below._pad_len == sfft.next_fast_len(2 * n - 2, real=True)
+    at = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n)) ** 1.5)
+    assert at._half is not None and at._spec is None and at._dense is None
+    assert at._pad_len == 2 * sfft.next_fast_len(n)
+
+
+@pytest.mark.parametrize("n", HALF_SIZES)
+def test_half_length_product_matches_convolution(n):
+    # against the O(n^2) convolution oracle, vector and (n, 3) block, C- and
+    # F-ordered; a block matches its column-by-column products as in
+    # test_block_matvec_matches_column_by_column
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n)
+    op = toeplitz.SymToeplitz(col)
+    assert op._half is not None and op._pad_len % 2 == 0
+    x = rng.standard_normal(n)
+    ref = oracles.toeplitz_product_ref(col, x)
+    assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+    block = rng.standard_normal((n, 3))
+    ref = oracles.toeplitz_product_ref(col, block)
+    cols = np.column_stack([op.matvec(c) for c in block.T])
+    for b in (block, np.asfortranarray(block)):
+        got = op.matvec(b)
+        assert got.shape == (n, 3)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(got - cols) <= 1e-14 * np.linalg.norm(cols)
+
+
+@pytest.mark.parametrize("shape", [(4095,), (4095, 3), (7800,), (7800, 2)])
+def test_half_length_padded_matvec_reads_its_operand_in_place(shape):
+    # as test_padded_matvec_reads_its_operand_in_place on the half-length
+    # path: out's head is the result, matvec's bit for bit, and a separate
+    # operand is left as it was
+    rng = np.random.default_rng(shape[0] + len(shape))
+    n = shape[0]
+    op = toeplitz.SymToeplitz(1.0 / (1.0 + np.arange(n)) ** 1.5)
+    x = rng.standard_normal(shape)
+    padded = op._operand(shape[1:])
+    padded[:n] = x
+    before = padded.copy()
+    out = np.full_like(padded, np.nan)
+    got = op._padded_matvec(padded, out)
+    assert got.shape == shape and got.ctypes.data == out.ctypes.data
+    assert got.tobytes() == op.matvec(x).tobytes()
+    assert padded.tobytes() == before.tobytes()
 
 
 def test_matvec_linearity_and_symmetry():
